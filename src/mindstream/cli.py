@@ -20,7 +20,7 @@ from .apriori import apriori, apriori_levels, gen_rules, negative_border
 from .engine import ContinuousQuery, Engine
 from .model import EngineParams
 from .queries import QueryUsageError, run_static_query
-from .snapshot import load_snapshot, render_snapshot, save_snapshot
+from .snapshot import SnapshotError, load_snapshot, render_snapshot, save_snapshot
 from .stream import ParseError, read_transactions
 
 
@@ -86,7 +86,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    state = load_snapshot(args.snapshot)
+    try:
+        state = load_snapshot(args.snapshot)
+    except (OSError, UnicodeDecodeError, SnapshotError) as exc:
+        print(f"error: {args.snapshot}: {exc}", file=sys.stderr)
+        return 1
     try:
         result = run_static_query(state, args.query)
     except QueryUsageError as exc:

@@ -4,16 +4,16 @@ Each ingested transaction triggers an atomic update of the mind-map:
 duplicate merging, cell creation / merge with activation boosts, edge
 creation or Hebbian reinforcement, multiplicative decay of everything not
 touched this step, and forgetting of edges and cells that fell below the
-floor. All updates are computed against the pre-step state and committed
-together (two-phase), so the result is a pure function of
-(map, transaction, params).
+floor. All updates are computed against the pre-step state and only then
+committed (two-phase); the commit, decay and forgetting update the given
+map in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Set, Tuple
+from typing import Container, Dict, List, Tuple
 
 from .model import (
     Connection,
@@ -64,63 +64,59 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
 
 def decay_pass(
     mmap: MindMap,
-    reinforced: Set[Pair],
-    activated: Set[str],
+    reinforced: Container[Pair],
+    activated: Container[str],
     params: EngineParams,
-) -> MindMap:
-    """Multiplicative decay on everything outside the touched sets."""
-    out = mmap.copy()
+) -> None:
+    """Multiplicative decay, in place, on everything outside the touched sets."""
     if params.beta_w > 0.0:
-        for pair, conn in out.edges.items():
+        keep_w = 1.0 - params.beta_w
+        for pair, conn in mmap.edges.items():
             if pair not in reinforced:
-                conn.weight = conn.weight * (1.0 - params.beta_w)
+                conn.weight = conn.weight * keep_w
     if params.beta_a > 0.0:
-        for label, cell in out.cells.items():
+        keep_a = 1.0 - params.beta_a
+        for label, cell in mmap.cells.items():
             if label not in activated:
-                cell.activation = cell.activation * (1.0 - params.beta_a)
-    return out
+                cell.activation = cell.activation * keep_a
 
 
-def prune_forgotten(
-    mmap: MindMap, epsilon: float
-) -> Tuple[MindMap, List[Pair], List[str]]:
-    """Drop edges below the floor, then isolated cells below the floor.
+def prune_forgotten(mmap: MindMap, epsilon: float) -> Tuple[List[Pair], List[str]]:
+    """Drop edges below the floor, then isolated cells below the floor, in
+    place; returns the dropped edges and cells, each sorted.
 
     A cell that still has a surviving edge is never removed, whatever its
     activation: edges pin their endpoints.
     """
-    out = mmap.copy()
-    dead_edges = sorted(p for p, c in out.edges.items() if c.weight < epsilon)
+    dead_edges = sorted(p for p, c in mmap.edges.items() if c.weight < epsilon)
     for pair in dead_edges:
-        del out.edges[pair]
-    pinned = {label for pair in out.edges for label in pair}
-    dead_cells = sorted(
-        label
-        for label, cell in out.cells.items()
-        if label not in pinned and cell.activation < epsilon
-    )
+        del mmap.edges[pair]
+    quiet = [label for label, cell in mmap.cells.items() if cell.activation < epsilon]
+    pinned = {label for pair in mmap.edges for label in pair} if quiet else set()
+    dead_cells = sorted(label for label in quiet if label not in pinned)
     for label in dead_cells:
-        del out.cells[label]
-    return out, dead_edges, dead_cells
+        del mmap.cells[label]
+    return dead_edges, dead_cells
 
 
 def ingest_transaction(
     mmap: MindMap, txn: Transaction, params: EngineParams
 ) -> Tuple[MindMap, StepEvents]:
-    """Apply one full synchronization step; returns the new map and events.
+    """Apply one full synchronization step to `mmap` in place; returns the
+    same map and the step's events.
 
     An empty transaction only runs decay and forgetting and advances the
     step counter.
     """
     step = mmap.step + 1
     events = StepEvents(step=step)
-    out = mmap.copy()
 
     # Phase 1+2: boosts per occurrence, against pre-step activations.
+    labels = sorted(txn.items)
     boosted: Dict[str, float] = {}
-    for label in sorted(txn.items):
+    for label in labels:
         count = txn.items[label]
-        cell = out.cells.get(label)
+        cell = mmap.cells.get(label)
         if cell is None:
             a = INITIAL_ACTIVATION
             events.cells_created.append(label)
@@ -134,13 +130,12 @@ def ingest_transaction(
     # Phase 3: edge creation / reinforcement against pre-step weights,
     # using this step's post-boost activations. Newly created edges are
     # not additionally reinforced within their creation step.
-    labels = sorted(txn.items)
     new_weights: Dict[Pair, float] = {}
     if len(labels) >= 2:
         w0 = initial_weight(len(labels))
         for a, b in combinations(labels, 2):
             pair = canonical_pair(a, b)
-            conn = out.edges.get(pair)
+            conn = mmap.edges.get(pair)
             if conn is None:
                 new_weights[pair] = w0
                 events.edges_created.append(pair)
@@ -152,27 +147,27 @@ def ingest_transaction(
 
     # Commit.
     for label, a in boosted.items():
-        cell = out.cells.get(label)
+        cell = mmap.cells.get(label)
         if cell is None:
-            out.cells[label] = ItemCell(label, a, step, step)
+            mmap.cells[label] = ItemCell(label, a, step, step)
         else:
             cell.activation = a
             cell.last_activated_at = step
     for pair, w in new_weights.items():
-        conn = out.edges.get(pair)
+        conn = mmap.edges.get(pair)
         if conn is None:
-            out.edges[pair] = Connection(pair, w, step)
+            mmap.edges[pair] = Connection(pair, w, step)
         else:
             conn.weight = w
             conn.last_reinforced_at = step
 
     # Phase 4: decay of the untouched complement.
-    out = decay_pass(out, set(new_weights), set(boosted), params)
+    decay_pass(mmap, new_weights, boosted, params)
 
     # Phase 5: forgetting.
-    out, events.edges_forgotten, events.cells_forgotten = prune_forgotten(
-        out, params.epsilon
+    events.edges_forgotten, events.cells_forgotten = prune_forgotten(
+        mmap, params.epsilon
     )
 
-    out.step = step
-    return out, events
+    mmap.step = step
+    return mmap, events

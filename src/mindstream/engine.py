@@ -1,9 +1,10 @@
 """Engine loop: ingestion, memory maintenance, events, continuous queries.
 
-One Engine owns all mutable state; every ingested transaction runs the
+One Engine owns all mutable state, including the one mind-map that each
+synchronization step updates in place; every ingested transaction runs the
 full pipeline (dynamics step, skeleton, pattern detection, STM/LTM update,
-event reporting, continuous-query evaluation). Queries read immutable
-post-step snapshots, so evaluation order never affects the state.
+event reporting, continuous-query evaluation). Queries only read the map
+after the step has committed, so evaluation order never affects the state.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class ContinuousQuery:
     kind: str  # "trace-edge" | "strongest-subgraphs"
     target: Optional[Pair] = None
     horizon: int = 1
-    registered_at: int = 0
     top_k: int = 3
     emitted: int = 0
 
@@ -74,7 +74,6 @@ class Engine:
         return EngineState(self.mmap, self.params, self.stm, self.ltm)
 
     def register_query(self, query: ContinuousQuery) -> ContinuousQuery:
-        query.registered_at = self.step
         self.queries.append(query)
         return query
 

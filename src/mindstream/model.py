@@ -20,8 +20,9 @@ class SelfPairError(ValueError):
 
 
 def validate_label(label: str) -> str:
-    if not isinstance(label, str) or not label.strip():
-        raise ValueError(f"item label must be a non-empty string, got {label!r}")
+    # A newline would end a snapshot line inside a quoted label.
+    if not isinstance(label, str) or not label.strip() or "\n" in label:
+        raise ValueError(f"item label must be a non-empty single-line string, got {label!r}")
     return label
 
 
@@ -71,10 +72,6 @@ class Transaction:
             validate_label(label)
             if count < 1:
                 raise ValueError(f"count for {label!r} must be >= 1, got {count}")
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.items)
 
 
 def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:

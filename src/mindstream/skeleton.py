@@ -1,6 +1,6 @@
 """Thresholded skeletons, pairwise association rules, strongest subgraphs.
 
-All functions here are pure reads over an immutable mind-map snapshot.
+All functions here are pure reads: none of them changes the mind-map.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ class Skeleton:
 
     nodes: FrozenSet[str]
     edges: Tuple[Tuple[Pair, float], ...]
-    source_step: int
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,16 @@ class AssociationRule:
 def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Skeleton:
     """Keep edges with weight >= theta_w whose both endpoints have
     activation >= theta_a; nodes are the endpoints of kept edges."""
-    kept: List[Tuple[Pair, float]] = []
-    for pair in sorted(mmap.edges):
-        conn = mmap.edges[pair]
-        if conn.weight < theta_w:
-            continue
-        a, b = pair
-        if mmap.cells[a].activation >= theta_a and mmap.cells[b].activation >= theta_a:
-            kept.append((pair, conn.weight))
+    cells = mmap.cells
+    kept = sorted(
+        (pair, conn.weight)
+        for pair, conn in mmap.edges.items()
+        if conn.weight >= theta_w
+        and cells[pair[0]].activation >= theta_a
+        and cells[pair[1]].activation >= theta_a
+    )
     nodes = frozenset(label for pair, _ in kept for label in pair)
-    return Skeleton(nodes=nodes, edges=tuple(kept), source_step=mmap.step)
+    return Skeleton(nodes=nodes, edges=tuple(kept))
 
 
 def derive_rules(s: Skeleton) -> List[AssociationRule]:
@@ -56,23 +55,24 @@ def _components(s: Skeleton) -> List[Skeleton]:
     for (a, b), _ in s.edges:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    seen: set = set()
-    comps: List[Skeleton] = []
+    edges_of: Dict[str, list] = {}  # node -> edge list of its component
+    comps: List[Tuple[set, list]] = []
     for start in sorted(s.nodes):
-        if start in seen:
+        if start in edges_of:
             continue
+        members, edges = set(), []
         stack = [start]
-        members = set()
         while stack:
             node = stack.pop()
             if node in members:
                 continue
             members.add(node)
+            edges_of[node] = edges
             stack.extend(adjacency[node] - members)
-        seen |= members
-        edges = tuple(e for e in s.edges if e[0][0] in members)
-        comps.append(Skeleton(frozenset(members), edges, s.source_step))
-    return comps
+        comps.append((members, edges))
+    for edge in s.edges:
+        edges_of[edge[0][0]].append(edge)
+    return [Skeleton(frozenset(members), tuple(edges)) for members, edges in comps]
 
 
 def strongest_subgraphs(mmap: MindMap, theta_w: float, top_k: int) -> List[Skeleton]:

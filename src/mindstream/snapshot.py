@@ -211,7 +211,10 @@ def parse_snapshot(text: str) -> EngineState:
         )
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None
-    mmap.check_invariants()
+    try:
+        mmap.check_invariants()
+    except AssertionError as exc:
+        raise SnapshotError(str(exc)) from None
     return EngineState(mmap, params, stm, ltm)
 
 

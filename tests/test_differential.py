@@ -1,0 +1,94 @@
+"""Differential test: the in-place step against the copy-per-phase reference.
+
+Two engines consume the same seeded random stream under the same random
+parameters. One runs the shipped in-place step; the other runs the pure
+reference step from `reference_dynamics`. After every step the snapshots,
+the step's event lines, its events and the query emissions must be
+identical.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+import mindstream.engine as engine_module
+from mindstream.engine import ContinuousQuery, Engine
+from mindstream.model import EngineParams, MindMap
+from mindstream.snapshot import render_snapshot
+
+import reference_dynamics
+from helpers import txn
+
+
+def random_params(rng: random.Random, decay: bool, epsilon_near: str) -> EngineParams:
+    theta_w = rng.uniform(0.05, 0.95)
+    if epsilon_near == "zero":
+        epsilon = rng.choice([0.0, theta_w * rng.uniform(1e-6, 1e-2)])
+    else:  # just below theta_w: forgetting races the skeleton threshold
+        epsilon = theta_w * rng.uniform(0.9, 0.999)
+    return EngineParams(
+        eta=rng.uniform(0.05, 1.0),
+        lam=rng.uniform(0.05, 1.0),
+        beta_w=rng.uniform(0.005, 0.4) if decay else 0.0,
+        beta_a=rng.uniform(0.005, 0.4) if decay else 0.0,
+        epsilon=epsilon,
+        theta_w=theta_w,
+        theta_a=rng.choice([0.0, rng.uniform(0.0, 0.9)]),
+        promote_after=rng.randint(1, 4),
+    )
+
+
+def random_stream(rng: random.Random, n_txns: int):
+    """Empty, singleton and multi-item transactions; items drawn with
+    replacement, so duplicates are common."""
+    alphabet = [f"i{k}" for k in range(rng.randint(3, 12))]
+    stream = []
+    for _ in range(n_txns):
+        size = rng.choice([0, 1, 1, 2, 3, 4, 5, 6, 8])
+        stream.append(txn([rng.choice(alphabet) for _ in range(size)]))
+    return stream, alphabet
+
+
+def with_queries(engine: Engine, alphabet) -> Engine:
+    engine.register_query(
+        ContinuousQuery("trace-edge", (alphabet[0], alphabet[1]), horizon=10**6)
+    )
+    engine.register_query(ContinuousQuery("strongest-subgraphs", top_k=3))
+    return engine
+
+
+def reference_ingest(engine: Engine, t):
+    with mock.patch.object(
+        engine_module, "ingest_transaction", reference_dynamics.ingest_transaction
+    ):
+        return engine.ingest(t)
+
+
+def fail_copy(self):
+    raise AssertionError("the in-place step copied the map")
+
+
+@pytest.mark.parametrize("decay", [False, True])
+@pytest.mark.parametrize("epsilon_near", ["zero", "theta_w"])
+def test_in_place_step_matches_reference(decay, epsilon_near):
+    for seed in range(12):
+        rng = random.Random(f"{decay}-{epsilon_near}-{seed}")
+        params = random_params(rng, decay, epsilon_near)
+        stream, alphabet = random_stream(rng, rng.randint(40, 160))
+        fast = with_queries(Engine(params), alphabet)
+        ref = with_queries(Engine(params), alphabet)
+        fast_map = fast.mmap
+        for i, t in enumerate(stream, start=1):
+            logged, emitted = len(fast.event_lines), len(fast.emissions)
+            with mock.patch.object(MindMap, "copy", fail_copy):
+                fast_events = fast.ingest(t)
+            ref_events = reference_ingest(ref, t)
+            where = f"seed {seed}, step {i}, {params}"
+            assert fast.mmap is fast_map, where
+            assert render_snapshot(fast.state) == render_snapshot(ref.state), where
+            assert fast.event_lines[logged:] == ref.event_lines[logged:], where
+            assert fast_events == ref_events, where
+            assert [(e.step, e.text) for e in fast.emissions[emitted:]] == [
+                (e.step, e.text) for e in ref.emissions[emitted:]
+            ], where

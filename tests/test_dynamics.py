@@ -96,16 +96,18 @@ def test_second_transaction_joins_components():
 def test_empty_transaction_only_decays():
     params = EngineParams()
     m1, _ = ingest_transaction(new_mindmap(), txn(["A", "C", "D"]), params)
+    # the step updates the map in place: capture the pre-step values
+    step_before = m1.step
+    weights_before = {pair: conn.weight for pair, conn in m1.edges.items()}
+    activations_before = {label: cell.activation for label, cell in m1.cells.items()}
     m2, _ = ingest_transaction(m1, txn([]), params)
-    assert m2.step == m1.step + 1
-    assert sorted(m2.edges) == sorted(m1.edges)
+    assert m2.step == step_before + 1
+    assert sorted(m2.edges) == sorted(weights_before)
     for pair, conn in m2.edges.items():
-        assert conn.weight == pytest.approx(
-            m1.edges[pair].weight * (1 - params.beta_w)
-        )
+        assert conn.weight == pytest.approx(weights_before[pair] * (1 - params.beta_w))
     for label, cell in m2.cells.items():
         assert cell.activation == pytest.approx(
-            m1.cells[label].activation * (1 - params.beta_a)
+            activations_before[label] * (1 - params.beta_a)
         )
 
 
@@ -117,33 +119,39 @@ def test_singleton_transaction_creates_cell_without_edges():
 
 
 def test_decay_pass_examples():
-    m, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
-    pair = ("A", "B")
-    same = decay_pass(m, set(), set(), EngineParams(beta_w=0.0, beta_a=0.0))
-    assert same.edges[pair].weight == m.edges[pair].weight
+    def fresh():
+        m, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
+        return m, m.edges[("A", "B")].weight
 
-    decayed = decay_pass(m, set(), set(), EngineParams(beta_w=0.02))
+    pair = ("A", "B")
+    same, before = fresh()
+    decay_pass(same, set(), set(), EngineParams(beta_w=0.0, beta_a=0.0))
+    assert same.edges[pair].weight == before
+
+    decayed, _ = fresh()
+    decay_pass(decayed, set(), set(), EngineParams(beta_w=0.02))
     assert decayed.edges[pair].weight == pytest.approx(0.5 * 0.98)
 
-    skipped = decay_pass(m, {pair}, set(), EngineParams(beta_w=0.02))
-    assert skipped.edges[pair].weight == m.edges[pair].weight
+    skipped, before = fresh()
+    decay_pass(skipped, {pair}, set(), EngineParams(beta_w=0.02))
+    assert skipped.edges[pair].weight == before
 
 
 def test_prune_forgotten():
     m, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
-    _, dead_edges, dead_cells = prune_forgotten(m, 0.0)
+    dead_edges, dead_cells = prune_forgotten(m, 0.0)
     assert not dead_edges and not dead_cells
 
     m.edges[("A", "B")].weight = 0.005
-    pruned, dead_edges, dead_cells = prune_forgotten(m, 0.01)
+    dead_edges, dead_cells = prune_forgotten(m, 0.01)
     assert dead_edges == [("A", "B")]
     # activations are still high, so the now-isolated cells survive
-    assert sorted(pruned.cells) == ["A", "B"]
+    assert sorted(m.cells) == ["A", "B"]
 
     m2, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
     m2.cells["A"].activation = 0.001
-    kept2, _, dead = prune_forgotten(m2, 0.01)
-    assert "A" in kept2.cells and not dead  # the surviving edge pins the cell
+    _, dead = prune_forgotten(m2, 0.01)
+    assert "A" in m2.cells and not dead  # the surviving edge pins the cell
 
 
 def test_replay_is_deterministic():

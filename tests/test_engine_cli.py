@@ -209,3 +209,28 @@ def test_replay_equivalence_across_chunkings(tmp_path):
         for t in grouper.finish():
             engine.ingest(t)
         assert render_snapshot(engine.state) == baseline
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # missing file
+        "dir",  # unreadable: a directory
+        b"MINDMAP v1\nstep 1\n\xff\xfe\n",  # not UTF-8
+        b"MINDMAP v1\nstep x\n",  # corrupt
+        "dangling",  # parses, but an edge has lost its cells
+    ],
+)
+def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
+    snap = tmp_path / "s.snap"
+    if content == "dir":
+        snap.mkdir()
+    elif content == "dangling":
+        text = render_snapshot(replay(worked_example_transactions()).state)
+        kept = [l for l in text.splitlines(True) if not l.startswith("cell ")]
+        snap.write_text("".join(kept), encoding="utf-8")
+    elif content is not None:
+        snap.write_bytes(content)
+    assert run_cli("query", "--snapshot", snap, "weight", "A", "B") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

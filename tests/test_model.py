@@ -12,6 +12,8 @@ from mindstream.model import (
     new_mindmap,
 )
 
+from mindstream.snapshot import parse_snapshot, render_snapshot
+
 from helpers import random_transactions, replay, worked_example_transactions
 
 labels = st.text(
@@ -24,6 +26,20 @@ def test_new_mindmap_is_empty():
     assert m.cells == {} and m.edges == {} and m.step == 0
     assert m.cell_count == 0
     assert m.edge_count == 0
+
+
+def test_newline_labels_are_rejected():
+    with pytest.raises(ValueError):
+        Transaction(None, {"a\nb": 1})
+    with pytest.raises(ValueError):
+        distinct_items(["ok", "x\n"])
+
+
+def test_other_whitespace_labels_round_trip_through_snapshots():
+    engine = replay([Transaction(None, {"a\rb": 1, "c\td": 1, "e\x0bf": 2})])
+    text = render_snapshot(engine.state)
+    assert render_snapshot(parse_snapshot(text)) == text
+    assert sorted(parse_snapshot(text).mmap.cells) == ["a\rb", "c\td", "e\x0bf"]
 
 
 def test_distinct_items_merges_duplicates():

@@ -1,11 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mindstream.model import EngineParams, new_mindmap
 from mindstream.dynamics import ingest_transaction
-from mindstream.skeleton import derive_rules, extract_skeleton, strongest_subgraphs
+from mindstream.skeleton import (
+    _components,
+    derive_rules,
+    extract_skeleton,
+    strongest_subgraphs,
+)
 
 from helpers import (
+    random_transactions,
     replay,
     triangle_gap_threshold,
     txn,
@@ -107,3 +115,17 @@ def test_raising_threshold_shrinks_skeleton(t1, t2):
     small = extract_skeleton(engine.mmap, hi)
     assert small.nodes <= big.nodes
     assert set(small.edges) <= set(big.edges)
+
+
+def test_components_partition_the_skeleton_in_edge_order():
+    rng = random.Random(8)
+    alphabet = [f"i{k}" for k in range(14)]
+    for _ in range(30):
+        engine = replay(random_transactions(rng, alphabet, 25, max_size=3))
+        skel = extract_skeleton(engine.mmap, rng.uniform(0.3, 0.6))
+        comps = _components(skel)
+        assert [min(c.nodes) for c in comps] == sorted(min(c.nodes) for c in comps)
+        assert sum(len(c.nodes) for c in comps) == len(skel.nodes)
+        assert frozenset().union(*(c.nodes for c in comps)) == skel.nodes
+        for c in comps:
+            assert c.edges == tuple(e for e in skel.edges if e[0][0] in c.nodes)
