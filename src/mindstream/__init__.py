@@ -15,7 +15,6 @@ from .model import (
     MindMap,
     Transaction,
     distinct_items,
-    new_mindmap,
 )
 from .skeleton import AssociationRule, Skeleton, derive_rules, extract_skeleton
 from .snapshot import EngineState, load_snapshot, parse_snapshot, render_snapshot, save_snapshot
@@ -42,7 +41,6 @@ __all__ = [
     "ingest_transaction",
     "initial_weight",
     "load_snapshot",
-    "new_mindmap",
     "parse_snapshot",
     "render_snapshot",
     "save_snapshot",

@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .apriori import apriori, apriori_levels, gen_rules, negative_border
 from .engine import ContinuousQuery, Engine
-from .model import EngineParams
+from .model import PARAM_TYPES, EngineParams, Transaction
 from .queries import QueryUsageError, run_static_query
 from .snapshot import SnapshotError, load_snapshot, render_snapshot, save_snapshot
 from .stream import ParseError, read_transactions
@@ -26,31 +26,41 @@ from .stream import ParseError, read_transactions
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     defaults = EngineParams()
-    parser.add_argument("--eta", type=float, default=defaults.eta)
-    parser.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
-    parser.add_argument("--beta-w", type=float, default=defaults.beta_w)
-    parser.add_argument("--beta-a", type=float, default=defaults.beta_a)
-    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
-    parser.add_argument("--theta-w", type=float, default=defaults.theta_w)
-    parser.add_argument("--theta-a", type=float, default=defaults.theta_a)
-    parser.add_argument("--promote-after", type=int, default=defaults.promote_after)
+    for name, kind in PARAM_TYPES.items():
+        flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=kind, default=getattr(defaults, name))
 
 
 def _params_from(args: argparse.Namespace) -> EngineParams:
-    return EngineParams(
-        eta=args.eta,
-        lam=args.lam,
-        beta_w=args.beta_w,
-        beta_a=args.beta_a,
-        epsilon=args.epsilon,
-        theta_w=args.theta_w,
-        theta_a=args.theta_a,
-        promote_after=args.promote_after,
-    )
+    return EngineParams(**{name: getattr(args, name) for name in PARAM_TYPES})
 
 
-def _open_input(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], None]) -> bool:
+    """Feed each transaction of `args.input` (a path, or - for stdin) to
+    `consume`. On a parse error or an unreadable input, print the error
+    and return False.
+
+    Bytes that are not UTF-8 are decoded as lone surrogates, so the parser
+    reports (or, under --on-parse-error skip, drops) the line that holds them.
+    """
+    stdin = args.input == "-"
+    try:
+        with open(
+            sys.stdin.fileno() if stdin else args.input,
+            "r",
+            encoding="utf-8",
+            errors="surrogateescape",
+            closefd=not stdin,
+        ) as fh:
+            for txn in read_transactions(fh, on_error=args.on_parse_error):
+                consume(txn)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    except OSError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -60,16 +70,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine.register_query(
             ContinuousQuery("trace-edge", (a, b), horizon=args.horizon)
         )
-    fh = _open_input(args.input)
-    try:
-        for txn in read_transactions(fh, on_error=args.on_parse_error):
-            engine.ingest(txn)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not _consume_input(args, engine.ingest):
         return 1
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
     for emission in engine.emissions:
         q = emission.query
@@ -104,37 +106,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     engine = Engine(_params_from(args))
     query = ContinuousQuery("trace-edge", (args.a, args.b), horizon=args.k)
-    fh = _open_input(args.input)
-    try:
-        registered = args.register_after == 0
-        if registered:
+    if args.register_after == 0:
+        engine.register_query(query)
+
+    def ingest(txn: Transaction) -> None:
+        engine.ingest(txn)
+        if engine.step == args.register_after:
             engine.register_query(query)
-        for txn in read_transactions(fh, on_error=args.on_parse_error):
-            engine.ingest(txn)
-            if not registered and engine.step == args.register_after:
-                engine.register_query(query)
-                registered = True
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+
+    if not _consume_input(args, ingest):
         return 1
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     for emission in engine.emissions:
         print(f"{emission.step} {emission.text}")
     return 0
 
 
 def _cmd_apriori(args: argparse.Namespace) -> int:
-    fh = _open_input(args.input)
-    try:
-        txns = list(read_transactions(fh, on_error=args.on_parse_error))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    txns: List[Transaction] = []
+    if not _consume_input(args, txns.append):
         return 1
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
     minsup = args.minsup
     if args.minsup_frac is not None:

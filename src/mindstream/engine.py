@@ -10,12 +10,12 @@ after the step has committed, so evaluation order never affects the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, ValuesView
 
 from .dynamics import StepEvents, ingest_transaction
 from .memory import LTMRecord, Signature, STMEntry, detect_patterns, ltm_update, stm_tick
-from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair, new_mindmap
-from .skeleton import Skeleton, extract_skeleton, strongest_subgraphs
+from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
+from .skeleton import extract_skeleton, strongest_subgraphs
 from .snapshot import EngineState
 
 
@@ -58,9 +58,9 @@ def _sig_text(sig: Signature) -> str:
 class Engine:
     def __init__(self, params: EngineParams = EngineParams()):
         self.params = params
-        self.mmap: MindMap = new_mindmap()
+        self.mmap = MindMap()
         self.stm: Dict[Signature, STMEntry] = {}
-        self.ltm: List[LTMRecord] = []
+        self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
         self.queries: List[ContinuousQuery] = []
         self.emissions: List[QueryEmission] = []
@@ -70,8 +70,13 @@ class Engine:
         return self.mmap.step
 
     @property
+    def ltm(self) -> ValuesView[LTMRecord]:
+        """The long-term records; `state.ltm` holds them keyed by signature."""
+        return self._ltm.values()
+
+    @property
     def state(self) -> EngineState:
-        return EngineState(self.mmap, self.params, self.stm, self.ltm)
+        return EngineState(self.mmap, self.params, self.stm, self._ltm)
 
     def register_query(self, query: ContinuousQuery) -> ContinuousQuery:
         self.queries.append(query)
@@ -82,19 +87,26 @@ class Engine:
         step = self.mmap.step
 
         skel = extract_skeleton(self.mmap, self.params.theta_w, self.params.theta_a)
-        current = detect_patterns(skel, step)
+        current = detect_patterns(skel)
         self.stm, promotions = stm_tick(
             self.stm, current, step, self.params.promote_after
         )
-        open_before = {r.signature for r in self.ltm if r.is_open}
-        recurrence_before = {r.signature: r.recurrence_count for r in self.ltm}
-        self.ltm = ltm_update(self.ltm, promotions, current, step)
+        ltm_update(self._ltm, promotions, current, step)
 
-        self._report(events, promotions, open_before, recurrence_before)
+        self._report(events, promotions)
         self._evaluate_queries(step)
         return events
 
-    def _report(self, events, promotions, open_before, recurrence_before) -> None:
+    def _report(self, events: StepEvents, promotions: Set[Signature]) -> None:
+        """Log the step's events; pattern lines read the LTM as ltm_update
+        stamped it.
+
+        Inside the engine an open record is never promoted again: the STM
+        promotes once per unbroken run of a signature, and the step where
+        that run lapses also closes the record. So a promotion whose record
+        has recurred is a reopening, and the records closed by this step
+        are exactly those stamped disappeared_at == step.
+        """
         log = self.event_lines.append
         step = events.step
         for label in events.cells_created:
@@ -105,14 +117,11 @@ class Engine:
             log(f"{step} edge-forgotten {a} {b}")
         for label in events.cells_forgotten:
             log(f"{step} cell-forgotten {label}")
-        for pattern in sorted(promotions, key=lambda p: p.signature):
-            sig = pattern.signature
-            if sig in recurrence_before and sig not in open_before:
-                log(f"{step} pattern-reopened {_sig_text(sig)}")
-            else:
-                log(f"{step} pattern-promoted {_sig_text(sig)}")
-        open_after = {r.signature for r in self.ltm if r.is_open}
-        for sig in sorted(open_before - open_after):
+        for sig in sorted(promotions):
+            kind = "reopened" if self._ltm[sig].recurrence_count > 1 else "promoted"
+            log(f"{step} pattern-{kind} {_sig_text(sig)}")
+        closed = [sig for sig, r in self._ltm.items() if r.disappeared_at == step]
+        for sig in sorted(closed):
             log(f"{step} pattern-closed {_sig_text(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
@@ -132,6 +141,3 @@ class Engine:
                 ] or ["none"]
                 self.emissions.append(QueryEmission(q, step, " ".join(parts)))
                 q.emitted += 1
-
-    def skeleton(self) -> Skeleton:
-        return extract_skeleton(self.mmap, self.params.theta_w, self.params.theta_a)

@@ -1,17 +1,18 @@
 """Short-term and long-term pattern memory.
 
 A pattern is a connected component (>= 2 cells) of the thresholded
-skeleton, identified by its sorted node-set signature. The short-term
+skeleton, and it is identified by its signature: the sorted tuple of its
+node labels. Both memories are dicts keyed by signature. The short-term
 memory counts how many consecutive steps each pattern has survived; once
-the count reaches the promotion horizon the pattern is copied into the
-long-term memory with appearance / disappearance step stamps. A signature
-seen again after its record closed reopens that record and bumps its
-recurrence count.
+the count reaches the promotion horizon the pattern gets a long-term
+record with appearance / disappearance step stamps, which is then updated
+in place. A signature promoted again after its record closed reopens that
+record and bumps its recurrence count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .skeleton import Skeleton, _components
@@ -19,15 +20,8 @@ from .skeleton import Skeleton, _components
 Signature = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Pattern:
-    signature: Signature
-    edges: Tuple
-
-
 @dataclass
 class STMEntry:
-    pattern: Pattern
     first_seen_step: int
     consecutive_steps: int = 1
 
@@ -44,82 +38,70 @@ class LTMRecord:
         return self.disappeared_at is None
 
 
-def detect_patterns(s: Skeleton, step: int) -> Set[Pattern]:
-    """One pattern per connected skeleton component with >= 2 nodes."""
-    patterns = set()
-    for comp in _components(s):
-        if len(comp.nodes) >= 2:
-            patterns.add(Pattern(tuple(sorted(comp.nodes)), comp.edges))
-    return patterns
+def detect_patterns(s: Skeleton) -> Set[Signature]:
+    """One signature per connected skeleton component with >= 2 nodes."""
+    return {
+        tuple(sorted(comp.nodes)) for comp in _components(s) if len(comp.nodes) >= 2
+    }
 
 
 def stm_tick(
     stm: Dict[Signature, STMEntry],
-    current: Set[Pattern],
+    current: Set[Signature],
     step: int,
     promote_after: int,
-) -> Tuple[Dict[Signature, STMEntry], Set[Pattern]]:
+) -> Tuple[Dict[Signature, STMEntry], Set[Signature]]:
     """Advance the short-term memory by one step.
 
     Entries matching a current pattern gain a step; absent entries lapse
-    (one missed step resets survival). Patterns whose count reaches exactly
-    promote_after are returned for promotion.
+    (one missed step resets survival). Signatures whose count reaches
+    exactly promote_after are returned for promotion.
     """
     if promote_after < 1:
         raise ValueError("promote_after must be >= 1")
     stm_next: Dict[Signature, STMEntry] = {}
-    promotions: Set[Pattern] = set()
-    for pattern in current:
-        sig = pattern.signature
+    promotions: Set[Signature] = set()
+    for sig in current:
         prior = stm.get(sig)
         if prior is None:
-            entry = STMEntry(pattern, first_seen_step=step)
+            entry = STMEntry(first_seen_step=step)
         else:
-            entry = STMEntry(pattern, prior.first_seen_step, prior.consecutive_steps + 1)
+            entry = STMEntry(prior.first_seen_step, prior.consecutive_steps + 1)
         stm_next[sig] = entry
         if entry.consecutive_steps == promote_after:
-            promotions.add(pattern)
+            promotions.add(sig)
     return stm_next, promotions
 
 
 def ltm_update(
-    ltm: List[LTMRecord],
-    promotions: Set[Pattern],
-    current: Set[Pattern],
+    ltm: Dict[Signature, LTMRecord],
+    promotions: Set[Signature],
+    current: Set[Signature],
     step: int,
-) -> List[LTMRecord]:
-    """Apply promotions and closures for one step; returns a new list.
+) -> Dict[Signature, LTMRecord]:
+    """Apply one step's promotions and closures to `ltm` in place; returns it.
 
-    Recurrence matching is by exact signature: a promotion whose closed
-    record exists reopens it; otherwise a fresh record is created. Open
-    records whose signature left the current pattern set are closed.
+    A promoted signature whose record is closed reopens it (appeared_at is
+    restamped and the recurrence count bumped); one with no record gets a
+    fresh one. Open records whose signature left the current pattern set
+    are closed at `step`.
     """
-    out = [
-        LTMRecord(r.signature, r.appeared_at, r.disappeared_at, r.recurrence_count)
-        for r in ltm
-    ]
-    by_sig = {r.signature: r for r in out}
-    current_sigs = {p.signature for p in current}
-
-    for pattern in sorted(promotions, key=lambda p: p.signature):
-        record = by_sig.get(pattern.signature)
+    for sig in promotions:
+        record = ltm.get(sig)
         if record is None:
-            record = LTMRecord(pattern.signature, appeared_at=step)
-            out.append(record)
-            by_sig[pattern.signature] = record
+            ltm[sig] = LTMRecord(sig, appeared_at=step)
         elif not record.is_open:
             record.recurrence_count += 1
             record.appeared_at = step
             record.disappeared_at = None
-
-    for record in out:
-        if record.is_open and record.signature not in current_sigs:
+    for sig, record in ltm.items():
+        if record.is_open and sig not in current:
             record.disappeared_at = step
-    return out
+    return ltm
 
 
 def query_ltm(
-    ltm: List[LTMRecord],
+    ltm: Dict[Signature, LTMRecord],
     which: str = "all",
     signature: Optional[Signature] = None,
 ) -> List[LTMRecord]:
@@ -128,15 +110,15 @@ def query_ltm(
     An unknown signature yields an empty list, not an error.
     """
     if which == "all":
-        picked = list(ltm)
+        picked = list(ltm.values())
     elif which == "open":
-        picked = [r for r in ltm if r.is_open]
+        picked = [r for r in ltm.values() if r.is_open]
     elif which == "closed":
-        picked = [r for r in ltm if not r.is_open]
+        picked = [r for r in ltm.values() if not r.is_open]
     elif which == "signature":
         if signature is None:
             raise ValueError("signature filter requires a signature")
-        picked = [r for r in ltm if r.signature == signature]
+        picked = [ltm[signature]] if signature in ltm else []
     else:
         raise ValueError(f"unknown filter {which!r}")
     return sorted(picked, key=lambda r: (r.appeared_at, r.signature))

@@ -9,7 +9,7 @@ half of the representable [-1, 1] activation range is unused).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 Pair = Tuple[str, str]
@@ -132,10 +132,6 @@ class MindMap:
             raise AssertionError("edge count exceeds n(n-1)/2")
 
 
-def new_mindmap() -> MindMap:
-    return MindMap()
-
-
 @dataclass(frozen=True)
 class EngineParams:
     """Tunable update-rule parameters.
@@ -179,3 +175,8 @@ class EngineParams:
             raise ValueError("epsilon must be < theta_w")
         if self.promote_after < 1:
             raise ValueError("promote_after must be >= 1")
+
+
+# Each parameter's name and value type (int or float), in declaration order:
+# the one list that the CLI flags and the snapshot `param` lines derive from.
+PARAM_TYPES: Dict[str, type] = {f.name: type(f.default) for f in fields(EngineParams)}

@@ -84,10 +84,8 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
 
     if kind == "patterns":
         skel = extract_skeleton(state.mmap, state.params.theta_w, state.params.theta_a)
-        patterns = detect_patterns(skel, state.mmap.step)
         return "\n".join(
-            "pattern " + "|".join(p.signature)
-            for p in sorted(patterns, key=lambda p: p.signature)
+            "pattern " + "|".join(sig) for sig in sorted(detect_patterns(skel))
         )
 
     if kind == "ltm":

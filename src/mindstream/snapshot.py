@@ -18,23 +18,14 @@ Labels containing whitespace (or starting with a quote) are quoted with
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .memory import LTMRecord, Pattern, Signature, STMEntry
-from .model import Connection, EngineParams, ItemCell, MindMap
+from .memory import LTMRecord, Signature, STMEntry
+from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap
 
 HEADER = "MINDMAP v1"
-PARAM_ORDER = (
-    "eta",
-    "lam",
-    "beta_w",
-    "beta_a",
-    "epsilon",
-    "theta_w",
-    "theta_a",
-    "promote_after",
-)
 
 
 class SnapshotError(ValueError):
@@ -49,7 +40,7 @@ class EngineState:
     mmap: MindMap
     params: EngineParams
     stm: Dict[Signature, STMEntry] = field(default_factory=dict)
-    ltm: List[LTMRecord] = field(default_factory=list)
+    ltm: Dict[Signature, LTMRecord] = field(default_factory=dict)
 
 
 def _fmt_num(x: float) -> str:
@@ -62,33 +53,23 @@ def _quote(token: str) -> str:
     return token
 
 
+# A quoted token (a backslash escapes only `\\` and `"`; any other backslash
+# is literal), a bare token, or a lone `"` that starts an unterminated quote.
+# Whitespace is what none of them matches; `\s` and str.isspace agree.
+_TOKEN = re.compile(r'"((?:[^"\\]|\\[\\"]|\\(?![\\"]))*)"|([^\s"]\S*)|"')
+_ESCAPE = re.compile(r'\\([\\"])')
+
+
 def _tokenize(line: str, lineno: int) -> List[str]:
     tokens: List[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            buf: List[str] = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n and line[i + 1] in '\\"':
-                    buf.append(line[i + 1])
-                    i += 2
-                else:
-                    buf.append(line[i])
-                    i += 1
-            if i >= n:
-                raise SnapshotError("unterminated quoted token", lineno)
-            i += 1
-            tokens.append("".join(buf))
+    for match in _TOKEN.finditer(line):
+        quoted, bare = match.groups()
+        if bare is not None:
+            tokens.append(bare)
+        elif quoted is not None:
+            tokens.append(_ESCAPE.sub(r"\1", quoted))
         else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            tokens.append(line[i:j])
-            i = j
+            raise SnapshotError("unterminated quoted token", lineno)
     return tokens
 
 
@@ -119,11 +100,9 @@ def _parse_signature(token: str) -> Signature:
 
 def render_snapshot(state: EngineState) -> str:
     lines = [HEADER, f"step {state.mmap.step}"]
-    for name in PARAM_ORDER:
+    for name, kind in PARAM_TYPES.items():
         value = getattr(state.params, name)
-        lines.append(
-            f"param {name} {value if name == 'promote_after' else _fmt_num(value)}"
-        )
+        lines.append(f"param {name} {value if kind is int else _fmt_num(value)}")
     for label in sorted(state.mmap.cells):
         c = state.mmap.cells[label]
         lines.append(
@@ -142,7 +121,7 @@ def render_snapshot(state: EngineState) -> str:
             f"stm {_fmt_signature(sig)} {entry.first_seen_step} "
             f"{entry.consecutive_steps}"
         )
-    for record in sorted(state.ltm, key=lambda r: (r.appeared_at, r.signature)):
+    for record in sorted(state.ltm.values(), key=lambda r: (r.appeared_at, r.signature)):
         gone = "open" if record.disappeared_at is None else str(record.disappeared_at)
         lines.append(
             f"ltm {_fmt_signature(record.signature)} {record.appeared_at} "
@@ -167,7 +146,7 @@ def parse_snapshot(text: str) -> EngineState:
     params_raw: Dict[str, str] = {}
     mmap = MindMap(step=step)
     stm: Dict[Signature, STMEntry] = {}
-    ltm: List[LTMRecord] = []
+    ltm: Dict[Signature, LTMRecord] = {}
 
     for lineno, line in enumerate(lines[2:], start=3):
         tokens = _tokenize(line, lineno)
@@ -176,38 +155,36 @@ def parse_snapshot(text: str) -> EngineState:
         kind, args = tokens[0], tokens[1:]
         try:
             if kind == "param" and len(args) == 2:
-                params_raw[args[0]] = args[1]
+                table, key, value = params_raw, args[0], args[1]
             elif kind == "cell" and len(args) == 4:
-                label = args[0]
-                mmap.cells[label] = ItemCell(
-                    label, float(args[1]), int(args[2]), int(args[3])
-                )
+                table, key = mmap.cells, args[0]
+                value = ItemCell(key, float(args[1]), int(args[2]), int(args[3]))
             elif kind == "edge" and len(args) == 4:
-                conn = Connection((args[0], args[1]), float(args[2]), int(args[3]))
-                mmap.edges[conn.pair] = conn
+                value = Connection((args[0], args[1]), float(args[2]), int(args[3]))
+                table, key = mmap.edges, value.pair
             elif kind == "stm" and len(args) == 3:
-                sig = _parse_signature(args[0])
-                stm[sig] = STMEntry(Pattern(sig, ()), int(args[1]), int(args[2]))
+                table, key = stm, _parse_signature(args[0])
+                value = STMEntry(int(args[1]), int(args[2]))
             elif kind == "ltm" and len(args) == 4:
-                sig = _parse_signature(args[0])
+                table, key = ltm, _parse_signature(args[0])
                 gone = None if args[2] == "open" else int(args[2])
-                ltm.append(LTMRecord(sig, int(args[1]), gone, int(args[3])))
+                value = LTMRecord(key, int(args[1]), gone, int(args[3]))
             else:
                 raise SnapshotError(f"malformed {kind!r} line", lineno)
         except SnapshotError:
             raise
         except (ValueError, KeyError) as exc:
             raise SnapshotError(str(exc), lineno) from None
+        if key in table:
+            raise SnapshotError(f"duplicate {kind} {key!r}", lineno)
+        table[key] = value
 
-    missing = [p for p in PARAM_ORDER if p not in params_raw]
+    missing = [p for p in PARAM_TYPES if p not in params_raw]
     if missing:
         raise SnapshotError(f"missing params: {', '.join(missing)}")
     try:
         params = EngineParams(
-            **{
-                name: (int if name == "promote_after" else float)(params_raw[name])
-                for name in PARAM_ORDER
-            }
+            **{name: kind(params_raw[name]) for name, kind in PARAM_TYPES.items()}
         )
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None

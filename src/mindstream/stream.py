@@ -39,6 +39,13 @@ class StreamRecord:
 
 
 def parse_record(line: str, lineno: Optional[int] = None) -> StreamRecord:
+    # The CLI decodes input with errors="surrogateescape", so a byte that is
+    # not UTF-8 arrives as a lone surrogate, which cannot be encoded back.
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("invalid UTF-8", lineno) from None
     fields = line.split(";")
     if len(fields) != 3:
         raise ParseError(f"expected 3 fields, got {len(fields)}", lineno)

@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from mindstream.engine import Engine
-from mindstream.memory import LTMRecord, Pattern, STMEntry
+from mindstream.memory import LTMRecord, STMEntry
 from mindstream.model import (
     Connection,
     EngineParams,
@@ -119,15 +119,15 @@ def random_engine_state(rng: random.Random) -> EngineState:
         promote_after=rng.randint(1, 5),
     )
     stm = {}
-    ltm = []
+    ltm = {}
     if len(labels) >= 2:
         for _ in range(rng.randint(0, 3)):
             sig = tuple(sorted(rng.sample(labels, rng.randint(2, len(labels)))))
             if sig not in stm:
                 first = rng.randint(0, step) if step else 0
-                stm[sig] = STMEntry(Pattern(sig, ()), first, rng.randint(1, 5))
+                stm[sig] = STMEntry(first, rng.randint(1, 5))
             appeared = rng.randint(0, step) if step else 0
             gone = None if rng.random() < 0.5 else rng.randint(appeared, step)
-            if not any(r.signature == sig and r.is_open for r in ltm):
-                ltm.append(LTMRecord(sig, appeared, gone, rng.randint(1, 4)))
+            if sig not in ltm:
+                ltm[sig] = LTMRecord(sig, appeared, gone, rng.randint(1, 4))
     return EngineState(mmap, params, stm, ltm)

@@ -13,7 +13,7 @@ from mindstream.apriori import apriori, apriori_levels, negative_border
 from mindstream.dynamics import ingest_transaction
 from mindstream.engine import Engine
 from mindstream.memory import query_ltm
-from mindstream.model import EngineParams, new_mindmap
+from mindstream.model import EngineParams, MindMap
 from mindstream.skeleton import derive_rules, extract_skeleton
 from mindstream.snapshot import load_snapshot, render_snapshot, save_snapshot
 from mindstream.stream import TransactionGrouper, parse_record
@@ -135,7 +135,7 @@ def test_acceptance_4_capacity_bounds():
     ]
     for si, params in enumerate(settings):
         rng = random.Random(400 + si)
-        m = new_mindmap()
+        m = MindMap()
         for t in random_transactions(rng, alphabet, 300, max_size=6):
             m, _ = ingest_transaction(m, t, params)
             assert m.cell_count <= 20
@@ -172,7 +172,7 @@ def test_acceptance_5_permutation_invariance():
 def test_acceptance_6_monotonicity_without_decay():
     rng = random.Random(66)
     alphabet = [f"i{k}" for k in range(15)]
-    m = new_mindmap()
+    m = MindMap()
     previous = {}
     for t in random_transactions(rng, alphabet, 1000):
         m, _ = ingest_transaction(m, t, NO_DECAY)
@@ -196,23 +196,23 @@ def test_acceptance_7_memory_lifecycle():
     # one decay-only step keeps the triangle above theta: second consecutive
     # step, so the pattern is promoted
     engine.ingest(txn([]))
-    opens = query_ltm(engine.ltm, "open")
+    opens = query_ltm(engine.state.ltm, "open")
     assert [r.signature for r in opens] == [("B", "C", "E")]
     record = opens[0]
     assert record.recurrence_count == 1
 
     for _ in range(199):
         engine.ingest(txn([]))
-    closed = query_ltm(engine.ltm, "signature", ("B", "C", "E"))
+    closed = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))
     assert len(closed) == 1 and not closed[0].is_open
     assert closed[0].appeared_at <= closed[0].disappeared_at
 
     for _ in range(50):
         engine.ingest(txn(["B", "C", "E"]))
-        reopened = query_ltm(engine.ltm, "signature", ("B", "C", "E"))
+        reopened = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))
         if reopened[0].recurrence_count == 2:
             break
-    record = query_ltm(engine.ltm, "signature", ("B", "C", "E"))[0]
+    record = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))[0]
     assert record.is_open and record.recurrence_count == 2
     ok(7, "B|C|E record opened, closed under decay, reopened with recurrence 2")
 

@@ -1,24 +1,25 @@
-"""Differential test: the in-place step against the copy-per-phase reference.
+"""Differential test: the shipped engine against the reference engine.
 
 Two engines consume the same seeded random stream under the same random
-parameters. One runs the shipped in-place step; the other runs the pure
-reference step from `reference_dynamics`. After every step the snapshots,
-the step's event lines, its events and the query emissions must be
-identical.
+parameters. One runs the shipped step: the in-place dynamics and the
+signature-keyed memory. The other runs the copy-per-phase dynamics of
+`reference_dynamics` and the list-based memory of `reference_memory`.
+After every step the snapshots, the step's event lines, its events and the
+query emissions must be identical.
 """
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-import mindstream.engine as engine_module
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.model import EngineParams, MindMap
 from mindstream.snapshot import render_snapshot
 
-import reference_dynamics
 from helpers import txn
+from reference_memory import ReferenceEngine
 
 
 def random_params(rng: random.Random, decay: bool, epsilon_near: str) -> EngineParams:
@@ -58,13 +59,6 @@ def with_queries(engine: Engine, alphabet) -> Engine:
     return engine
 
 
-def reference_ingest(engine: Engine, t):
-    with mock.patch.object(
-        engine_module, "ingest_transaction", reference_dynamics.ingest_transaction
-    ):
-        return engine.ingest(t)
-
-
 def fail_copy(self):
     raise AssertionError("the in-place step copied the map")
 
@@ -72,18 +66,19 @@ def fail_copy(self):
 @pytest.mark.parametrize("decay", [False, True])
 @pytest.mark.parametrize("epsilon_near", ["zero", "theta_w"])
 def test_in_place_step_matches_reference(decay, epsilon_near):
+    pattern_lines = Counter()
     for seed in range(12):
         rng = random.Random(f"{decay}-{epsilon_near}-{seed}")
         params = random_params(rng, decay, epsilon_near)
         stream, alphabet = random_stream(rng, rng.randint(40, 160))
         fast = with_queries(Engine(params), alphabet)
-        ref = with_queries(Engine(params), alphabet)
+        ref = with_queries(ReferenceEngine(params), alphabet)
         fast_map = fast.mmap
         for i, t in enumerate(stream, start=1):
             logged, emitted = len(fast.event_lines), len(fast.emissions)
             with mock.patch.object(MindMap, "copy", fail_copy):
                 fast_events = fast.ingest(t)
-            ref_events = reference_ingest(ref, t)
+            ref_events = ref.ingest(t)
             where = f"seed {seed}, step {i}, {params}"
             assert fast.mmap is fast_map, where
             assert render_snapshot(fast.state) == render_snapshot(ref.state), where
@@ -92,3 +87,11 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert [(e.step, e.text) for e in fast.emissions[emitted:]] == [
                 (e.step, e.text) for e in ref.emissions[emitted:]
             ], where
+        pattern_lines.update(
+            line.split()[1] for line in fast.event_lines if " pattern-" in line
+        )
+    # Every kind of LTM transition was compared, not only the common ones.
+    # Without decay the skeleton only grows, so no signature can come back.
+    kinds = ["pattern-promoted", "pattern-closed"] + (["pattern-reopened"] if decay else [])
+    for kind in kinds:
+        assert pattern_lines[kind] > 0, (kind, pattern_lines)

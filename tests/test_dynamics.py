@@ -13,7 +13,7 @@ from mindstream.dynamics import (
     initial_weight,
     prune_forgotten,
 )
-from mindstream.model import EngineParams, new_mindmap
+from mindstream.model import EngineParams, MindMap
 from mindstream.snapshot import render_snapshot
 
 from helpers import random_transactions, replay, txn, worked_example_transactions
@@ -60,7 +60,7 @@ def test_hebbian_update_monotone_and_bounded(w, ai, aj, eta):
 
 def test_first_transaction_creates_triangle():
     m, events = ingest_transaction(
-        new_mindmap(), txn(["A", "A", "C", "D"]), EngineParams()
+        MindMap(), txn(["A", "A", "C", "D"]), EngineParams()
     )
     assert sorted(m.cells) == ["A", "C", "D"]
     for pair in [("A", "C"), ("A", "D"), ("C", "D")]:
@@ -75,7 +75,7 @@ def test_first_transaction_creates_triangle():
 
 
 def test_second_transaction_joins_components():
-    m1, _ = ingest_transaction(new_mindmap(), txn(["A", "A", "C", "D"]), EngineParams())
+    m1, _ = ingest_transaction(MindMap(), txn(["A", "A", "C", "D"]), EngineParams())
     c_before = m1.cells["C"].activation
     m2, _ = ingest_transaction(m1, txn(["B", "C", "E"]), EngineParams())
     assert sorted(m2.cells) == ["A", "B", "C", "D", "E"]
@@ -95,7 +95,7 @@ def test_second_transaction_joins_components():
 
 def test_empty_transaction_only_decays():
     params = EngineParams()
-    m1, _ = ingest_transaction(new_mindmap(), txn(["A", "C", "D"]), params)
+    m1, _ = ingest_transaction(MindMap(), txn(["A", "C", "D"]), params)
     # the step updates the map in place: capture the pre-step values
     step_before = m1.step
     weights_before = {pair: conn.weight for pair, conn in m1.edges.items()}
@@ -112,7 +112,7 @@ def test_empty_transaction_only_decays():
 
 
 def test_singleton_transaction_creates_cell_without_edges():
-    m, events = ingest_transaction(new_mindmap(), txn(["A"]), EngineParams())
+    m, events = ingest_transaction(MindMap(), txn(["A"]), EngineParams())
     assert sorted(m.cells) == ["A"]
     assert m.edge_count == 0
     assert events.cells_created == ["A"]
@@ -120,7 +120,7 @@ def test_singleton_transaction_creates_cell_without_edges():
 
 def test_decay_pass_examples():
     def fresh():
-        m, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
+        m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
         return m, m.edges[("A", "B")].weight
 
     pair = ("A", "B")
@@ -138,7 +138,7 @@ def test_decay_pass_examples():
 
 
 def test_prune_forgotten():
-    m, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
+    m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
     dead_edges, dead_cells = prune_forgotten(m, 0.0)
     assert not dead_edges and not dead_cells
 
@@ -148,7 +148,7 @@ def test_prune_forgotten():
     # activations are still high, so the now-isolated cells survive
     assert sorted(m.cells) == ["A", "B"]
 
-    m2, _ = ingest_transaction(new_mindmap(), txn(["A", "B"]), NO_DECAY)
+    m2, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
     m2.cells["A"].activation = 0.001
     _, dead = prune_forgotten(m2, 0.01)
     assert "A" in m2.cells and not dead  # the surviving edge pins the cell
@@ -182,7 +182,7 @@ def test_edge_set_permutation_invariant_without_decay():
 def test_weights_nondecreasing_without_decay():
     rng = random.Random(5)
     alphabet = [f"i{k}" for k in range(10)]
-    m = new_mindmap()
+    m = MindMap()
     previous = {}
     for t in random_transactions(rng, alphabet, 300):
         m, _ = ingest_transaction(m, t, NO_DECAY)
@@ -205,7 +205,7 @@ def test_more_cooccurrence_means_heavier_edge():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4), max_size=12))
 def test_ranges_closed_under_any_stream(item_lists):
-    m = new_mindmap()
+    m = MindMap()
     for items in item_lists:
         m, _ = ingest_transaction(m, txn(items), EngineParams())
         m.check_invariants()

@@ -1,8 +1,13 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
+import mindstream
 from mindstream.cli import main
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.model import EngineParams
@@ -69,6 +74,86 @@ def test_parse_error_stop_vs_skip(tmp_path, capsys):
                    "--snapshot", snap_skip) == 0
     assert run_cli("run", "--input", good_file, "--snapshot", snap_good) == 0
     assert snap_skip.read_bytes() == snap_good.read_bytes()
+
+
+# A line that is not UTF-8 between two good transactions.
+BAD_UTF8 = b"2020-01-01;1;A\n2020-01-01;1;\xff\xfe\n2020-01-02;2;B\n2020-01-02;2;C\n"
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_bytes(BAD_UTF8)
+    good_file = tmp_path / "good.txt"
+    good_file.write_bytes(BAD_UTF8.replace(b"2020-01-01;1;\xff\xfe\n", b""))
+
+    assert run_cli("run", "--input", bad_file) == 1
+    assert capsys.readouterr().err == "error: line 2: invalid UTF-8\n"
+    assert run_cli("apriori", "--input", bad_file, "--minsup", 1) == 1
+    assert capsys.readouterr().err == "error: line 2: invalid UTF-8\n"
+
+    snap_skip = tmp_path / "skip.snap"
+    snap_good = tmp_path / "good.snap"
+    assert run_cli("run", "--input", bad_file, "--on-parse-error", "skip",
+                   "--snapshot", snap_skip) == 0
+    assert run_cli("run", "--input", good_file, "--snapshot", snap_good) == 0
+    assert snap_skip.read_bytes() == snap_good.read_bytes()
+
+
+def test_invalid_utf8_on_stdin_is_a_parse_error():
+    src = os.path.dirname(os.path.dirname(mindstream.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*flags):
+        argv = [sys.executable, "-m", "mindstream.cli", "run", "--input", "-", *flags]
+        return subprocess.run(argv, input=BAD_UTF8, capture_output=True, env=env, timeout=60)
+
+    stop = run()
+    assert stop.returncode == 1
+    assert stop.stderr.decode().startswith("error: line 2: invalid UTF-8")
+    skip = run("--on-parse-error", "skip")
+    assert skip.returncode == 0
+    cells = [l.split()[1] for l in skip.stdout.decode().splitlines() if l.startswith("cell ")]
+    assert cells == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]])
+def test_missing_input_is_a_clean_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    assert run_cli(*argv, "--input", missing) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
+
+
+# Each EngineParams field, its flag, and a value that is not its default.
+PARAM_FLAGS = [
+    ("eta", "--eta", "0.3"),
+    ("lam", "--lambda", "0.7"),
+    ("beta_w", "--beta-w", "0.11"),
+    ("beta_a", "--beta-a", "0.13"),
+    ("epsilon", "--epsilon", "0.017"),
+    ("theta_w", "--theta-w", "0.61"),
+    ("theta_a", "--theta-a", "0.19"),
+    ("promote_after", "--promote-after", "5"),
+]
+
+
+def test_every_param_round_trips_through_flags_and_snapshot(tmp_path, capsys):
+    assert [name for name, _, _ in PARAM_FLAGS] == [f.name for f in fields(EngineParams)]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    snap = tmp_path / "params.snap"
+    flags = [arg for _, flag, value in PARAM_FLAGS for arg in (flag, value)]
+    assert run_cli("run", "--input", empty, "--snapshot", snap, *flags) == 0
+    text = snap.read_text(encoding="utf-8")
+    assert text.splitlines()[2:] == [f"param {n} {v}" for n, _, v in PARAM_FLAGS]
+    state = parse_snapshot(text)
+    assert state.params == EngineParams(
+        **{n: type(getattr(EngineParams(), n))(v) for n, _, v in PARAM_FLAGS}
+    )
+    assert render_snapshot(state) == text
+
+    assert run_cli("run", "--input", empty) == 0
+    assert parse_snapshot(capsys.readouterr().out).params == EngineParams()
 
 
 def test_query_weight_on_post_t1_snapshot(tmp_path, capsys):

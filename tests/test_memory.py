@@ -2,13 +2,12 @@ import pytest
 
 from mindstream.memory import (
     LTMRecord,
-    Pattern,
     detect_patterns,
     ltm_update,
     query_ltm,
     stm_tick,
 )
-from mindstream.model import EngineParams, new_mindmap
+from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
 from mindstream.skeleton import extract_skeleton
 
@@ -18,30 +17,30 @@ NO_DECAY = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)
 
 
 def pattern(*labels):
-    return Pattern(tuple(sorted(labels)), ())
+    return tuple(sorted(labels))
 
 
 def test_detect_patterns_triangle():
     engine = replay(worked_example_transactions())
     theta = triangle_gap_threshold(engine)
-    found = detect_patterns(extract_skeleton(engine.mmap, theta), engine.step)
-    assert {p.signature for p in found} == {("B", "C", "E")}
+    found = detect_patterns(extract_skeleton(engine.mmap, theta))
+    assert found == {("B", "C", "E")}
 
 
 def test_detect_patterns_empty_and_disjoint():
-    assert detect_patterns(extract_skeleton(new_mindmap(), 0.0), 0) == set()
-    m = new_mindmap()
+    assert detect_patterns(extract_skeleton(MindMap(), 0.0)) == set()
+    m = MindMap()
     m, _ = ingest_transaction(m, txn(["A", "B"]), NO_DECAY)
     m, _ = ingest_transaction(m, txn(["C", "D"]), NO_DECAY)
-    found = detect_patterns(extract_skeleton(m, 0.0), m.step)
-    assert {p.signature for p in found} == {("A", "B"), ("C", "D")}
+    found = detect_patterns(extract_skeleton(m, 0.0))
+    assert found == {("A", "B"), ("C", "D")}
 
 
 def test_stm_promotes_at_exactly_p():
     stm, promos = stm_tick({}, {pattern("B", "C")}, step=1, promote_after=2)
     assert promos == set()
     stm, promos = stm_tick(stm, {pattern("B", "C")}, step=2, promote_after=2)
-    assert {p.signature for p in promos} == {("B", "C")}
+    assert promos == {("B", "C")}
     # a third consecutive step does not re-promote
     stm, promos = stm_tick(stm, {pattern("B", "C")}, step=3, promote_after=2)
     assert promos == set()
@@ -64,42 +63,43 @@ def test_stm_everything_lapses_on_empty_current():
 
 def test_ltm_new_record_then_close_then_reopen():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update([], {bce}, {bce}, step=4)
+    ltm = ltm_update({}, {bce}, {bce}, step=4)
     assert len(ltm) == 1
-    rec = ltm[0]
+    rec = ltm[bce]
     assert rec.signature == ("B", "C", "E")
     assert rec.appeared_at == 4 and rec.is_open and rec.recurrence_count == 1
 
     ltm = ltm_update(ltm, set(), set(), step=9)
-    assert ltm[0].disappeared_at == 9
+    assert ltm[bce].disappeared_at == 9
 
     ltm = ltm_update(ltm, {bce}, {bce}, step=12)
     assert len(ltm) == 1
-    assert ltm[0].recurrence_count == 2
-    assert ltm[0].is_open and ltm[0].appeared_at == 12
+    assert ltm[bce].recurrence_count == 2
+    assert ltm[bce].is_open and ltm[bce].appeared_at == 12
 
 
 def test_ltm_open_record_stays_open_while_current():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update([], {bce}, {bce}, step=4)
+    ltm = ltm_update({}, {bce}, {bce}, step=4)
     ltm = ltm_update(ltm, set(), {bce}, step=5)
-    assert ltm[0].is_open
+    assert ltm[bce].is_open
 
 
 def test_ltm_no_two_open_records_share_signature():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update([], {bce}, {bce}, step=4)
+    ltm = ltm_update({}, {bce}, {bce}, step=4)
     ltm = ltm_update(ltm, {bce}, {bce}, step=5)  # spurious double promotion
-    opens = [r for r in ltm if r.is_open]
+    opens = [r for r in ltm.values() if r.is_open]
     assert len(opens) == 1
+    assert opens[0].appeared_at == 4 and opens[0].recurrence_count == 1
 
 
 def test_query_ltm_filters():
-    assert query_ltm([], "all") == []
-    records = [
-        LTMRecord(("A", "B"), 3, 7, 1),
-        LTMRecord(("B", "C"), 5, None, 2),
-    ]
+    assert query_ltm({}, "all") == []
+    records = {
+        ("B", "C"): LTMRecord(("B", "C"), 5, None, 2),
+        ("A", "B"): LTMRecord(("A", "B"), 3, 7, 1),
+    }
     assert [r.signature for r in query_ltm(records, "open")] == [("B", "C")]
     assert [r.signature for r in query_ltm(records, "closed")] == [("A", "B")]
     assert [r.signature for r in query_ltm(records, "all")] == [("A", "B"), ("B", "C")]
@@ -111,9 +111,9 @@ def test_query_ltm_filters():
 
 def test_closed_record_stamps_are_ordered():
     ab = pattern("A", "B")
-    ltm = ltm_update([], {ab}, {ab}, step=2)
+    ltm = ltm_update({}, {ab}, {ab}, step=2)
     ltm = ltm_update(ltm, set(), set(), step=6)
-    rec = ltm[0]
+    rec = ltm[ab]
     assert rec.appeared_at <= rec.disappeared_at
 
 
@@ -126,5 +126,5 @@ def test_worked_example_promotion_with_p2():
         worked_example_transactions() + [txn([])],
         EngineParams(theta_w=theta, promote_after=2),
     )
-    open_records = query_ltm(engine.ltm, "open")
+    open_records = query_ltm(engine.state.ltm, "open")
     assert [r.signature for r in open_records] == [("B", "C", "E")]

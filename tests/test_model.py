@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from mindstream.model import (
     EngineParams,
+    MindMap,
     SelfPairError,
     Transaction,
     canonical_pair,
     distinct_items,
-    new_mindmap,
 )
 
 from mindstream.snapshot import parse_snapshot, render_snapshot
@@ -22,7 +22,7 @@ labels = st.text(
 
 
 def test_new_mindmap_is_empty():
-    m = new_mindmap()
+    m = MindMap()
     assert m.cells == {} and m.edges == {} and m.step == 0
     assert m.cell_count == 0
     assert m.edge_count == 0
@@ -62,7 +62,7 @@ def test_get_weight_after_first_transaction():
 
 
 def test_get_weight_absent_and_self_pair():
-    m = new_mindmap()
+    m = MindMap()
     assert m.get_weight("A", "C") is None
     with pytest.raises(SelfPairError):
         m.get_weight("A", "A")
@@ -99,7 +99,7 @@ def test_engine_params_validation(kwargs):
 def test_invariants_hold_along_random_stream():
     rng = random.Random(7)
     alphabet = [f"i{k}" for k in range(12)]
-    m = new_mindmap()
+    m = MindMap()
     params = EngineParams()
     seen = set()
     from mindstream.dynamics import ingest_transaction

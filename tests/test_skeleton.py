@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from mindstream.model import EngineParams, new_mindmap
+from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
 from mindstream.skeleton import (
     _components,
@@ -64,7 +64,7 @@ def test_six_rules_from_the_triangle(final_engine):
 
 
 def test_rules_empty_and_single_edge():
-    assert derive_rules(extract_skeleton(new_mindmap(), 0.0)) == []
+    assert derive_rules(extract_skeleton(MindMap(), 0.0)) == []
     engine = replay([txn(["X", "Y"])])
     rules = derive_rules(extract_skeleton(engine.mmap, 0.0))
     assert {(r.antecedent, r.consequent) for r in rules} == {("X", "Y"), ("Y", "X")}
@@ -85,11 +85,11 @@ def test_strongest_subgraph_is_the_triangle(final_engine):
 
 
 def test_strongest_subgraphs_empty_map():
-    assert strongest_subgraphs(new_mindmap(), 0.5, 3) == []
+    assert strongest_subgraphs(MindMap(), 0.5, 3) == []
 
 
 def test_strongest_subgraphs_orders_by_mean_weight():
-    m = new_mindmap()
+    m = MindMap()
     params = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)
     m, _ = ingest_transaction(m, txn(["a", "b"]), params)  # w = 0.5
     m, _ = ingest_transaction(m, txn(["c", "d"]), params)  # w = 0.5
@@ -99,7 +99,7 @@ def test_strongest_subgraphs_orders_by_mean_weight():
 
 
 def test_strongest_subgraphs_tie_break_is_deterministic():
-    m = new_mindmap()
+    m = MindMap()
     params = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)
     m, _ = ingest_transaction(m, txn(["a", "b"]), params)
     m, _ = ingest_transaction(m, txn(["x", "y"]), params)  # equal mean, equal size

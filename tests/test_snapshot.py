@@ -1,13 +1,15 @@
 import random
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mindstream.memory import LTMRecord, Pattern, STMEntry
-from mindstream.model import Connection, EngineParams, ItemCell, MindMap, new_mindmap
+from mindstream.memory import LTMRecord, STMEntry
+from mindstream.model import Connection, EngineParams, ItemCell, MindMap
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
+    _tokenize,
     parse_snapshot,
     render_snapshot,
     load_snapshot,
@@ -18,11 +20,12 @@ from helpers import random_engine_state, replay, worked_example_transactions
 
 
 def state_of(mmap, params=EngineParams(), stm=None, ltm=None):
-    return EngineState(mmap, params, stm or {}, ltm or [])
+    ltm = {r.signature: r for r in ltm or []}
+    return EngineState(mmap, params, stm or {}, ltm)
 
 
 def test_empty_map_snapshot():
-    text = render_snapshot(state_of(new_mindmap()))
+    text = render_snapshot(state_of(MindMap()))
     lines = text.splitlines()
     assert lines[0] == "MINDMAP v1"
     assert lines[1] == "step 0"
@@ -45,21 +48,21 @@ def test_round_trip_preserves_exact_floats():
 
 
 def test_awkward_labels_round_trip():
-    mmap = new_mindmap()
+    mmap = MindMap()
     weird = ['with space', 'tab\there', '"quoted"', "back\\slash", "pi|pe"]
     for i, label in enumerate(weird):
         mmap.cells[label] = ItemCell(label, 0.5, 0, 0)
     a, b = sorted(weird)[:2]
     mmap.edges[(a, b)] = Connection((a, b), 0.25, 0)
     sig = tuple(sorted(weird[:3]))
-    stm = {sig: STMEntry(Pattern(sig, ()), 0, 1)}
+    stm = {sig: STMEntry(0, 1)}
     ltm = [LTMRecord(sig, 0, None, 1)]
     text = render_snapshot(state_of(mmap, stm=stm, ltm=ltm))
     loaded = parse_snapshot(text)
     assert set(loaded.mmap.cells) == set(weird)
     assert loaded.mmap.edges[(a, b)].weight == 0.25
     assert list(loaded.stm) == [sig]
-    assert loaded.ltm[0].signature == sig
+    assert list(loaded.ltm) == [sig] and loaded.ltm[sig].signature == sig
     assert render_snapshot(loaded) == text
 
 
@@ -70,7 +73,7 @@ def test_load_errors():
         parse_snapshot("MINDMAP v2\nstep 0\n")
     with pytest.raises(SnapshotError, match="missing step"):
         parse_snapshot("MINDMAP v1\n")
-    good = render_snapshot(state_of(new_mindmap()))
+    good = render_snapshot(state_of(MindMap()))
     with pytest.raises(SnapshotError, match="line 11"):
         parse_snapshot(good + "cell onlytwo 0.5\n")
     with pytest.raises(SnapshotError, match="missing params"):
@@ -79,13 +82,12 @@ def test_load_errors():
 
 def test_ltm_open_marker():
     ltm = [LTMRecord(("A", "B"), 3, None, 1), LTMRecord(("C", "D"), 1, 5, 2)]
-    text = render_snapshot(state_of(new_mindmap(), ltm=ltm))
+    text = render_snapshot(state_of(MindMap(), ltm=ltm))
     assert "ltm C|D 1 5 2" in text
     assert "ltm A|B 3 open 1" in text
     loaded = parse_snapshot(text)
-    by_sig = {r.signature: r for r in loaded.ltm}
-    assert by_sig[("A", "B")].is_open
-    assert by_sig[("C", "D")].disappeared_at == 5
+    assert loaded.ltm[("A", "B")].is_open
+    assert loaded.ltm[("C", "D")].disappeared_at == 5
 
 
 def test_file_round_trip(tmp_path):
@@ -108,7 +110,65 @@ def test_random_states_round_trip():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_float_serialization_is_lossless(x):
-    mmap = new_mindmap()
+    mmap = MindMap()
     mmap.cells["A"] = ItemCell("A", x, 0, 0)
     loaded = parse_snapshot(render_snapshot(state_of(mmap)))
     assert loaded.mmap.cells["A"].activation == x
+
+
+def reference_tokenize(line: str, lineno: int) -> List[str]:
+    """The char-by-char tokenizer that the compiled regex replaced."""
+    tokens: List[str] = []
+    i, n = 0, len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+            continue
+        if line[i] == '"':
+            i += 1
+            buf: List[str] = []
+            while i < n and line[i] != '"':
+                if line[i] == "\\" and i + 1 < n and line[i + 1] in '\\"':
+                    buf.append(line[i + 1])
+                    i += 2
+                else:
+                    buf.append(line[i])
+                    i += 1
+            if i >= n:
+                raise SnapshotError("unterminated quoted token", lineno)
+            i += 1
+            tokens.append("".join(buf))
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            tokens.append(line[i:j])
+            i = j
+    return tokens
+
+
+def tokens_or_error(tokenize, line):
+    try:
+        return tokenize(line, 7)
+    except SnapshotError as exc:
+        return str(exc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet='a"\\| \t\x1c\x85\u3000', max_size=16))
+def test_tokenizer_matches_reference(line):
+    assert tokens_or_error(_tokenize, line) == tokens_or_error(reference_tokenize, line)
+
+
+@pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
+def test_duplicate_lines_are_rejected(kind):
+    mmap = MindMap(step=3)
+    mmap.cells["A"] = ItemCell("A", 0.5, 1, 3)
+    mmap.cells["B"] = ItemCell("B", 0.5, 1, 3)
+    mmap.edges[("A", "B")] = Connection(("A", "B"), 0.75, 3)
+    sig = ("A", "B")
+    state = state_of(mmap, stm={sig: STMEntry(2, 2)}, ltm=[LTMRecord(sig, 3, None, 1)])
+    lines = render_snapshot(state).splitlines()
+    repeated = next(line for line in lines if line.startswith(kind + " "))
+    with pytest.raises(SnapshotError, match=f"line {len(lines) + 1}: duplicate {kind}"):
+        parse_snapshot("\n".join(lines + [repeated]) + "\n")
