@@ -35,6 +35,11 @@ def _params_from(args: argparse.Namespace) -> EngineParams:
     return EngineParams(**{name: getattr(args, name) for name in PARAM_TYPES})
 
 
+def _usage_error(message: object) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], None]) -> bool:
     """Feed each transaction of `args.input` (a path, or - for stdin) to
     `consume`. On a parse error or an unreadable input, print the error
@@ -64,12 +69,14 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    engine = Engine(_params_from(args))
-    for spec in args.trace or []:
-        a, b = spec
-        engine.register_query(
-            ContinuousQuery("trace-edge", (a, b), horizon=args.horizon)
-        )
+    try:
+        engine = Engine(_params_from(args))
+        for a, b in args.trace or []:
+            engine.register_query(
+                ContinuousQuery("trace-edge", (a, b), horizon=args.horizon)
+            )
+    except ValueError as exc:
+        return _usage_error(exc)
     if not _consume_input(args, engine.ingest):
         return 1
 
@@ -77,12 +84,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         q = emission.query
         tag = f"trace {q.target[0]} {q.target[1]}" if q.kind == "trace-edge" else q.kind
         print(f"{emission.step} {tag} {emission.text}")
-    if args.events:
-        with open(args.events, "w", encoding="utf-8", newline="\n") as out:
-            out.writelines(line + "\n" for line in engine.event_lines)
-    if args.snapshot:
-        save_snapshot(engine.state, args.snapshot)
-    else:
+    try:
+        if args.events:
+            path = args.events
+            with open(path, "w", encoding="utf-8", newline="\n") as out:
+                out.writelines(line + "\n" for line in engine.event_lines)
+        if args.snapshot:
+            path = args.snapshot
+            save_snapshot(engine.state, path)
+    except OSError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 1
+    if not args.snapshot:
         sys.stdout.write(render_snapshot(engine.state))
     return 0
 
@@ -96,16 +109,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         result = run_static_query(state, args.query)
     except QueryUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if result:
         print(result)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    engine = Engine(_params_from(args))
-    query = ContinuousQuery("trace-edge", (args.a, args.b), horizon=args.k)
+    try:
+        engine = Engine(_params_from(args))
+        query = ContinuousQuery("trace-edge", (args.a, args.b), horizon=args.k)
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.register_after == 0:
         engine.register_query(query)
 
@@ -130,10 +145,12 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
     if args.minsup_frac is not None:
         minsup = max(1, math.ceil(args.minsup_frac * len(txns)))
     if minsup is None:
-        print("error: need --minsup or --minsup-frac", file=sys.stderr)
-        return 2
+        return _usage_error("need --minsup or --minsup-frac")
 
-    levels = apriori_levels(txns, minsup)
+    try:
+        levels = apriori_levels(txns, minsup)
+    except ValueError as exc:
+        return _usage_error(exc)
     frequent = [s for _, fk in levels for s in sorted(fk, key=lambda s: s.items)]
     for s in frequent:
         print(f"frequent {{{','.join(s.items)}}} {s.support}")

@@ -22,7 +22,6 @@ from .model import (
     MindMap,
     Pair,
     Transaction,
-    canonical_pair,
 )
 
 INITIAL_ACTIVATION = 0.5
@@ -38,9 +37,7 @@ class StepEvents:
 
     step: int = 0
     cells_created: List[str] = field(default_factory=list)
-    cells_merged: List[str] = field(default_factory=list)
     edges_created: List[Pair] = field(default_factory=list)
-    edges_reinforced: List[Pair] = field(default_factory=list)
     cells_forgotten: List[str] = field(default_factory=list)
     edges_forgotten: List[Pair] = field(default_factory=list)
 
@@ -122,41 +119,39 @@ def ingest_transaction(
             events.cells_created.append(label)
         else:
             a = cell.activation
-            events.cells_merged.append(label)
         for _ in range(count):
             a = activate_cell(a, params.lam)
         boosted[label] = a
 
     # Phase 3: edge creation / reinforcement against pre-step weights,
     # using this step's post-boost activations. Newly created edges are
-    # not additionally reinforced within their creation step.
+    # not additionally reinforced within their creation step. The labels
+    # are sorted and distinct, so each pair is already canonical.
     new_weights: Dict[Pair, float] = {}
     if len(labels) >= 2:
         w0 = initial_weight(len(labels))
-        for a, b in combinations(labels, 2):
-            pair = canonical_pair(a, b)
+        for pair in combinations(labels, 2):
             conn = mmap.edges.get(pair)
             if conn is None:
                 new_weights[pair] = w0
                 events.edges_created.append(pair)
             else:
                 new_weights[pair] = hebbian_update(
-                    conn.weight, boosted[a], boosted[b], params.eta
+                    conn.weight, boosted[pair[0]], boosted[pair[1]], params.eta
                 )
-                events.edges_reinforced.append(pair)
 
     # Commit.
     for label, a in boosted.items():
         cell = mmap.cells.get(label)
         if cell is None:
-            mmap.cells[label] = ItemCell(label, a, step, step)
+            mmap.cells[label] = ItemCell(a, step, step)
         else:
             cell.activation = a
             cell.last_activated_at = step
     for pair, w in new_weights.items():
         conn = mmap.edges.get(pair)
         if conn is None:
-            mmap.edges[pair] = Connection(pair, w, step)
+            mmap.edges[pair] = Connection(w, step)
         else:
             conn.weight = w
             conn.last_reinforced_at = step

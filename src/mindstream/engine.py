@@ -88,16 +88,19 @@ class Engine:
 
         skel = extract_skeleton(self.mmap, self.params.theta_w, self.params.theta_a)
         current = detect_patterns(skel)
+        lapsed = self.stm.keys() - current
         self.stm, promotions = stm_tick(
             self.stm, current, step, self.params.promote_after
         )
-        ltm_update(self._ltm, promotions, current, step)
+        ltm_update(self._ltm, promotions, lapsed, step)
 
-        self._report(events, promotions)
+        self._report(events, promotions, lapsed)
         self._evaluate_queries(step)
         return events
 
-    def _report(self, events: StepEvents, promotions: Set[Signature]) -> None:
+    def _report(
+        self, events: StepEvents, promotions: Set[Signature], lapsed: Set[Signature]
+    ) -> None:
         """Log the step's events; pattern lines read the LTM as ltm_update
         stamped it.
 
@@ -105,7 +108,7 @@ class Engine:
         promotes once per unbroken run of a signature, and the step where
         that run lapses also closes the record. So a promotion whose record
         has recurred is a reopening, and the records closed by this step
-        are exactly those stamped disappeared_at == step.
+        are the lapsed ones that ltm_update stamped disappeared_at == step.
         """
         log = self.event_lines.append
         step = events.step
@@ -120,24 +123,25 @@ class Engine:
         for sig in sorted(promotions):
             kind = "reopened" if self._ltm[sig].recurrence_count > 1 else "promoted"
             log(f"{step} pattern-{kind} {_sig_text(sig)}")
-        closed = [sig for sig, r in self._ltm.items() if r.disappeared_at == step]
-        for sig in sorted(closed):
-            log(f"{step} pattern-closed {_sig_text(sig)}")
+        for sig in sorted(lapsed):
+            record = self._ltm.get(sig)
+            if record is not None and record.disappeared_at == step:
+                log(f"{step} pattern-closed {_sig_text(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
+        """Emit each query's next result; drop a query after its last one."""
+        live: List[ContinuousQuery] = []
         for q in self.queries:
-            if q.emitted >= (q.horizon if q.kind == "trace-edge" else 1):
-                continue
             if q.kind == "trace-edge":
-                a, b = q.target
-                w = self.mmap.get_weight(a, b)
+                w = self.mmap.get_weight(*q.target)
                 text = "absent" if w is None else repr(w)
-                self.emissions.append(QueryEmission(q, step, text))
-                q.emitted += 1
             else:
                 comps = strongest_subgraphs(self.mmap, self.params.theta_w, q.top_k)
-                parts = [
+                text = " ".join(
                     "[" + _sig_text(tuple(sorted(c.nodes))) + "]" for c in comps
-                ] or ["none"]
-                self.emissions.append(QueryEmission(q, step, " ".join(parts)))
-                q.emitted += 1
+                ) or "none"
+            self.emissions.append(QueryEmission(q, step, text))
+            q.emitted += 1
+            if q.emitted < (q.horizon if q.kind == "trace-edge" else 1):
+                live.append(q)
+        self.queries = live

@@ -57,8 +57,6 @@ def stm_tick(
     (one missed step resets survival). Signatures whose count reaches
     exactly promote_after are returned for promotion.
     """
-    if promote_after < 1:
-        raise ValueError("promote_after must be >= 1")
     stm_next: Dict[Signature, STMEntry] = {}
     promotions: Set[Signature] = set()
     for sig in current:
@@ -76,15 +74,17 @@ def stm_tick(
 def ltm_update(
     ltm: Dict[Signature, LTMRecord],
     promotions: Set[Signature],
-    current: Set[Signature],
+    lapsed: Set[Signature],
     step: int,
 ) -> Dict[Signature, LTMRecord]:
     """Apply one step's promotions and closures to `ltm` in place; returns it.
 
     A promoted signature whose record is closed reopens it (appeared_at is
     restamped and the recurrence count bumped); one with no record gets a
-    fresh one. Open records whose signature left the current pattern set
-    are closed at `step`.
+    fresh one. `lapsed` holds the signatures of the previous step's STM that
+    are not current; their open records are closed at `step`. No other
+    record can close: an open record's signature has been current, and so
+    in the STM, at every step since its promotion.
     """
     for sig in promotions:
         record = ltm.get(sig)
@@ -94,8 +94,9 @@ def ltm_update(
             record.recurrence_count += 1
             record.appeared_at = step
             record.disappeared_at = None
-    for sig, record in ltm.items():
-        if record.is_open and sig not in current:
+    for sig in lapsed:
+        record = ltm.get(sig)
+        if record is not None and record.is_open:
             record.disappeared_at = step
     return ltm
 

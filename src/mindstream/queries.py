@@ -52,9 +52,9 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
     if kind == "weight":
         if len(rest) != 2:
             raise QueryUsageError("usage: weight A B")
-        w = state.mmap.get_weight(rest[0], rest[1]) if rest[0] != rest[1] else None
         if rest[0] == rest[1]:
             raise QueryUsageError("weight needs two distinct labels")
+        w = state.mmap.get_weight(rest[0], rest[1])
         return "absent" if w is None else _fmt(w)
 
     if kind == "activation":
@@ -102,8 +102,10 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
     if kind == "strongest":
         _, opts = _take_options(rest, {"--theta-w": float, "--top": int})
         theta_w = opts.get("--theta-w", state.params.theta_w)
-        top = opts.get("--top", 3)
-        comps = strongest_subgraphs(state.mmap, theta_w, top)
+        try:
+            comps = strongest_subgraphs(state.mmap, theta_w, opts.get("--top", 3))
+        except ValueError as exc:
+            raise QueryUsageError(str(exc)) from None
         lines = []
         for rank, c in enumerate(comps, start=1):
             mean_w = sum(w for _, w in c.edges) / len(c.edges)

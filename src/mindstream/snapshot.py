@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .memory import LTMRecord, Signature, STMEntry
-from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap
+from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, canonical_pair
 
 HEADER = "MINDMAP v1"
 
@@ -158,10 +158,10 @@ def parse_snapshot(text: str) -> EngineState:
                 table, key, value = params_raw, args[0], args[1]
             elif kind == "cell" and len(args) == 4:
                 table, key = mmap.cells, args[0]
-                value = ItemCell(key, float(args[1]), int(args[2]), int(args[3]))
+                value = ItemCell(float(args[1]), int(args[2]), int(args[3]))
             elif kind == "edge" and len(args) == 4:
-                value = Connection((args[0], args[1]), float(args[2]), int(args[3]))
-                table, key = mmap.edges, value.pair
+                table, key = mmap.edges, canonical_pair(args[0], args[1])
+                value = Connection(float(args[2]), int(args[3]))
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, _parse_signature(args[0])
                 value = STMEntry(int(args[1]), int(args[2]))
@@ -182,15 +182,13 @@ def parse_snapshot(text: str) -> EngineState:
     missing = [p for p in PARAM_TYPES if p not in params_raw]
     if missing:
         raise SnapshotError(f"missing params: {', '.join(missing)}")
+    # The records above were built unchecked: validate the whole state once.
     try:
         params = EngineParams(
             **{name: kind(params_raw[name]) for name, kind in PARAM_TYPES.items()}
         )
-    except ValueError as exc:
-        raise SnapshotError(str(exc)) from None
-    try:
         mmap.check_invariants()
-    except AssertionError as exc:
+    except ValueError as exc:
         raise SnapshotError(str(exc)) from None
     return EngineState(mmap, params, stm, ltm)
 

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .model import Transaction, validate_label
+from .model import Transaction
 
 TransactionId = Tuple[str, int]
 
@@ -85,7 +85,6 @@ class TransactionGrouper:
         self._seen_tids: set = set()
 
     def feed(self, record: StreamRecord) -> List[Transaction]:
-        validate_label(record.name)
         flushed: List[Transaction] = []
         if self._tid is not None and record.tid != self._tid:
             flushed.append(self._flush())

@@ -101,12 +101,12 @@ def random_engine_state(rng: random.Random) -> EngineState:
     for label in labels:
         created = rng.randint(0, step) if step else 0
         cells[label] = ItemCell(
-            label, rng.random(), created, rng.randint(created, step) if step else 0
+            rng.random(), created, rng.randint(created, step) if step else 0
         )
     edges = {}
     for a, b in combinations(labels, 2):
         if rng.random() < 0.5:
-            edges[(a, b)] = Connection((a, b), rng.random(), rng.randint(0, step))
+            edges[(a, b)] = Connection(rng.random(), rng.randint(0, step))
     mmap = MindMap(cells=cells, edges=edges, step=step)
     params = EngineParams(
         eta=rng.uniform(0.1, 1.0),

@@ -94,7 +94,6 @@ def ingest_transaction(
             events.cells_created.append(label)
         else:
             a = cell.activation
-            events.cells_merged.append(label)
         for _ in range(count):
             a = activate_cell(a, params.lam)
         boosted[label] = a
@@ -116,20 +115,19 @@ def ingest_transaction(
                 new_weights[pair] = hebbian_update(
                     conn.weight, boosted[a], boosted[b], params.eta
                 )
-                events.edges_reinforced.append(pair)
 
     # Commit.
     for label, a in boosted.items():
         cell = out.cells.get(label)
         if cell is None:
-            out.cells[label] = ItemCell(label, a, step, step)
+            out.cells[label] = ItemCell(a, step, step)
         else:
             cell.activation = a
             cell.last_activated_at = step
     for pair, w in new_weights.items():
         conn = out.edges.get(pair)
         if conn is None:
-            out.edges[pair] = Connection(pair, w, step)
+            out.edges[pair] = Connection(w, step)
         else:
             conn.weight = w
             conn.last_reinforced_at = step

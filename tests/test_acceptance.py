@@ -138,8 +138,8 @@ def test_acceptance_4_capacity_bounds():
         m = MindMap()
         for t in random_transactions(rng, alphabet, 300, max_size=6):
             m, _ = ingest_transaction(m, t, params)
-            assert m.cell_count <= 20
-            assert m.edge_count <= 190
+            assert len(m.cells) <= 20
+            assert len(m.edges) <= 190
     ok(4, "cell count <= 20 and edge count <= 190 at every step, all decay settings")
 
 

@@ -71,7 +71,7 @@ def test_first_transaction_creates_triangle():
     assert m.cells["D"].activation == pytest.approx(0.75)
     assert m.step == 1
     assert events.cells_created == ["A", "C", "D"]
-    assert len(events.edges_created) == 3 and not events.edges_reinforced
+    assert len(events.edges_created) == 3
 
 
 def test_second_transaction_joins_components():
@@ -114,7 +114,7 @@ def test_empty_transaction_only_decays():
 def test_singleton_transaction_creates_cell_without_edges():
     m, events = ingest_transaction(MindMap(), txn(["A"]), EngineParams())
     assert sorted(m.cells) == ["A"]
-    assert m.edge_count == 0
+    assert len(m.edges) == 0
     assert events.cells_created == ["A"]
 
 

@@ -53,7 +53,7 @@ def test_empty_input_yields_empty_snapshot(tmp_path, capsys):
     assert run_cli("run", "--input", empty) == 0
     out = capsys.readouterr().out
     state = parse_snapshot(out)
-    assert state.mmap.step == 0 and state.mmap.cell_count == 0
+    assert state.mmap.step == 0 and len(state.mmap.cells) == 0
 
 
 def test_parse_error_stop_vs_skip(tmp_path, capsys):
@@ -229,6 +229,8 @@ def test_trace_horizon_one():
         engine.ingest(t)
     assert len(engine.emissions) == 1
     assert engine.emissions[0].step == 1
+    assert engine.emissions[0].text == repr(1 / 3)
+    assert engine.queries == []
 
 
 def test_strongest_subgraphs_query_emits_once():
@@ -238,6 +240,7 @@ def test_strongest_subgraphs_query_emits_once():
         engine.ingest(t)
     emitted = [e for e in engine.emissions if e.query.kind == "strongest-subgraphs"]
     assert len(emitted) == 1 and emitted[0].step == 1
+    assert engine.queries == []
 
 
 def test_apriori_subcommand(stream_file, capsys):
@@ -319,3 +322,32 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
     assert run_cli("query", "--snapshot", snap, "weight", "A", "B") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--eta", "0"], 2),
+        (["trace", "--eta", "0", "A", "B"], 2),
+        (["run", "--trace", "A", "A"], 2),
+        (["trace", "A", "A"], 2),
+        (["run", "--horizon", "0", "--trace", "A", "B"], 2),
+        (["trace", "-k", "0", "A", "B"], 2),
+        (["apriori", "--minsup", "0"], 2),
+        (["query", "--snapshot", "{snap}", "strongest", "--top", "0"], 2),
+        (["run", "--snapshot", "{unwritable}"], 1),
+        (["run", "--events", "{unwritable}"], 1),
+    ],
+)
+def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):
+    snap = tmp_path / "s.snap"
+    snap.write_text(render_snapshot(replay(worked_example_transactions()).state))
+    unwritable = tmp_path / "no-such-dir" / "out"
+    paths = {"{snap}": str(snap), "{unwritable}": str(unwritable)}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "query":
+        argv += ["--input", str(stream_file)]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("usage error: " if code == 2 else f"error: {unwritable}: ")

@@ -63,16 +63,16 @@ def test_stm_everything_lapses_on_empty_current():
 
 def test_ltm_new_record_then_close_then_reopen():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update({}, {bce}, {bce}, step=4)
+    ltm = ltm_update({}, {bce}, set(), step=4)
     assert len(ltm) == 1
     rec = ltm[bce]
     assert rec.signature == ("B", "C", "E")
     assert rec.appeared_at == 4 and rec.is_open and rec.recurrence_count == 1
 
-    ltm = ltm_update(ltm, set(), set(), step=9)
+    ltm = ltm_update(ltm, set(), {bce}, step=9)
     assert ltm[bce].disappeared_at == 9
 
-    ltm = ltm_update(ltm, {bce}, {bce}, step=12)
+    ltm = ltm_update(ltm, {bce}, set(), step=12)
     assert len(ltm) == 1
     assert ltm[bce].recurrence_count == 2
     assert ltm[bce].is_open and ltm[bce].appeared_at == 12
@@ -80,15 +80,24 @@ def test_ltm_new_record_then_close_then_reopen():
 
 def test_ltm_open_record_stays_open_while_current():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update({}, {bce}, {bce}, step=4)
-    ltm = ltm_update(ltm, set(), {bce}, step=5)
+    ltm = ltm_update({}, {bce}, set(), step=4)
+    ltm = ltm_update(ltm, set(), set(), step=5)
     assert ltm[bce].is_open
+
+
+def test_ltm_lapse_closes_only_open_records():
+    bce = pattern("B", "C", "E")
+    ltm = ltm_update({}, {bce}, set(), step=4)
+    ltm = ltm_update(ltm, set(), {bce}, step=5)
+    # a closed record lapsing again, and a lapse with no record, change nothing
+    ltm = ltm_update(ltm, set(), {bce, pattern("X", "Y")}, step=7)
+    assert list(ltm) == [bce] and ltm[bce].disappeared_at == 5
 
 
 def test_ltm_no_two_open_records_share_signature():
     bce = pattern("B", "C", "E")
-    ltm = ltm_update({}, {bce}, {bce}, step=4)
-    ltm = ltm_update(ltm, {bce}, {bce}, step=5)  # spurious double promotion
+    ltm = ltm_update({}, {bce}, set(), step=4)
+    ltm = ltm_update(ltm, {bce}, set(), step=5)  # spurious double promotion
     opens = [r for r in ltm.values() if r.is_open]
     assert len(opens) == 1
     assert opens[0].appeared_at == 4 and opens[0].recurrence_count == 1
@@ -111,8 +120,8 @@ def test_query_ltm_filters():
 
 def test_closed_record_stamps_are_ordered():
     ab = pattern("A", "B")
-    ltm = ltm_update({}, {ab}, {ab}, step=2)
-    ltm = ltm_update(ltm, set(), set(), step=6)
+    ltm = ltm_update({}, {ab}, set(), step=2)
+    ltm = ltm_update(ltm, set(), {ab}, step=6)
     rec = ltm[ab]
     assert rec.appeared_at <= rec.disappeared_at
 

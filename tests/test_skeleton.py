@@ -36,7 +36,7 @@ def test_skeleton_in_the_gap_is_the_triangle(final_engine):
 def test_zero_thresholds_keep_whole_graph(final_engine):
     skel = extract_skeleton(final_engine.mmap, 0.0, 0.0)
     assert skel.nodes == set(final_engine.mmap.cells)
-    assert len(skel.edges) == final_engine.mmap.edge_count
+    assert len(skel.edges) == len(final_engine.mmap.edges)
 
 
 def test_threshold_above_one_empties_skeleton(final_engine):

@@ -51,9 +51,9 @@ def test_awkward_labels_round_trip():
     mmap = MindMap()
     weird = ['with space', 'tab\there', '"quoted"', "back\\slash", "pi|pe"]
     for i, label in enumerate(weird):
-        mmap.cells[label] = ItemCell(label, 0.5, 0, 0)
+        mmap.cells[label] = ItemCell(0.5, 0, 0)
     a, b = sorted(weird)[:2]
-    mmap.edges[(a, b)] = Connection((a, b), 0.25, 0)
+    mmap.edges[(a, b)] = Connection(0.25, 0)
     sig = tuple(sorted(weird[:3]))
     stm = {sig: STMEntry(0, 1)}
     ltm = [LTMRecord(sig, 0, None, 1)]
@@ -111,7 +111,7 @@ def test_random_states_round_trip():
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_float_serialization_is_lossless(x):
     mmap = MindMap()
-    mmap.cells["A"] = ItemCell("A", x, 0, 0)
+    mmap.cells["A"] = ItemCell(x, 0, 0)
     loaded = parse_snapshot(render_snapshot(state_of(mmap)))
     assert loaded.mmap.cells["A"].activation == x
 
@@ -163,12 +163,44 @@ def test_tokenizer_matches_reference(line):
 @pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
 def test_duplicate_lines_are_rejected(kind):
     mmap = MindMap(step=3)
-    mmap.cells["A"] = ItemCell("A", 0.5, 1, 3)
-    mmap.cells["B"] = ItemCell("B", 0.5, 1, 3)
-    mmap.edges[("A", "B")] = Connection(("A", "B"), 0.75, 3)
+    mmap.cells["A"] = ItemCell(0.5, 1, 3)
+    mmap.cells["B"] = ItemCell(0.5, 1, 3)
+    mmap.edges[("A", "B")] = Connection(0.75, 3)
     sig = ("A", "B")
     state = state_of(mmap, stm={sig: STMEntry(2, 2)}, ltm=[LTMRecord(sig, 3, None, 1)])
     lines = render_snapshot(state).splitlines()
     repeated = next(line for line in lines if line.startswith(kind + " "))
     with pytest.raises(SnapshotError, match=f"line {len(lines) + 1}: duplicate {kind}"):
         parse_snapshot("\n".join(lines + [repeated]) + "\n")
+
+
+def snapshot_with(*records):
+    """A valid two-cell snapshot at step 2, plus `records` as extra lines."""
+    head = render_snapshot(state_of(MindMap(step=2))).splitlines()
+    return head + ["cell a 0.5 1 2", "cell b 0.5 1 2", *records]
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ('cell "" 0.5 1 2', "label"),
+        ("cell c 1.5 1 2", "activation"),
+        ("cell c nan 1 2", "activation"),
+        ("cell c 0.5 3 2", "precedes"),
+        ("edge a a 0.5 2", "self-pair"),
+        ("edge a b 1.5 2", "weight"),
+        ("edge a b nan 2", "weight"),
+    ],
+)
+def test_bad_records_are_rejected(record, error):
+    lines = snapshot_with(record)
+    with pytest.raises(SnapshotError, match=error) as caught:
+        parse_snapshot("\n".join(lines) + "\n")
+    if record.startswith("edge a a"):
+        assert caught.value.lineno == len(lines)
+
+
+def test_edge_key_is_canonicalized():
+    state = parse_snapshot("\n".join(snapshot_with("edge b a 0.25 2")) + "\n")
+    assert list(state.mmap.edges) == [("a", "b")]
+    assert state.mmap.edges[("a", "b")].weight == 0.25
