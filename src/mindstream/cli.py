@@ -121,6 +121,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         query = ContinuousQuery("trace-edge", (args.a, args.b), horizon=args.k)
     except ValueError as exc:
         return _usage_error(exc)
+    if args.register_after < 0:
+        return _usage_error("--register-after must be >= 0")
     if args.register_after == 0:
         engine.register_query(query)
 
@@ -131,19 +133,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if not _consume_input(args, ingest):
         return 1
+    if args.register_after >= engine.step:
+        late = f"the stream ends at step {engine.step}, so the trace never ran"
+        print(f"error: --register-after {args.register_after}: {late}", file=sys.stderr)
+        return 1
     for emission in engine.emissions:
         print(f"{emission.step} {emission.text}")
     return 0
 
 
 def _cmd_apriori(args: argparse.Namespace) -> int:
+    frac = args.minsup_frac
+    if frac is not None and not 0.0 < frac <= 1.0:  # also rejects nan
+        return _usage_error(f"--minsup-frac must be in (0, 1], got {frac}")
     txns: List[Transaction] = []
     if not _consume_input(args, txns.append):
         return 1
 
     minsup = args.minsup
-    if args.minsup_frac is not None:
-        minsup = max(1, math.ceil(args.minsup_frac * len(txns)))
+    if frac is not None:
+        minsup = max(1, math.ceil(frac * len(txns)))
     if minsup is None:
         return _usage_error("need --minsup or --minsup-frac")
 

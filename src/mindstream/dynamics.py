@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Container, Dict, List, Tuple
+from typing import Container, Dict, Iterable, List, Tuple
 
 from .model import (
     Connection,
@@ -64,33 +64,56 @@ def decay_pass(
     reinforced: Container[Pair],
     activated: Container[str],
     params: EngineParams,
-) -> None:
-    """Multiplicative decay, in place, on everything outside the touched sets."""
+) -> Tuple[List[Pair], List[str]]:
+    """Multiplicative decay, in place, on everything outside the touched sets;
+    returns the edges now below the floor and the cells it took below it."""
+    eps = params.epsilon
+    faded_edges: List[Pair] = []
+    faded_cells: List[str] = []
     if params.beta_w > 0.0:
         keep_w = 1.0 - params.beta_w
         for pair, conn in mmap.edges.items():
             if pair not in reinforced:
-                conn.weight = conn.weight * keep_w
+                conn.weight = w = conn.weight * keep_w
+                if w < eps:
+                    faded_edges.append(pair)
     if params.beta_a > 0.0:
         keep_a = 1.0 - params.beta_a
         for label, cell in mmap.cells.items():
             if label not in activated:
-                cell.activation = cell.activation * keep_a
+                a = cell.activation * keep_a
+                if a < eps <= cell.activation:
+                    faded_cells.append(label)
+                cell.activation = a
+    return faded_edges, faded_cells
 
 
-def prune_forgotten(mmap: MindMap, epsilon: float) -> Tuple[List[Pair], List[str]]:
-    """Drop edges below the floor, then isolated cells below the floor, in
-    place; returns the dropped edges and cells, each sorted.
+def prune_forgotten(
+    mmap: MindMap, edges: Iterable[Pair], cells: Iterable[str], epsilon: float
+) -> Tuple[List[Pair], List[str]]:
+    """Drop the candidate edges below the floor, then the candidate cells
+    below it that are isolated, in place; returns the dropped edges and
+    cells, each sorted. The endpoints of a dropped edge join the candidates.
 
     A cell that still has a surviving edge is never removed, whatever its
-    activation: edges pin their endpoints.
+    activation: edges pin their endpoints. Deciding only candidates is exact
+    because every step ends with no edge below the floor and no isolated
+    cell below it; a map adopted from elsewhere must start that way too.
     """
-    dead_edges = sorted(p for p, c in mmap.edges.items() if c.weight < epsilon)
+    table, degree = mmap.edges, mmap.degree
+    dead_edges = sorted(p for p in edges if table[p].weight < epsilon)
     for pair in dead_edges:
-        del mmap.edges[pair]
-    quiet = [label for label, cell in mmap.cells.items() if cell.activation < epsilon]
-    pinned = {label for pair in mmap.edges for label in pair} if quiet else set()
-    dead_cells = sorted(label for label in quiet if label not in pinned)
+        del table[pair]
+        for label in pair:
+            degree[label] -= 1
+            if not degree[label]:
+                del degree[label]
+    candidates = set(cells).union(*dead_edges)
+    dead_cells = sorted(
+        label
+        for label in candidates
+        if label not in degree and mmap.cells[label].activation < epsilon
+    )
     for label in dead_cells:
         del mmap.cells[label]
     return dead_edges, dead_cells
@@ -152,16 +175,23 @@ def ingest_transaction(
         conn = mmap.edges.get(pair)
         if conn is None:
             mmap.edges[pair] = Connection(w, step)
+            mmap.degree[pair[0]] += 1
+            mmap.degree[pair[1]] += 1
         else:
             conn.weight = w
             conn.last_reinforced_at = step
 
     # Phase 4: decay of the untouched complement.
-    decay_pass(mmap, new_weights, boosted, params)
+    faded_edges, faded_cells = decay_pass(mmap, new_weights, boosted, params)
 
-    # Phase 5: forgetting.
+    # Phase 5: forgetting decides only what can have crossed the floor this
+    # step: what decay took below it, and new edges and touched cells below it.
+    eps = params.epsilon
+    if new_weights and w0 < eps:
+        faded_edges += events.edges_created
+    faded_cells += [label for label, a in boosted.items() if a < eps]
     events.edges_forgotten, events.cells_forgotten = prune_forgotten(
-        mmap, params.epsilon
+        mmap, faded_edges, faded_cells, eps
     )
 
     mmap.step = step

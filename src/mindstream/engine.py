@@ -9,13 +9,14 @@ after the step has committed, so evaluation order never affects the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Set, ValuesView
 
 from .dynamics import StepEvents, ingest_transaction
 from .memory import LTMRecord, Signature, STMEntry, detect_patterns, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
-from .skeleton import extract_skeleton, strongest_subgraphs
+from .skeleton import Skeleton, skeleton_of, strongest_subgraphs
 from .snapshot import EngineState
 
 
@@ -59,6 +60,8 @@ class Engine:
     def __init__(self, params: EngineParams = EngineParams()):
         self.params = params
         self.mmap = MindMap()
+        # A superset of the edges at or above theta_w; see _skeleton.
+        self._heavy: Set[Pair] = set()
         self.stm: Dict[Signature, STMEntry] = {}
         self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
@@ -86,8 +89,7 @@ class Engine:
         self.mmap, events = ingest_transaction(self.mmap, txn, self.params)
         step = self.mmap.step
 
-        skel = extract_skeleton(self.mmap, self.params.theta_w, self.params.theta_a)
-        current = detect_patterns(skel)
+        current = detect_patterns(self._skeleton(txn))
         lapsed = self.stm.keys() - current
         self.stm, promotions = stm_tick(
             self.stm, current, step, self.params.promote_after
@@ -97,6 +99,21 @@ class Engine:
         self._report(events, promotions, lapsed)
         self._evaluate_queries(step)
         return events
+
+    def _skeleton(self, txn: Transaction) -> Skeleton:
+        """The skeleton after the step that ingested `txn`. An edge gains
+        weight only in a step that touches it, so adding the step's pairs
+        keeps `_heavy` a superset of the edges at or above theta_w; members
+        gone or below theta_w are dropped here."""
+        edges, theta_w = self.mmap.edges, self.params.theta_w
+        self._heavy.update(combinations(sorted(txn.items), 2))
+        heavy = [
+            (pair, conn.weight)
+            for pair in self._heavy
+            if (conn := edges.get(pair)) is not None and conn.weight >= theta_w
+        ]
+        self._heavy = {pair for pair, _ in heavy}
+        return skeleton_of(heavy, self.mmap.cells, self.params.theta_a)
 
     def _report(
         self, events: StepEvents, promotions: Set[Signature], lapsed: Set[Signature]

@@ -11,6 +11,7 @@ items, `MindMap.check_invariants` for a parsed snapshot).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -76,6 +77,12 @@ class MindMap:
     cells: Dict[str, ItemCell] = field(default_factory=dict)
     edges: Dict[Pair, Connection] = field(default_factory=dict)
     step: int = 0
+    # Edges per cell, with no entry for a cell that has none: counted here
+    # from the edges the map is given, then kept by the synchronization step.
+    degree: Counter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.degree = Counter(label for pair in self.edges for label in pair)
 
     def get_weight(self, a: str, b: str) -> Optional[float]:
         """Weight of the unordered pair (a, b), or None if no edge exists."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .memory import LTMRecord, Signature, STMEntry
-from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, canonical_pair
+from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Pair, canonical_pair
 
 HEADER = "MINDMAP v1"
 
@@ -47,8 +47,13 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
+# An empty token, a leading quote or any whitespace (`\s` and str.isspace
+# agree) makes a token need quotes.
+_NEEDS_QUOTES = re.compile(r'^(?:"|$)|\s')
+
+
 def _quote(token: str) -> str:
-    if token == "" or token.startswith('"') or any(c.isspace() for c in token):
+    if _NEEDS_QUOTES.search(token):
         return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return token
 
@@ -61,6 +66,8 @@ _ESCAPE = re.compile(r'\\([\\"])')
 
 
 def _tokenize(line: str, lineno: int) -> List[str]:
+    if '"' not in line:  # no quoted token: str.split breaks on the same spaces
+        return line.split()
     tokens: List[str] = []
     for match in _TOKEN.finditer(line):
         quoted, bare = match.groups()
@@ -103,16 +110,18 @@ def render_snapshot(state: EngineState) -> str:
     for name, kind in PARAM_TYPES.items():
         value = getattr(state.params, name)
         lines.append(f"param {name} {value if kind is int else _fmt_num(value)}")
-    for label in sorted(state.mmap.cells):
-        c = state.mmap.cells[label]
+    cells, edges = state.mmap.cells, state.mmap.edges
+    quoted: Dict[str, str] = {}  # each label quoted once, for its edges too
+    for label in sorted(cells):
+        c = cells[label]
+        quoted[label] = q = _quote(label)
         lines.append(
-            f"cell {_quote(label)} {_fmt_num(c.activation)} "
-            f"{c.created_at} {c.last_activated_at}"
+            f"cell {q} {_fmt_num(c.activation)} {c.created_at} {c.last_activated_at}"
         )
-    for pair in sorted(state.mmap.edges):
-        e = state.mmap.edges[pair]
+    for pair in sorted(edges):
+        e = edges[pair]
         lines.append(
-            f"edge {_quote(pair[0])} {_quote(pair[1])} "
+            f"edge {quoted[pair[0]]} {quoted[pair[1]]} "
             f"{_fmt_num(e.weight)} {e.last_reinforced_at}"
         )
     for sig in sorted(state.stm):
@@ -144,7 +153,8 @@ def parse_snapshot(text: str) -> EngineState:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
 
     params_raw: Dict[str, str] = {}
-    mmap = MindMap(step=step)
+    cells: Dict[str, ItemCell] = {}
+    edges: Dict[Pair, Connection] = {}
     stm: Dict[Signature, STMEntry] = {}
     ltm: Dict[Signature, LTMRecord] = {}
 
@@ -157,10 +167,10 @@ def parse_snapshot(text: str) -> EngineState:
             if kind == "param" and len(args) == 2:
                 table, key, value = params_raw, args[0], args[1]
             elif kind == "cell" and len(args) == 4:
-                table, key = mmap.cells, args[0]
+                table, key = cells, args[0]
                 value = ItemCell(float(args[1]), int(args[2]), int(args[3]))
             elif kind == "edge" and len(args) == 4:
-                table, key = mmap.edges, canonical_pair(args[0], args[1])
+                table, key = edges, canonical_pair(args[0], args[1])
                 value = Connection(float(args[2]), int(args[3]))
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, _parse_signature(args[0])
@@ -183,6 +193,7 @@ def parse_snapshot(text: str) -> EngineState:
     if missing:
         raise SnapshotError(f"missing params: {', '.join(missing)}")
     # The records above were built unchecked: validate the whole state once.
+    mmap = MindMap(cells, edges, step)
     try:
         params = EngineParams(
             **{name: kind(params_raw[name]) for name, kind in PARAM_TYPES.items()}

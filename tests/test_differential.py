@@ -5,7 +5,9 @@ parameters. One runs the shipped step: the in-place dynamics and the
 signature-keyed memory. The other runs the copy-per-phase dynamics of
 `reference_dynamics` and the list-based memory of `reference_memory`.
 After every step the snapshots, the step's event lines, its events and the
-query emissions must be identical.
+query emissions must be identical, and the shipped engine's maintained
+structures (the per-cell degree count and the set the skeleton is read
+from) must equal a recount from the edges.
 """
 
 import random
@@ -81,6 +83,11 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             ref_events = ref.ingest(t)
             where = f"seed {seed}, step {i}, {params}"
             assert fast.mmap is fast_map, where
+            edges = fast.mmap.edges
+            recount = Counter(label for pair in edges for label in pair)
+            assert dict(fast.mmap.degree) == dict(recount), where
+            heavy = {p for p, c in edges.items() if c.weight >= params.theta_w}
+            assert fast._heavy == heavy, where
             assert render_snapshot(fast.state) == render_snapshot(ref.state), where
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where

@@ -13,6 +13,7 @@ from mindstream.dynamics import (
     initial_weight,
     prune_forgotten,
 )
+from mindstream.engine import Engine
 from mindstream.model import EngineParams, MindMap
 from mindstream.snapshot import render_snapshot
 
@@ -138,20 +139,111 @@ def test_decay_pass_examples():
 
 
 def test_prune_forgotten():
+    pair = ("A", "B")
     m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
-    dead_edges, dead_cells = prune_forgotten(m, 0.0)
+    dead_edges, dead_cells = prune_forgotten(m, [pair], ["A", "B"], 0.0)
     assert not dead_edges and not dead_cells
 
-    m.edges[("A", "B")].weight = 0.005
-    dead_edges, dead_cells = prune_forgotten(m, 0.01)
-    assert dead_edges == [("A", "B")]
+    m.edges[pair].weight = 0.005
+    dead_edges, dead_cells = prune_forgotten(m, [pair], [], 0.01)
+    assert dead_edges == [pair]
     # activations are still high, so the now-isolated cells survive
     assert sorted(m.cells) == ["A", "B"]
+    assert not m.degree
 
     m2, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
     m2.cells["A"].activation = 0.001
-    _, dead = prune_forgotten(m2, 0.01)
+    _, dead = prune_forgotten(m2, [], ["A"], 0.01)
     assert "A" in m2.cells and not dead  # the surviving edge pins the cell
+
+
+# Forgetting decides only the candidates of the step: each test below pins
+# one kind of candidate, which no other rule would catch.
+
+
+def test_edge_born_below_epsilon_is_forgotten_in_its_creation_step():
+    params = EngineParams(epsilon=0.3, theta_w=0.5)
+    m, events = ingest_transaction(MindMap(), txn(["A", "B", "C", "D"]), params)
+    pairs = list(combinations("ABCD", 2))  # weight 1/4 < epsilon
+    assert events.edges_created == pairs
+    assert events.edges_forgotten == pairs
+    assert not m.edges and not m.degree
+    assert sorted(m.cells) == list("ABCD")  # boosted to 0.75, above the floor
+
+
+def test_quiet_pinned_cell_goes_in_the_step_its_last_edge_goes():
+    params = EngineParams(beta_w=0.3, beta_a=0.0, epsilon=0.3, theta_w=0.5)
+    m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
+    m, _ = ingest_transaction(m, txn(["A", "C"]), params)  # A-B decays to 0.35
+    m.cells["A"].activation = 0.1  # quiet, pinned by A-B and A-C; never decays
+    m, events = ingest_transaction(m, txn(["C", "E"]), params)
+    assert events.edges_forgotten == [("A", "B")]  # 0.245; A-C is 0.35
+    assert events.cells_forgotten == [] and "A" in m.cells
+    m, events = ingest_transaction(m, txn(["E"]), params)
+    assert events.edges_forgotten == [("A", "C")]
+    assert events.cells_forgotten == ["A"]
+    assert sorted(m.cells) == ["B", "C", "E"]
+
+
+def test_touched_cell_still_below_epsilon_is_forgotten():
+    params = EngineParams(lam=0.1, beta_a=0.0, epsilon=0.6, theta_w=0.7)
+    m, events = ingest_transaction(MindMap(), txn(["A"]), params)
+    # boosted from 0.5 to 0.55 < epsilon, with no edge to pin it
+    assert events.cells_created == ["A"] and events.cells_forgotten == ["A"]
+    assert not m.cells
+
+
+def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():
+    params = EngineParams(beta_w=0.9, beta_a=0.0, epsilon=0.1, theta_w=0.5, promote_after=1)
+    engine = Engine(params)
+    engine.ingest(txn(["A", "B"]))  # weight 0.5 == theta_w
+    assert list(engine.stm) == [("A", "B")]
+    events = engine.ingest(txn(["C"]))  # 0.5 * 0.1 < epsilon in one step
+    assert events.edges_forgotten == [("A", "B")]
+    assert not engine.mmap.edges and not engine.stm and not engine._heavy
+    assert engine.event_lines[-1] == "2 pattern-closed A|B"
+
+
+class WalkCountingDict(dict):
+    """A dict that counts the calls that walk all of it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_no_decay_step_never_walks_the_map():
+    params = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.01, promote_after=1)
+    engine = Engine(params)
+    rng = random.Random(9)
+    alphabet = [f"i{k}" for k in range(60)]
+    while len(engine.mmap.edges) < 1000:
+        engine.ingest(txn(rng.sample(alphabet, 8)))
+    engine.mmap.edges = WalkCountingDict(engine.mmap.edges)
+    engine.mmap.cells = WalkCountingDict(engine.mmap.cells)
+    stream = [txn(rng.sample(alphabet, 8)) for _ in range(20)]
+    stream += [txn(["new1", "new2", "i0"]), txn(["new3"]), txn([])]
+    for t in stream:
+        engine.ingest(t)
+    assert engine.stm  # the skeleton was read: it is not empty
+    assert engine.mmap.edges.walks == 0
+    assert engine.mmap.cells.walks == 0
 
 
 def test_replay_is_deterministic():

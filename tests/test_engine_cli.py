@@ -215,6 +215,18 @@ def test_trace_bc_over_replay(stream_file, capsys):
     assert weights[0] < weights[1] < weights[2]
 
 
+@pytest.mark.parametrize("after", [4, 9])
+def test_trace_registered_after_the_last_step_is_an_error(stream_file, capsys, after):
+    assert run_cli("trace", "--input", stream_file, "B", "C",
+                   "--register-after", after) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --register-after {after}: the stream ends at step 4, "
+        "so the trace never ran"
+    ]
+
+
 def test_trace_never_created_pair(stream_file, capsys):
     assert run_cli("trace", "--input", stream_file, "X", "Y", "-k", "4") == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -251,6 +263,14 @@ def test_apriori_subcommand(stream_file, capsys):
     assert "border k=2 {A,B}" in out and "border k=2 {A,E}" in out
     assert "rule {B} => {C} supp 3 conf 1.000000" in out
     assert "rule {C} => {B}" not in out
+
+
+def test_apriori_minsup_frac_rounds_up_within_bounds(stream_file, capsys):
+    assert run_cli("apriori", "--input", stream_file, "--minsup-frac", "0.75") == 0
+    out = capsys.readouterr().out  # ceil(0.75 * 4) = 3
+    assert "frequent {B,C,E} 3" in out and "{A}" not in out
+    assert run_cli("apriori", "--input", stream_file, "--minsup-frac", "1") == 0
+    assert capsys.readouterr().out == "frequent {C} 4\n"
 
 
 def test_event_log_reports_promotions(tmp_path, stream_file):
@@ -337,6 +357,11 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["query", "--snapshot", "{snap}", "strongest", "--top", "0"], 2),
         (["run", "--snapshot", "{unwritable}"], 1),
         (["run", "--events", "{unwritable}"], 1),
+        (["apriori", "--minsup-frac", "nan"], 2),
+        (["apriori", "--minsup-frac", "inf"], 2),
+        (["apriori", "--minsup-frac", "0"], 2),
+        (["apriori", "--minsup-frac", "1.5"], 2),
+        (["trace", "--register-after", "-5", "A", "B"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):

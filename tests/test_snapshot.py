@@ -9,6 +9,7 @@ from mindstream.model import Connection, EngineParams, ItemCell, MindMap
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
+    _quote,
     _tokenize,
     parse_snapshot,
     render_snapshot,
@@ -154,10 +155,30 @@ def tokens_or_error(tokenize, line):
         return str(exc)
 
 
+# Lines without a quote take str.split; the odd spaces check that it splits
+# where the reference does.
 @settings(max_examples=2000, deadline=None)
-@given(st.text(alphabet='a"\\| \t\x1c\x85\u3000', max_size=16))
+@given(
+    st.one_of(
+        st.text(alphabet='a"\\| \t\x1c\x85\u3000', max_size=16),
+        st.text(alphabet="a\\| \t\x1c\x85\xa0\u2028\u3000", max_size=16),
+    )
+)
 def test_tokenizer_matches_reference(line):
     assert tokens_or_error(_tokenize, line) == tokens_or_error(reference_tokenize, line)
+
+
+def reference_quote(token: str) -> str:
+    """The per-character `_quote` that one compiled regex replaced."""
+    if token == "" or token.startswith('"') or any(c.isspace() for c in token):
+        return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return token
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet='a"\\ \t\n\x1c\x85\xa0\u3000', max_size=8))
+def test_quote_matches_reference(token):
+    assert _quote(token) == reference_quote(token)
 
 
 @pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
