@@ -1,19 +1,19 @@
 """One synchronization step per transaction.
 
-Each ingested transaction triggers an atomic update of the mind-map:
-duplicate merging, cell creation / merge with activation boosts, edge
-creation or Hebbian reinforcement, multiplicative decay of everything not
-touched this step, and forgetting of edges and cells that fell below the
-floor. All updates are computed against the pre-step state and only then
-committed (two-phase); the commit, decay and forgetting update the given
-map in place.
+Each ingested transaction triggers an atomic update of the mind-map, made
+in place in one pass: duplicate merging, cell creation / merge with
+activation boosts, edge creation or Hebbian reinforcement, multiplicative
+decay of everything not touched this step, and forgetting of edges and
+cells that fell below the floor. The step advances the map's counter
+first and stamps every cell and edge it touches with it, so the stamps
+are the touched sets that decay skips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Container, Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .model import (
     Connection,
@@ -59,28 +59,23 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
     return min(1.0, w + eta * a_i * a_j * (1.0 - w))
 
 
-def decay_pass(
-    mmap: MindMap,
-    reinforced: Container[Pair],
-    activated: Container[str],
-    params: EngineParams,
-) -> Tuple[List[Pair], List[str]]:
-    """Multiplicative decay, in place, on everything outside the touched sets;
+def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[str]]:
+    """Multiplicative decay, in place, of every record not stamped this step;
     returns the edges now below the floor and the cells it took below it."""
-    eps = params.epsilon
+    step, eps = mmap.step, params.epsilon
     faded_edges: List[Pair] = []
     faded_cells: List[str] = []
     if params.beta_w > 0.0:
         keep_w = 1.0 - params.beta_w
         for pair, conn in mmap.edges.items():
-            if pair not in reinforced:
+            if conn.last_reinforced_at != step:
                 conn.weight = w = conn.weight * keep_w
                 if w < eps:
                     faded_edges.append(pair)
     if params.beta_a > 0.0:
         keep_a = 1.0 - params.beta_a
         for label, cell in mmap.cells.items():
-            if label not in activated:
+            if cell.last_activated_at != step:
                 a = cell.activation * keep_a
                 if a < eps <= cell.activation:
                     faded_cells.append(label)
@@ -128,71 +123,52 @@ def ingest_transaction(
     An empty transaction only runs decay and forgetting and advances the
     step counter.
     """
-    step = mmap.step + 1
+    # First, so that a record stamped with the new step is one this step touched.
+    mmap.step = step = mmap.step + 1
     events = StepEvents(step=step)
+    cells, edges, eps = mmap.cells, mmap.edges, params.epsilon
 
-    # Phase 1+2: boosts per occurrence, against pre-step activations.
+    # Boosts per occurrence. A boost reads only its own cell's pre-step
+    # activation, so each cell is written at once.
     labels = sorted(txn.items)
-    boosted: Dict[str, float] = {}
+    low_cells: List[str] = []
     for label in labels:
-        count = txn.items[label]
-        cell = mmap.cells.get(label)
+        cell = cells.get(label)
         if cell is None:
-            a = INITIAL_ACTIVATION
+            cells[label] = cell = ItemCell(INITIAL_ACTIVATION, step, step)
             events.cells_created.append(label)
-        else:
-            a = cell.activation
-        for _ in range(count):
+        a = cell.activation
+        for _ in range(txn.items[label]):
             a = activate_cell(a, params.lam)
-        boosted[label] = a
+        cell.activation = a
+        cell.last_activated_at = step
+        if a < eps:
+            low_cells.append(label)
 
-    # Phase 3: edge creation / reinforcement against pre-step weights,
-    # using this step's post-boost activations. Newly created edges are
-    # not additionally reinforced within their creation step. The labels
+    # Create each edge, or reinforce its pre-step weight with the post-boost
+    # activations of its cells (a new edge is not also reinforced). The labels
     # are sorted and distinct, so each pair is already canonical.
-    new_weights: Dict[Pair, float] = {}
+    low_edges: List[Pair] = []
     if len(labels) >= 2:
         w0 = initial_weight(len(labels))
         for pair in combinations(labels, 2):
-            conn = mmap.edges.get(pair)
+            conn = edges.get(pair)
             if conn is None:
-                new_weights[pair] = w0
+                edges[pair] = Connection(w0, step)
+                mmap.degree[pair[0]] += 1
+                mmap.degree[pair[1]] += 1
                 events.edges_created.append(pair)
             else:
-                new_weights[pair] = hebbian_update(
-                    conn.weight, boosted[pair[0]], boosted[pair[1]], params.eta
-                )
+                a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
+                conn.weight = hebbian_update(conn.weight, a_i, a_j, params.eta)
+                conn.last_reinforced_at = step
+        if w0 < eps:
+            low_edges = events.edges_created
 
-    # Commit.
-    for label, a in boosted.items():
-        cell = mmap.cells.get(label)
-        if cell is None:
-            mmap.cells[label] = ItemCell(a, step, step)
-        else:
-            cell.activation = a
-            cell.last_activated_at = step
-    for pair, w in new_weights.items():
-        conn = mmap.edges.get(pair)
-        if conn is None:
-            mmap.edges[pair] = Connection(w, step)
-            mmap.degree[pair[0]] += 1
-            mmap.degree[pair[1]] += 1
-        else:
-            conn.weight = w
-            conn.last_reinforced_at = step
-
-    # Phase 4: decay of the untouched complement.
-    faded_edges, faded_cells = decay_pass(mmap, new_weights, boosted, params)
-
-    # Phase 5: forgetting decides only what can have crossed the floor this
-    # step: what decay took below it, and new edges and touched cells below it.
-    eps = params.epsilon
-    if new_weights and w0 < eps:
-        faded_edges += events.edges_created
-    faded_cells += [label for label, a in boosted.items() if a < eps]
+    # Forgetting decides only what can have crossed the floor this step:
+    # what decay took below it, and new edges and touched cells below it.
+    faded_edges, faded_cells = decay_pass(mmap, params)
     events.edges_forgotten, events.cells_forgotten = prune_forgotten(
-        mmap, faded_edges, faded_cells, eps
+        mmap, faded_edges + low_edges, faded_cells + low_cells, eps
     )
-
-    mmap.step = step
     return mmap, events

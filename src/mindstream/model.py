@@ -74,11 +74,14 @@ def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
 
 @dataclass
 class MindMap:
+    """Cells, edges and the step counter that stamps them. Edges change only
+    through the constructor or the synchronization step, which keep `degree`:
+    an edge written into `edges` directly leaves it stale."""
+
     cells: Dict[str, ItemCell] = field(default_factory=dict)
     edges: Dict[Pair, Connection] = field(default_factory=dict)
     step: int = 0
-    # Edges per cell, with no entry for a cell that has none: counted here
-    # from the edges the map is given, then kept by the synchronization step.
+    # Edges per cell, with no entry for a cell that has none.
     degree: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -104,12 +107,18 @@ class MindMap:
     def check_invariants(self) -> None:
         """Raise ValueError at the first broken invariant: the one check of
         a map built from outside, such as a parsed snapshot."""
+        step = self.step
+        if step < 0:
+            raise ValueError(f"negative step {step}")
         for label, cell in self.cells.items():
             validate_label(label)
             if not 0.0 <= cell.activation <= 1.0:
                 raise ValueError(f"activation out of range on {label!r}")
-            if cell.last_activated_at < cell.created_at:
-                raise ValueError(f"last_activated_at precedes created_at on {label!r}")
+            if not 0 <= cell.created_at <= cell.last_activated_at <= step:
+                raise ValueError(
+                    f"a stamp on {label!r} precedes the one before it in "
+                    "0 <= created_at <= last_activated_at <= step"
+                )
         for pair, conn in self.edges.items():
             if pair != canonical_pair(*pair):
                 raise ValueError(f"non-canonical edge key {pair}")
@@ -118,6 +127,8 @@ class MindMap:
                     raise ValueError(f"dangling edge endpoint {endpoint!r}")
             if not 0.0 <= conn.weight <= 1.0:
                 raise ValueError(f"weight out of range on {pair}")
+            if not 0 <= conn.last_reinforced_at <= step:
+                raise ValueError(f"last_reinforced_at outside [0, step] on {pair}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Unknown labels answer "absent" rather than erroring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from .memory import detect_patterns, query_ltm
 from .skeleton import derive_rules, extract_skeleton, strongest_subgraphs
@@ -17,26 +17,32 @@ class QueryUsageError(ValueError):
     pass
 
 
-def _take_options(args: List[str], allowed: Dict[str, type]) -> Tuple[List[str], Dict]:
-    positional: List[str] = []
+def _unit_interval(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x <= 1.0:  # nan fails this too
+        raise ValueError(text)
+    return x
+
+
+def _take_options(args: List[str], allowed: Dict[str, Callable]) -> Dict:
+    """The `--name value` options in `args`; any other argument is an error."""
     options: Dict = {}
-    i = 0
-    while i < len(args):
+    for i in range(0, len(args), 2):
         arg = args[i]
-        if arg.startswith("--"):
-            if arg not in allowed:
-                raise QueryUsageError(f"unknown option {arg}")
-            if i + 1 >= len(args):
-                raise QueryUsageError(f"option {arg} needs a value")
-            try:
-                options[arg] = allowed[arg](args[i + 1])
-            except ValueError:
-                raise QueryUsageError(f"bad value for {arg}: {args[i + 1]!r}") from None
-            i += 2
-        else:
-            positional.append(arg)
-            i += 1
-    return positional, options
+        if not arg.startswith("--"):
+            raise QueryUsageError(f"unexpected argument {arg!r}")
+        if arg not in allowed:
+            raise QueryUsageError(f"unknown option {arg}")
+        if i + 1 == len(args):
+            raise QueryUsageError(f"option {arg} needs a value")
+        try:
+            options[arg] = allowed[arg](args[i + 1])
+        except ValueError:
+            raise QueryUsageError(f"bad value for {arg}: {args[i + 1]!r}") from None
+    return options
+
+
+_THETAS = {"--theta-w": _unit_interval, "--theta-a": _unit_interval}
 
 
 def _fmt(w: float) -> str:
@@ -64,7 +70,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         return "absent" if a is None else _fmt(a)
 
     if kind == "skeleton":
-        _, opts = _take_options(rest, {"--theta-w": float, "--theta-a": float})
+        opts = _take_options(rest, _THETAS)
         theta_w = opts.get("--theta-w", state.params.theta_w)
         theta_a = opts.get("--theta-a", state.params.theta_a)
         skel = extract_skeleton(state.mmap, theta_w, theta_a)
@@ -73,7 +79,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         return "\n".join(lines)
 
     if kind == "rules":
-        _, opts = _take_options(rest, {"--theta-w": float, "--theta-a": float})
+        opts = _take_options(rest, _THETAS)
         theta_w = opts.get("--theta-w", state.params.theta_w)
         theta_a = opts.get("--theta-a", state.params.theta_a)
         rules = derive_rules(extract_skeleton(state.mmap, theta_w, theta_a))
@@ -83,6 +89,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         )
 
     if kind == "patterns":
+        _take_options(rest, {})
         skel = extract_skeleton(state.mmap, state.params.theta_w, state.params.theta_a)
         return "\n".join(
             "pattern " + "|".join(sig) for sig in sorted(detect_patterns(skel))
@@ -90,7 +97,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
 
     if kind == "ltm":
         which = rest[0] if rest else "all"
-        if which not in ("all", "open", "closed"):
+        if len(rest) > 1 or which not in ("all", "open", "closed"):
             raise QueryUsageError("usage: ltm [open|closed|all]")
         records = query_ltm(state.ltm, which)
         return "\n".join(
@@ -100,7 +107,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         )
 
     if kind == "strongest":
-        _, opts = _take_options(rest, {"--theta-w": float, "--top": int})
+        opts = _take_options(rest, {"--theta-w": _unit_interval, "--top": int})
         theta_w = opts.get("--theta-w", state.params.theta_w)
         try:
             comps = strongest_subgraphs(state.mmap, theta_w, opts.get("--top", 3))

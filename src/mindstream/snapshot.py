@@ -175,10 +175,15 @@ def parse_snapshot(text: str) -> EngineState:
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, _parse_signature(args[0])
                 value = STMEntry(int(args[1]), int(args[2]))
+                if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
+                    raise ValueError(f"stm stamps out of range on {key!r}")
             elif kind == "ltm" and len(args) == 4:
                 table, key = ltm, _parse_signature(args[0])
                 gone = None if args[2] == "open" else int(args[2])
                 value = LTMRecord(key, int(args[1]), gone, int(args[3]))
+                last = step if gone is None else gone
+                if not (0 <= value.appeared_at <= last <= step and value.recurrence_count >= 1):
+                    raise ValueError(f"ltm stamps out of range on {key!r}")
             else:
                 raise SnapshotError(f"malformed {kind!r} line", lineno)
         except SnapshotError:

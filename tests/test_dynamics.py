@@ -14,7 +14,7 @@ from mindstream.dynamics import (
     prune_forgotten,
 )
 from mindstream.engine import Engine
-from mindstream.model import EngineParams, MindMap
+from mindstream.model import Connection, EngineParams, ItemCell, MindMap
 from mindstream.snapshot import render_snapshot
 
 from helpers import random_transactions, replay, txn, worked_example_transactions
@@ -120,22 +120,33 @@ def test_singleton_transaction_creates_cell_without_edges():
 
 
 def test_decay_pass_examples():
-    def fresh():
+    # Each map is as decay sees it inside the step after the one that
+    # stamped A, B and A-B: a record stamped with the current step is skipped.
+    def next_step():
         m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
+        m.step += 1
         return m, m.edges[("A", "B")].weight
 
     pair = ("A", "B")
-    same, before = fresh()
-    decay_pass(same, set(), set(), EngineParams(beta_w=0.0, beta_a=0.0))
+    same, before = next_step()
+    decay_pass(same, EngineParams(beta_w=0.0, beta_a=0.0))
     assert same.edges[pair].weight == before
 
-    decayed, _ = fresh()
-    decay_pass(decayed, set(), set(), EngineParams(beta_w=0.02))
+    decayed, _ = next_step()
+    decay_pass(decayed, EngineParams(beta_w=0.02))
     assert decayed.edges[pair].weight == pytest.approx(0.5 * 0.98)
 
-    skipped, before = fresh()
-    decay_pass(skipped, {pair}, set(), EngineParams(beta_w=0.02))
+    skipped, before = next_step()
+    skipped.edges[pair].last_reinforced_at = skipped.step
+    decay_pass(skipped, EngineParams(beta_w=0.02))
     assert skipped.edges[pair].weight == before
+
+    quiet, _ = next_step()
+    quiet.cells["A"].last_activated_at = quiet.step
+    a, b = quiet.cells["A"].activation, quiet.cells["B"].activation
+    decay_pass(quiet, EngineParams(beta_a=0.05))
+    assert quiet.cells["A"].activation == a
+    assert quiet.cells["B"].activation == pytest.approx(b * 0.95)
 
 
 def test_prune_forgotten():
@@ -191,6 +202,15 @@ def test_touched_cell_still_below_epsilon_is_forgotten():
     # boosted from 0.5 to 0.55 < epsilon, with no edge to pin it
     assert events.cells_created == ["A"] and events.cells_forgotten == ["A"]
     assert not m.cells
+
+
+def test_edge_given_to_the_constructor_pins_its_cells():
+    cells = {"A": ItemCell(0.0101, 0, 0), "B": ItemCell(0.5, 0, 0)}
+    m = MindMap(cells, {("A", "B"): Connection(0.5, 0)})
+    m, events = ingest_transaction(m, txn(["C"]), EngineParams())
+    assert m.cells["A"].activation < 0.01  # decayed below the floor
+    assert events.cells_forgotten == [] and "A" in m.cells
+    m.check_invariants()
 
 
 def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():

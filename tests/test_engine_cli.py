@@ -362,6 +362,12 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["apriori", "--minsup-frac", "0"], 2),
         (["apriori", "--minsup-frac", "1.5"], 2),
         (["trace", "--register-after", "-5", "A", "B"], 2),
+        (["query", "--snapshot", "{snap}", "skeleton", "--theta-w", "1.5"], 2),
+        (["query", "--snapshot", "{snap}", "rules", "--theta-a", "nan"], 2),
+        (["query", "--snapshot", "{snap}", "strongest", "--theta-w", "-0.1"], 2),
+        (["query", "--snapshot", "{snap}", "patterns", "extra"], 2),
+        (["query", "--snapshot", "{snap}", "skeleton", "foo"], 2),
+        (["query", "--snapshot", "{snap}", "ltm", "open", "extra"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):

@@ -49,12 +49,11 @@ def test_round_trip_preserves_exact_floats():
 
 
 def test_awkward_labels_round_trip():
-    mmap = MindMap()
     weird = ['with space', 'tab\there', '"quoted"', "back\\slash", "pi|pe"]
-    for i, label in enumerate(weird):
-        mmap.cells[label] = ItemCell(0.5, 0, 0)
     a, b = sorted(weird)[:2]
-    mmap.edges[(a, b)] = Connection(0.25, 0)
+    mmap = MindMap(
+        {label: ItemCell(0.5, 0, 0) for label in weird}, {(a, b): Connection(0.25, 0)}
+    )
     sig = tuple(sorted(weird[:3]))
     stm = {sig: STMEntry(0, 1)}
     ltm = [LTMRecord(sig, 0, None, 1)]
@@ -83,7 +82,7 @@ def test_load_errors():
 
 def test_ltm_open_marker():
     ltm = [LTMRecord(("A", "B"), 3, None, 1), LTMRecord(("C", "D"), 1, 5, 2)]
-    text = render_snapshot(state_of(MindMap(), ltm=ltm))
+    text = render_snapshot(state_of(MindMap(step=5), ltm=ltm))
     assert "ltm C|D 1 5 2" in text
     assert "ltm A|B 3 open 1" in text
     loaded = parse_snapshot(text)
@@ -183,10 +182,8 @@ def test_quote_matches_reference(token):
 
 @pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
 def test_duplicate_lines_are_rejected(kind):
-    mmap = MindMap(step=3)
-    mmap.cells["A"] = ItemCell(0.5, 1, 3)
-    mmap.cells["B"] = ItemCell(0.5, 1, 3)
-    mmap.edges[("A", "B")] = Connection(0.75, 3)
+    cells = {"A": ItemCell(0.5, 1, 3), "B": ItemCell(0.5, 1, 3)}
+    mmap = MindMap(cells, {("A", "B"): Connection(0.75, 3)}, step=3)
     sig = ("A", "B")
     state = state_of(mmap, stm={sig: STMEntry(2, 2)}, ltm=[LTMRecord(sig, 3, None, 1)])
     lines = render_snapshot(state).splitlines()
@@ -211,13 +208,27 @@ def snapshot_with(*records):
         ("edge a a 0.5 2", "self-pair"),
         ("edge a b 1.5 2", "weight"),
         ("edge a b nan 2", "weight"),
+        # Every stamp lies in [0, step]; a `step` record replaces the step line.
+        ("step -5", "negative step"),
+        ("cell c 0.5 -1 2", "precedes"),
+        ("cell c 0.5 1 3", "precedes"),
+        ("edge a b 0.7 -1", "last_reinforced_at"),
+        ("edge a b 0.7 9", "last_reinforced_at"),
+        ("stm a|b 3 1", "stm stamps"),
+        ("stm a|b 1 0", "stm stamps"),
+        ("ltm a|b 3 open 1", "ltm stamps"),
+        ("ltm a|b 2 1 1", "ltm stamps"),
+        ("ltm a|b 1 3 1", "ltm stamps"),
+        ("ltm a|b 1 open 0", "ltm stamps"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
     lines = snapshot_with(record)
+    if record.startswith("step "):
+        lines[1] = lines.pop()
     with pytest.raises(SnapshotError, match=error) as caught:
         parse_snapshot("\n".join(lines) + "\n")
-    if record.startswith("edge a a"):
+    if record.startswith(("edge a a", "stm", "ltm")):
         assert caught.value.lineno == len(lines)
 
 
