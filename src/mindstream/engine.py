@@ -14,9 +14,9 @@ from itertools import combinations
 from typing import Dict, List, Optional, Set, ValuesView
 
 from .dynamics import StepEvents, ingest_transaction
-from .memory import LTMRecord, Signature, STMEntry, detect_patterns, ltm_update, stm_tick
+from .memory import LTMRecord, Signature, STMEntry, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
-from .skeleton import Skeleton, skeleton_of, strongest_subgraphs
+from .skeleton import strongest_subgraphs
 from .snapshot import EngineState
 
 
@@ -60,8 +60,14 @@ class Engine:
     def __init__(self, params: EngineParams = EngineParams()):
         self.params = params
         self.mmap = MindMap()
-        # A superset of the edges at or above theta_w; see _skeleton.
+        # The kept skeleton, maintained by _update_skeleton: a superset of
+        # the edges at or above theta_w, the kept pairs, their adjacency, and
+        # each kept node's component signature plus the set of signatures.
         self._heavy: Set[Pair] = set()
+        self._kept: Set[Pair] = set()
+        self._adj: Dict[str, Set[str]] = {}
+        self._sig_of: Dict[str, Signature] = {}
+        self._patterns: Set[Signature] = set()
         self.stm: Dict[Signature, STMEntry] = {}
         self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
@@ -89,7 +95,8 @@ class Engine:
         self.mmap, events = ingest_transaction(self.mmap, txn, self.params)
         step = self.mmap.step
 
-        current = detect_patterns(self._skeleton(txn))
+        self._update_skeleton(txn)
+        current = self._patterns
         lapsed = self.stm.keys() - current
         self.stm, promotions = stm_tick(
             self.stm, current, step, self.params.promote_after
@@ -100,20 +107,65 @@ class Engine:
         self._evaluate_queries(step)
         return events
 
-    def _skeleton(self, txn: Transaction) -> Skeleton:
-        """The skeleton after the step that ingested `txn`. An edge gains
-        weight only in a step that touches it, so adding the step's pairs
-        keeps `_heavy` a superset of the edges at or above theta_w; members
-        gone or below theta_w are dropped here."""
-        edges, theta_w = self.mmap.edges, self.params.theta_w
+    def _update_skeleton(self, txn: Transaction) -> None:
+        """Bring the kept skeleton and its signatures to the step that
+        ingested `txn`.
+
+        An edge gains weight only in a step that touches it, so adding the
+        step's pairs keeps `_heavy` a superset of the edges at or above
+        theta_w; members gone or below it are dropped here. Only the pairs
+        that entered or left the kept set change the adjacency, and only
+        their ends start a new search: every node of a component such a pair
+        touches is reachable from one of them (a removal splits a component
+        into pieces that each hold an end), and every other component keeps
+        its signature.
+        """
+        edges, cells = self.mmap.edges, self.mmap.cells
+        theta_w, theta_a = self.params.theta_w, self.params.theta_a
         self._heavy.update(combinations(sorted(txn.items), 2))
-        heavy = [
-            (pair, conn.weight)
+        self._heavy = {
+            pair
             for pair in self._heavy
             if (conn := edges.get(pair)) is not None and conn.weight >= theta_w
-        ]
-        self._heavy = {pair for pair, _ in heavy}
-        return skeleton_of(heavy, self.mmap.cells, self.params.theta_a)
+        }
+        kept = {
+            (a, b)
+            for a, b in self._heavy
+            if cells[a].activation >= theta_a and cells[b].activation >= theta_a
+        }
+        changed = kept ^ self._kept
+        if not changed:
+            return
+        adj = self._adj
+        for a, b in changed:
+            if (a, b) in kept:
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+            else:
+                for x, y in ((a, b), (b, a)):
+                    adj[x].discard(y)
+                    if not adj[x]:
+                        del adj[x]
+        self._kept = kept
+
+        sig_of, patterns = self._sig_of, self._patterns
+        ends = {label for pair in changed for label in pair}
+        for label in ends:
+            patterns.discard(sig_of.pop(label, None))
+        for start in ends:
+            # An end already in sig_of was reached from an earlier one.
+            if start in sig_of or start not in adj:
+                continue
+            members, stack = {start}, [start]
+            while stack:
+                for label in adj[stack.pop()]:
+                    if label not in members:
+                        members.add(label)
+                        stack.append(label)
+            sig = tuple(sorted(members))
+            patterns.add(sig)
+            for label in members:
+                sig_of[label] = sig
 
     def _report(
         self, events: StepEvents, promotions: Set[Signature], lapsed: Set[Signature]

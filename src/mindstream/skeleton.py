@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from .model import ItemCell, MindMap, Pair
+from .model import MindMap, Pair
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,14 @@ class AssociationRule:
 
 def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Skeleton:
     """Keep edges with weight >= theta_w whose both endpoints have
-    activation >= theta_a; nodes are the endpoints of kept edges."""
-    heavy = ((p, c.weight) for p, c in mmap.edges.items() if c.weight >= theta_w)
-    return skeleton_of(heavy, mmap.cells, theta_a)
-
-
-def skeleton_of(
-    heavy: Iterable[Tuple[Pair, float]], cells: Dict[str, ItemCell], theta_a: float
-) -> Skeleton:
-    """The skeleton of the (pair, weight) edges already at or above theta_w:
-    those whose both endpoints have activation >= theta_a, sorted."""
+    activation >= theta_a, sorted; nodes are the endpoints of kept edges."""
+    cells = mmap.cells
     kept = [
-        (pair, w)
-        for pair, w in heavy
-        if cells[pair[0]].activation >= theta_a and cells[pair[1]].activation >= theta_a
+        (pair, c.weight)
+        for pair, c in mmap.edges.items()
+        if c.weight >= theta_w
+        and cells[pair[0]].activation >= theta_a
+        and cells[pair[1]].activation >= theta_a
     ]
     # Pairs are unique, so the faster pair key gives the order of the tuples.
     kept.sort(key=itemgetter(0))

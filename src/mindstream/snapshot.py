@@ -86,6 +86,8 @@ def _fmt_signature(sig: Signature) -> str:
 
 
 def _parse_signature(token: str) -> Signature:
+    """The labels of a signature token; a pattern has two or more cells, and
+    its signature lists their labels in strictly increasing order."""
     labels: List[str] = []
     buf: List[str] = []
     i = 0
@@ -102,6 +104,8 @@ def _parse_signature(token: str) -> Signature:
             buf.append(c)
             i += 1
     labels.append("".join(buf))
+    if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError(f"signature {token!r} is not two or more increasing labels")
     return tuple(labels)
 
 
@@ -157,6 +161,7 @@ def parse_snapshot(text: str) -> EngineState:
     edges: Dict[Pair, Connection] = {}
     stm: Dict[Signature, STMEntry] = {}
     ltm: Dict[Signature, LTMRecord] = {}
+    stm_lines: Dict[Signature, int] = {}
 
     for lineno, line in enumerate(lines[2:], start=3):
         tokens = _tokenize(line, lineno)
@@ -177,6 +182,7 @@ def parse_snapshot(text: str) -> EngineState:
                 value = STMEntry(int(args[1]), int(args[2]))
                 if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
+                stm_lines[key] = lineno
             elif kind == "ltm" and len(args) == 4:
                 table, key = ltm, _parse_signature(args[0])
                 gone = None if args[2] == "open" else int(args[2])
@@ -193,6 +199,13 @@ def parse_snapshot(text: str) -> EngineState:
         if key in table:
             raise SnapshotError(f"duplicate {kind} {key!r}", lineno)
         table[key] = value
+
+    # An STM signature is a component of the current skeleton, so each of
+    # its labels has a cell; an LTM record outlives its cells.
+    for sig, lineno in stm_lines.items():
+        for label in sig:
+            if label not in cells:
+                raise SnapshotError(f"stm signature {sig!r}: no cell {label!r}", lineno)
 
     missing = [p for p in PARAM_TYPES if p not in params_raw]
     if missing:

@@ -6,8 +6,9 @@ signature-keyed memory. The other runs the copy-per-phase dynamics of
 `reference_dynamics` and the list-based memory of `reference_memory`.
 After every step the snapshots, the step's event lines, its events and the
 query emissions must be identical, and the shipped engine's maintained
-structures (the per-cell degree count and the set the skeleton is read
-from) must equal a recount from the edges.
+structures (the per-cell degree count, the set the skeleton is read from,
+and the kept skeleton's adjacency and signatures) must equal a recount from
+the edges.
 """
 
 import random
@@ -17,7 +18,9 @@ from unittest import mock
 import pytest
 
 from mindstream.engine import ContinuousQuery, Engine
+from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
+from mindstream.skeleton import extract_skeleton
 from mindstream.snapshot import render_snapshot
 
 from helpers import txn
@@ -88,6 +91,14 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert dict(fast.mmap.degree) == dict(recount), where
             heavy = {p for p, c in edges.items() if c.weight >= params.theta_w}
             assert fast._heavy == heavy, where
+            skel = extract_skeleton(fast.mmap, params.theta_w, params.theta_a)
+            assert fast._patterns == detect_patterns(skel), where
+            adjacency = {}
+            for (a, b), _ in skel.edges:
+                adjacency.setdefault(a, set()).add(b)
+                adjacency.setdefault(b, set()).add(a)
+            assert fast._adj == adjacency, where
+            assert fast._sig_of == {n: sig for sig in fast._patterns for n in sig}, where
             assert render_snapshot(fast.state) == render_snapshot(ref.state), where
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mindstream.engine import Engine
+from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
 from mindstream.skeleton import (
@@ -129,3 +131,53 @@ def test_components_partition_the_skeleton_in_edge_order():
         assert frozenset().union(*(c.nodes for c in comps)) == skel.nodes
         for c in comps:
             assert c.edges == tuple(e for e in skel.edges if e[0][0] in c.nodes)
+
+
+# The engine keeps the kept skeleton between steps and searches components
+# again only from the ends of the pairs that entered or left it.
+
+
+def step_patterns(engine, items):
+    """Ingest one transaction; return the engine's signatures after checking
+    them against a full extraction, the STM keys and each node's signature."""
+    engine.ingest(txn(items))
+    p = engine.params
+    assert engine._patterns == detect_patterns(extract_skeleton(engine.mmap, p.theta_w, p.theta_a))
+    assert set(engine.stm) == engine._patterns
+    assert engine._sig_of == {n: sig for sig in engine._patterns for n in sig}
+    return engine._patterns
+
+
+def test_bridge_decaying_below_theta_w_splits_the_signature():
+    engine = Engine(EngineParams(beta_w=0.1, beta_a=0.0, epsilon=0.01, theta_w=0.46))
+    for items in (["A", "B"], ["C", "D"]) * 3:
+        step_patterns(engine, items)
+    assert step_patterns(engine, ["B", "C"]) == {("A", "B", "C", "D")}
+    # Only the bridge changes: 0.5 * 0.9 < theta_w, while A-B is reinforced
+    # and C-D decays from well above it.
+    assert step_patterns(engine, ["A", "B"]) == {("A", "B"), ("C", "D")}
+    assert engine.mmap.edges[("B", "C")].weight < 0.46
+    assert engine._sig_of == {"A": ("A", "B"), "B": ("A", "B"), "C": ("C", "D"), "D": ("C", "D")}
+
+
+def test_one_pair_joins_two_components():
+    engine = Engine(EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.01, theta_w=0.5))
+    step_patterns(engine, ["A", "B"])
+    step_patterns(engine, ["X", "C"])
+    assert step_patterns(engine, ["C", "D"]) == {("A", "B"), ("C", "D", "X")}
+    assert step_patterns(engine, ["B", "C"]) == {("A", "B", "C", "D", "X")}
+    assert set(engine._sig_of) == {"A", "B", "C", "D", "X"}
+
+
+def test_edge_leaves_below_theta_a_and_returns_when_its_end_is_touched():
+    params = EngineParams(beta_w=0.0, beta_a=0.2, epsilon=0.01, theta_w=0.4, theta_a=0.65)
+    engine = Engine(params)
+    assert step_patterns(engine, ["A", "B"]) == {("A", "B")}
+    # A decays to 0.75 * 0.8 < theta_a; B is boosted. A-B keeps its weight.
+    assert step_patterns(engine, ["B", "C", "C"]) == {("B", "C")}
+    assert engine.mmap.cells["A"].activation < 0.65
+    assert engine.mmap.edges[("A", "B")].weight >= 0.4
+    assert engine._adj == {"B": {"C"}, "C": {"B"}}
+    # Touching A alone brings the untouched edge A-B back.
+    assert step_patterns(engine, ["A"]) == {("A", "B", "C")}
+    assert engine._adj == {"A": {"B"}, "B": {"A", "C"}, "C": {"B"}}

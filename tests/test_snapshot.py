@@ -220,6 +220,15 @@ def snapshot_with(*records):
         ("ltm a|b 2 1 1", "ltm stamps"),
         ("ltm a|b 1 3 1", "ltm stamps"),
         ("ltm a|b 1 open 0", "ltm stamps"),
+        # A signature is two or more labels in increasing order, and an STM
+        # signature (a current component) names only labels with cells.
+        ("stm a 1 1", "not two or more increasing labels"),
+        ("stm b|a 1 1", "not two or more increasing labels"),
+        ("stm a|a 1 1", "not two or more increasing labels"),
+        ("ltm x 1 open 1", "not two or more increasing labels"),
+        ("ltm y|x 1 open 1", "not two or more increasing labels"),
+        ("stm x|y 1 1", "no cell 'x'"),
+        ("stm a|b|z 1 1", "no cell 'z'"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
