@@ -6,13 +6,14 @@ lexicographic order; the key is the record's identity, so a record holds
 only its values and step stamps. The base model is cooperative only:
 activations and weights live in [0, 1]. Records are built unchecked: input
 from outside is validated once at the boundary (`Transaction` for stream
-items, `MindMap.check_invariants` for a parsed snapshot).
+items, `parse_snapshot` for a snapshot).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import Dict, Iterable, Optional, Tuple
 
 Pair = Tuple[str, str]
@@ -85,7 +86,7 @@ class MindMap:
     degree: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.degree = Counter(label for pair in self.edges for label in pair)
+        self.degree = Counter(chain.from_iterable(self.edges))
 
     def get_weight(self, a: str, b: str) -> Optional[float]:
         """Weight of the unordered pair (a, b), or None if no edge exists."""
@@ -103,32 +104,6 @@ class MindMap:
             edges={k: replace(v) for k, v in self.edges.items()},
             step=self.step,
         )
-
-    def check_invariants(self) -> None:
-        """Raise ValueError at the first broken invariant: the one check of
-        a map built from outside, such as a parsed snapshot."""
-        step = self.step
-        if step < 0:
-            raise ValueError(f"negative step {step}")
-        for label, cell in self.cells.items():
-            validate_label(label)
-            if not 0.0 <= cell.activation <= 1.0:
-                raise ValueError(f"activation out of range on {label!r}")
-            if not 0 <= cell.created_at <= cell.last_activated_at <= step:
-                raise ValueError(
-                    f"a stamp on {label!r} precedes the one before it in "
-                    "0 <= created_at <= last_activated_at <= step"
-                )
-        for pair, conn in self.edges.items():
-            if pair != canonical_pair(*pair):
-                raise ValueError(f"non-canonical edge key {pair}")
-            for endpoint in pair:
-                if endpoint not in self.cells:
-                    raise ValueError(f"dangling edge endpoint {endpoint!r}")
-            if not 0.0 <= conn.weight <= 1.0:
-                raise ValueError(f"weight out of range on {pair}")
-            if not 0 <= conn.last_reinforced_at <= step:
-                raise ValueError(f"last_reinforced_at outside [0, step] on {pair}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .memory import LTMRecord, Signature, STMEntry
-from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Pair, canonical_pair
+from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Pair, validate_label
 
 HEADER = "MINDMAP v1"
 
@@ -144,6 +144,7 @@ def render_snapshot(state: EngineState) -> str:
 
 
 def parse_snapshot(text: str) -> EngineState:
+    """Parse a snapshot in one pass that checks each record on its own line."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -155,8 +156,10 @@ def parse_snapshot(text: str) -> EngineState:
         step = int(lines[1][5:])
     except ValueError:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
+    if step < 0:
+        raise SnapshotError(f"negative step {step}", 2)
 
-    params_raw: Dict[str, str] = {}
+    params: Dict[str, object] = {}
     cells: Dict[str, ItemCell] = {}
     edges: Dict[Pair, Connection] = {}
     stm: Dict[Signature, STMEntry] = {}
@@ -167,34 +170,56 @@ def parse_snapshot(text: str) -> EngineState:
         tokens = _tokenize(line, lineno)
         if not tokens:
             raise SnapshotError("blank line", lineno)
-        kind, args = tokens[0], tokens[1:]
+        kind, arity = tokens[0], len(tokens) - 1
         try:
-            if kind == "param" and len(args) == 2:
-                table, key, value = params_raw, args[0], args[1]
-            elif kind == "cell" and len(args) == 4:
-                table, key = cells, args[0]
-                value = ItemCell(float(args[1]), int(args[2]), int(args[3]))
-            elif kind == "edge" and len(args) == 4:
-                table, key = edges, canonical_pair(args[0], args[1])
-                value = Connection(float(args[2]), int(args[3]))
-            elif kind == "stm" and len(args) == 3:
-                table, key = stm, _parse_signature(args[0])
-                value = STMEntry(int(args[1]), int(args[2]))
+            # Edges are most of a snapshot's lines, so they are tested first.
+            if kind == "edge" and arity == 4:
+                _, a, b, weight, stamp = tokens
+                if a < b:
+                    key = (a, b)
+                elif b < a:
+                    key = (b, a)
+                else:
+                    raise ValueError(f"self-pair ({a!r}, {a!r})")
+                weight, stamp = float(weight), int(stamp)
+                if not 0.0 <= weight <= 1.0:
+                    raise ValueError(f"weight out of range on {key}")
+                if not 0 <= stamp <= step:
+                    raise ValueError(f"last_reinforced_at outside [0, step] on {key}")
+                table, value = edges, Connection(weight, stamp)
+            elif kind == "cell" and arity == 4:
+                key = validate_label(tokens[1])
+                activation, created, last = float(tokens[2]), int(tokens[3]), int(tokens[4])
+                if not 0.0 <= activation <= 1.0:
+                    raise ValueError(f"activation out of range on {key!r}")
+                if not 0 <= created <= last <= step:
+                    order = "0 <= created_at <= last_activated_at <= step"
+                    raise ValueError(f"a stamp on {key!r} precedes the one before it in {order}")
+                table, value = cells, ItemCell(activation, created, last)
+            elif kind == "param" and arity == 2:
+                table, key, convert = params, tokens[1], PARAM_TYPES.get(tokens[1])
+                if convert is None:
+                    raise ValueError(f"unknown param {key!r}")
+                try:
+                    value = convert(tokens[2])
+                except ValueError as exc:
+                    raise ValueError(f"param {key}: {exc}") from None
+            elif kind == "stm" and arity == 3:
+                table, key = stm, _parse_signature(tokens[1])
+                value = STMEntry(int(tokens[2]), int(tokens[3]))
                 if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
                 stm_lines[key] = lineno
-            elif kind == "ltm" and len(args) == 4:
-                table, key = ltm, _parse_signature(args[0])
-                gone = None if args[2] == "open" else int(args[2])
-                value = LTMRecord(key, int(args[1]), gone, int(args[3]))
+            elif kind == "ltm" and arity == 4:
+                table, key = ltm, _parse_signature(tokens[1])
+                gone = None if tokens[3] == "open" else int(tokens[3])
+                value = LTMRecord(key, int(tokens[2]), gone, int(tokens[4]))
                 last = step if gone is None else gone
                 if not (0 <= value.appeared_at <= last <= step and value.recurrence_count >= 1):
                     raise ValueError(f"ltm stamps out of range on {key!r}")
             else:
-                raise SnapshotError(f"malformed {kind!r} line", lineno)
-        except SnapshotError:
-            raise
-        except (ValueError, KeyError) as exc:
+                raise ValueError(f"malformed {kind!r} line")
+        except ValueError as exc:
             raise SnapshotError(str(exc), lineno) from None
         if key in table:
             raise SnapshotError(f"duplicate {kind} {key!r}", lineno)
@@ -207,19 +232,19 @@ def parse_snapshot(text: str) -> EngineState:
             if label not in cells:
                 raise SnapshotError(f"stm signature {sig!r}: no cell {label!r}", lineno)
 
-    missing = [p for p in PARAM_TYPES if p not in params_raw]
+    missing = [p for p in PARAM_TYPES if p not in params]
     if missing:
         raise SnapshotError(f"missing params: {', '.join(missing)}")
-    # The records above were built unchecked: validate the whole state once.
-    mmap = MindMap(cells, edges, step)
     try:
-        params = EngineParams(
-            **{name: kind(params_raw[name]) for name, kind in PARAM_TYPES.items()}
-        )
-        mmap.check_invariants()
+        engine_params = EngineParams(**params)
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None
-    return EngineState(mmap, params, stm, ltm)
+    mmap = MindMap(cells, edges, step)
+    # The one check that needs the finished map: every edge endpoint has a cell.
+    stray = mmap.degree.keys() - cells.keys()
+    if stray:
+        raise SnapshotError(f"dangling edge endpoint {min(stray)!r}")
+    return EngineState(mmap, engine_params, stm, ltm)
 
 
 def save_snapshot(state: EngineState, path: str) -> None:

@@ -18,6 +18,7 @@ from mindstream.model import Connection, EngineParams, ItemCell, MindMap
 from mindstream.snapshot import render_snapshot
 
 from helpers import random_transactions, replay, txn, worked_example_transactions
+from reference_snapshot import check_invariants
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 NO_DECAY = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)
@@ -210,7 +211,7 @@ def test_edge_given_to_the_constructor_pins_its_cells():
     m, events = ingest_transaction(m, txn(["C"]), EngineParams())
     assert m.cells["A"].activation < 0.01  # decayed below the floor
     assert events.cells_forgotten == [] and "A" in m.cells
-    m.check_invariants()
+    check_invariants(m)
 
 
 def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():
@@ -320,4 +321,4 @@ def test_ranges_closed_under_any_stream(item_lists):
     m = MindMap()
     for items in item_lists:
         m, _ = ingest_transaction(m, txn(items), EngineParams())
-        m.check_invariants()
+        check_invariants(m)

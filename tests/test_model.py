@@ -15,6 +15,7 @@ from mindstream.model import (
 from mindstream.snapshot import parse_snapshot, render_snapshot
 
 from helpers import random_transactions, replay, worked_example_transactions
+from reference_snapshot import check_invariants
 
 labels = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1
@@ -107,7 +108,7 @@ def test_invariants_hold_along_random_stream():
     for t in random_transactions(rng, alphabet, 150):
         seen |= set(t.items)
         m, _ = ingest_transaction(m, t, params)
-        m.check_invariants()
+        check_invariants(m)
         assert len(m.cells) <= len(seen)
         n = len(m.cells)
         assert len(m.edges) <= n * (n - 1) // 2

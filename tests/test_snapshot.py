@@ -2,10 +2,10 @@ import random
 from typing import List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mindstream.memory import LTMRecord, STMEntry
-from mindstream.model import Connection, EngineParams, ItemCell, MindMap
+from mindstream.model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
@@ -18,6 +18,7 @@ from mindstream.snapshot import (
 )
 
 from helpers import random_engine_state, replay, worked_example_transactions
+from reference_snapshot import parse_snapshot as reference_parse_snapshot
 
 
 def state_of(mmap, params=EngineParams(), stm=None, ltm=None):
@@ -229,6 +230,10 @@ def snapshot_with(*records):
         ("ltm y|x 1 open 1", "not two or more increasing labels"),
         ("stm x|y 1 1", "no cell 'x'"),
         ("stm a|b|z 1 1", "no cell 'z'"),
+        ("edge a z 0.5 2", "dangling edge endpoint 'z'"),
+        # A param line names a known parameter and holds a value of its type.
+        ("param bogus 3", "unknown param 'bogus'"),
+        ("param promote_after 2.0", "param promote_after: invalid literal"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
@@ -237,7 +242,13 @@ def test_bad_records_are_rejected(record, error):
         lines[1] = lines.pop()
     with pytest.raises(SnapshotError, match=error) as caught:
         parse_snapshot("\n".join(lines) + "\n")
-    if record.startswith(("edge a a", "stm", "ltm")):
+    # Each record is checked on its own line. Only the endpoint check needs
+    # the finished map, so its error names no line.
+    if record.startswith("step "):
+        assert caught.value.lineno == 2
+    elif record.startswith("edge a z"):
+        assert caught.value.lineno is None
+    else:
         assert caught.value.lineno == len(lines)
 
 
@@ -245,3 +256,97 @@ def test_edge_key_is_canonicalized():
     state = parse_snapshot("\n".join(snapshot_with("edge b a 0.25 2")) + "\n")
     assert list(state.mmap.edges) == [("a", "b")]
     assert state.mmap.edges[("a", "b")].weight == 0.25
+
+
+# The differential fuzz starts from one small valid snapshot (a quoted label,
+# an open and a closed LTM record) and mutates it: it swaps tokens, inserts
+# lines, repeats, deletes and shuffles them.
+FUZZ_BASE = render_snapshot(
+    state_of(
+        MindMap(
+            {
+                "a": ItemCell(0.5, 1, 3),
+                "b": ItemCell(0.75, 0, 4),
+                "c": ItemCell(0.25, 2, 2),
+                "x y": ItemCell(1.0, 4, 4),
+            },
+            {
+                ("a", "b"): Connection(0.5, 3),
+                ("a", "c"): Connection(0.125, 2),
+                ("b", "x y"): Connection(1.0, 4),
+            },
+            step=4,
+        ),
+        stm={("a", "b"): STMEntry(3, 2)},
+        ltm=[LTMRecord(("a", "b"), 4, None, 1), LTMRecord(("b", "c"), 1, 3, 2)],
+    )
+).splitlines()
+FUZZ_TOKENS = [
+    "a", "b", "z", '"x y"', '""', '" "', '"a', "a\\", "nan", "-0.0", "0", "1", "1.5",
+    "-1", "2", "3", "4", "5", "0.5", "inf", "2.0", "open", "a|a", "b|a", "a|b", "a|b|c",
+    "a|z", "a|x y", "a\\|b", "bogus", "promote_after", "eta", "edge", "cell", "param",
+    "stm", "ltm", "step",
+]
+FUZZ_LINES = [
+    "edge a a 0.5 2", "edge a z 0.5 1", "edge b a 0.25 1", "edge c b 0.75 4",
+    "cell z 0.5 0 1", 'cell "" 0.5 0 1', "param bogus 3", "param promote_after 2",
+    "stm a|c 1 1", "stm a|b|c 4 1", "ltm a|z 0 open 1", "", " ", "step 4", "MINDMAP v1",
+]
+
+
+@st.composite
+def mutated_snapshots(draw):
+    lines = list(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["swap", "swap", "insert", "repeat", "delete", "shuffle"]))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+        elif op == "swap":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "delete":
+            del lines[i]
+        else:
+            j = draw(st.integers(i, len(lines)))
+            lines[i:j] = draw(st.permutations(lines[i:j]))
+    return "\n".join(lines) + "\n"
+
+
+def rendered_or_error(parse, text):
+    try:
+        return render_snapshot(parse(text))
+    except SnapshotError as exc:
+        return exc
+
+
+def is_unknown_param(line):
+    tokens = _tokenize(line, 0)
+    return len(tokens) == 3 and tokens[0] == "param" and tokens[1] not in PARAM_TYPES
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_snapshots())
+@example("\n".join(FUZZ_BASE + ["param promote_after 2"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["edge a z 0.5 1"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["edge b c 1.5 1"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["param bogus 3"]) + "\n")
+def test_parser_matches_reference(text):
+    """The one-pass parser accepts what the three-pass reference accepts,
+    and renders it to the same bytes. The one difference: it rejects an
+    unknown param name, which the reference loaded and dropped."""
+    new = rendered_or_error(parse_snapshot, text)
+    old = rendered_or_error(reference_parse_snapshot, text)
+    if isinstance(new, SnapshotError) and isinstance(old, str):
+        assert "unknown param" in str(new)
+        lines = text.split("\n")
+        assert is_unknown_param(lines[new.lineno - 1])
+        known = [line for line in lines if not is_unknown_param(line)]
+        assert rendered_or_error(parse_snapshot, "\n".join(known)) == old
+    else:
+        assert type(new) is type(old)
+        if isinstance(new, str):
+            assert new == old
