@@ -25,7 +25,7 @@ STREAMS = [
 
 def main() -> None:
     engine = Engine(EngineParams())
-    engine.register_query(ContinuousQuery("trace-edge", ("B", "C"), horizon=4))
+    engine.register_query(ContinuousQuery(("B", "C"), horizon=4))
     for items in STREAMS:
         engine.ingest(Transaction(None, distinct_items(items)))
 

@@ -3,7 +3,6 @@
 Subcommands:
     run      stream a transaction file through the engine, write snapshot
              and event log
-    replay   alias of run (deterministic replay of a recorded stream)
     query    one-shot static query against a saved snapshot
     trace    replay a stream while tracing one connection's weight
     apriori  static Apriori baseline over the same input format
@@ -16,7 +15,7 @@ import math
 import sys
 from typing import Callable, List, Optional
 
-from .apriori import apriori, apriori_levels, gen_rules, negative_border
+from .apriori import apriori_levels, gen_rules, negative_border
 from .engine import ContinuousQuery, Engine
 from .model import PARAM_TYPES, EngineParams, Transaction
 from .queries import QueryUsageError, run_static_query
@@ -72,18 +71,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         engine = Engine(_params_from(args))
         for a, b in args.trace or []:
-            engine.register_query(
-                ContinuousQuery("trace-edge", (a, b), horizon=args.horizon)
-            )
+            engine.register_query(ContinuousQuery((a, b), horizon=args.horizon))
     except ValueError as exc:
         return _usage_error(exc)
     if not _consume_input(args, engine.ingest):
         return 1
 
     for emission in engine.emissions:
-        q = emission.query
-        tag = f"trace {q.target[0]} {q.target[1]}" if q.kind == "trace-edge" else q.kind
-        print(f"{emission.step} {tag} {emission.text}")
+        a, b = emission.query.target
+        print(f"{emission.step} trace {a} {b} {emission.text}")
     try:
         if args.events:
             path = args.events
@@ -118,7 +114,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         engine = Engine(_params_from(args))
-        query = ContinuousQuery("trace-edge", (args.a, args.b), horizon=args.k)
+        query = ContinuousQuery((args.a, args.b), horizon=args.k)
     except ValueError as exc:
         return _usage_error(exc)
     if args.register_after < 0:
@@ -184,24 +180,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run", "replay"):
-        p = sub.add_parser(name, help="stream transactions through the engine")
-        p.add_argument("--input", default="-", help="input file or - for stdin")
-        _add_param_flags(p)
-        p.add_argument("--snapshot", help="write final snapshot here (else stdout)")
-        p.add_argument("--events", help="write the event log here")
-        p.add_argument(
-            "--on-parse-error", choices=("stop", "skip"), default="stop"
-        )
-        p.add_argument(
-            "--trace",
-            nargs=2,
-            action="append",
-            metavar=("A", "B"),
-            help="register an edge trace before the first step (repeatable)",
-        )
-        p.add_argument("--horizon", type=int, default=10, help="trace horizon k")
-        p.set_defaults(func=_cmd_run)
+    p = sub.add_parser("run", help="stream transactions through the engine")
+    p.add_argument("--input", default="-", help="input file or - for stdin")
+    _add_param_flags(p)
+    p.add_argument("--snapshot", help="write final snapshot here (else stdout)")
+    p.add_argument("--events", help="write the event log here")
+    p.add_argument("--on-parse-error", choices=("stop", "skip"), default="stop")
+    p.add_argument(
+        "--trace",
+        nargs=2,
+        action="append",
+        metavar=("A", "B"),
+        help="register an edge trace before the first step (repeatable)",
+    )
+    p.add_argument("--horizon", type=int, default=10, help="trace horizon k")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("query", help="static query against a snapshot")
     p.add_argument("--snapshot", required=True)

@@ -11,38 +11,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Set, ValuesView
+from typing import Dict, List, Set, ValuesView
 
 from .dynamics import StepEvents, ingest_transaction
 from .memory import LTMRecord, Signature, STMEntry, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
-from .skeleton import strongest_subgraphs
+from .skeleton import components
 from .snapshot import EngineState
 
 
 @dataclass
 class ContinuousQuery:
-    """A standing query evaluated across future synchronization steps.
+    """A standing edge trace: after each of the next `horizon` steps it
+    emits the target pair's weight, or "absent" while the edge is not in
+    the map."""
 
-    trace-edge emits (step, weight-or-None) after each of the next
-    `horizon` steps; strongest-subgraphs emits once, after the next step.
-    """
-
-    kind: str  # "trace-edge" | "strongest-subgraphs"
-    target: Optional[Pair] = None
+    target: Pair
     horizon: int = 1
-    top_k: int = 3
     emitted: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("trace-edge", "strongest-subgraphs"):
-            raise ValueError(f"unknown query kind {self.kind!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.kind == "trace-edge":
-            if self.target is None:
-                raise ValueError("trace-edge needs a target pair")
-            self.target = canonical_pair(*self.target)
+        self.target = canonical_pair(*self.target)
 
 
 @dataclass
@@ -152,19 +143,9 @@ class Engine:
         ends = {label for pair in changed for label in pair}
         for label in ends:
             patterns.discard(sig_of.pop(label, None))
-        for start in ends:
-            # An end already in sig_of was reached from an earlier one.
-            if start in sig_of or start not in adj:
-                continue
-            members, stack = {start}, [start]
-            while stack:
-                for label in adj[stack.pop()]:
-                    if label not in members:
-                        members.add(label)
-                        stack.append(label)
-            sig = tuple(sorted(members))
+        for sig in components(adj, ends & adj.keys()):
             patterns.add(sig)
-            for label in members:
+            for label in sig:
                 sig_of[label] = sig
 
     def _report(
@@ -201,16 +182,9 @@ class Engine:
         """Emit each query's next result; drop a query after its last one."""
         live: List[ContinuousQuery] = []
         for q in self.queries:
-            if q.kind == "trace-edge":
-                w = self.mmap.get_weight(*q.target)
-                text = "absent" if w is None else repr(w)
-            else:
-                comps = strongest_subgraphs(self.mmap, self.params.theta_w, q.top_k)
-                text = " ".join(
-                    "[" + _sig_text(tuple(sorted(c.nodes))) + "]" for c in comps
-                ) or "none"
-            self.emissions.append(QueryEmission(q, step, text))
+            w = self.mmap.get_weight(*q.target)
+            self.emissions.append(QueryEmission(q, step, "absent" if w is None else repr(w)))
             q.emitted += 1
-            if q.emitted < (q.horizon if q.kind == "trace-edge" else 1):
+            if q.emitted < q.horizon:
                 live.append(q)
         self.queries = live

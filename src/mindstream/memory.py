@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .skeleton import Skeleton, _components
-
-Signature = Tuple[str, ...]
+from .skeleton import Signature, Skeleton, adjacency, components
 
 
 @dataclass
@@ -39,10 +37,9 @@ class LTMRecord:
 
 
 def detect_patterns(s: Skeleton) -> Set[Signature]:
-    """One signature per connected skeleton component with >= 2 nodes."""
-    return {
-        tuple(sorted(comp.nodes)) for comp in _components(s) if len(comp.nodes) >= 2
-    }
+    """One signature per connected skeleton component."""
+    adj = adjacency(pair for pair, _ in s.edges)
+    return set(components(adj, adj))
 
 
 def stm_tick(
@@ -101,25 +98,14 @@ def ltm_update(
     return ltm
 
 
-def query_ltm(
-    ltm: Dict[Signature, LTMRecord],
-    which: str = "all",
-    signature: Optional[Signature] = None,
-) -> List[LTMRecord]:
-    """Filter records; `which` is one of all/open/closed/signature.
-
-    An unknown signature yields an empty list, not an error.
-    """
+def query_ltm(ltm: Dict[Signature, LTMRecord], which: str = "all") -> List[LTMRecord]:
+    """Filter records; `which` is one of all/open/closed."""
     if which == "all":
         picked = list(ltm.values())
     elif which == "open":
         picked = [r for r in ltm.values() if r.is_open]
     elif which == "closed":
         picked = [r for r in ltm.values() if not r.is_open]
-    elif which == "signature":
-        if signature is None:
-            raise ValueError("signature filter requires a signature")
-        picked = [ltm[signature]] if signature in ltm else []
     else:
         raise ValueError(f"unknown filter {which!r}")
     return sorted(picked, key=lambda r: (r.appeared_at, r.signature))

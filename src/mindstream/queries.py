@@ -113,11 +113,9 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
             comps = strongest_subgraphs(state.mmap, theta_w, opts.get("--top", 3))
         except ValueError as exc:
             raise QueryUsageError(str(exc)) from None
-        lines = []
-        for rank, c in enumerate(comps, start=1):
-            mean_w = sum(w for _, w in c.edges) / len(c.edges)
-            nodes = "|".join(sorted(c.nodes))
-            lines.append(f"{rank} [{nodes}] mean-weight {_fmt(mean_w)}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{rank} [{'|'.join(sig)}] mean-weight {_fmt(mean_w)}"
+            for rank, (sig, mean_w) in enumerate(comps, start=1)
+        )
 
     raise QueryUsageError(f"unknown query {kind!r}")

@@ -1,4 +1,4 @@
-"""Thresholded skeletons, pairwise association rules, strongest subgraphs.
+"""Thresholded skeletons, their components, pairwise rules, strongest subgraphs.
 
 All functions here are pure reads: none of them changes the mind-map.
 """
@@ -7,9 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from .model import MindMap, Pair
+
+Signature = Tuple[str, ...]  # a component's labels, sorted
 
 
 @dataclass(frozen=True)
@@ -53,41 +55,46 @@ def derive_rules(s: Skeleton) -> List[AssociationRule]:
     return rules
 
 
-def _components(s: Skeleton) -> List[Skeleton]:
-    adjacency: Dict[str, set] = {n: set() for n in s.nodes}
-    for (a, b), _ in s.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    edges_of: Dict[str, list] = {}  # node -> edge list of its component
-    comps: List[Tuple[set, list]] = []
-    for start in sorted(s.nodes):
-        if start in edges_of:
+def adjacency(pairs: Iterable[Pair]) -> Dict[str, Set[str]]:
+    """Each label's neighbours over the undirected `pairs`."""
+    adj: Dict[str, Set[str]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def components(adj: Dict[str, Set[str]], starts: Iterable[str]) -> Iterator[Signature]:
+    """The signature (sorted labels) of each component of `adj` that holds
+    one of `starts`, once per component; every start must be a key of `adj`."""
+    seen: Set[str] = set()
+    for start in starts:
+        if start in seen:
             continue
-        members, edges = set(), []
-        stack = [start]
+        members, stack = {start}, [start]
         while stack:
-            node = stack.pop()
-            if node in members:
-                continue
-            members.add(node)
-            edges_of[node] = edges
-            stack.extend(adjacency[node] - members)
-        comps.append((members, edges))
-    for edge in s.edges:
-        edges_of[edge[0][0]].append(edge)
-    return [Skeleton(frozenset(members), tuple(edges)) for members, edges in comps]
+            for label in adj[stack.pop()]:
+                if label not in members:
+                    members.add(label)
+                    stack.append(label)
+        seen |= members
+        yield tuple(sorted(members))
 
 
-def strongest_subgraphs(mmap: MindMap, theta_w: float, top_k: int) -> List[Skeleton]:
-    """Connected components of the weight-thresholded skeleton, ranked by
-    mean edge weight descending; ties broken by size descending, then by
-    the lexicographically smallest node label."""
+def strongest_subgraphs(
+    mmap: MindMap, theta_w: float, top_k: int
+) -> List[Tuple[Signature, float]]:
+    """(signature, mean edge weight) of each connected component of the
+    weight-thresholded skeleton, ranked by mean weight descending; ties
+    broken by size descending, then by the smallest node label."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    comps = _components(extract_skeleton(mmap, theta_w, 0.0))
-
-    def rank_key(c: Skeleton):
-        mean_w = sum(w for _, w in c.edges) / len(c.edges)
-        return (-mean_w, -len(c.nodes), min(c.nodes))
-
-    return sorted(comps, key=rank_key)[:top_k]
+    edges = extract_skeleton(mmap, theta_w, 0.0).edges
+    adj = adjacency(pair for pair, _ in edges)
+    sig_of = {label: sig for sig in components(adj, adj) for label in sig}
+    weights: Dict[Signature, List[float]] = {}
+    for (a, _), w in edges:
+        weights.setdefault(sig_of[a], []).append(w)
+    ranked = [(sig, sum(ws) / len(ws)) for sig, ws in weights.items()]
+    ranked.sort(key=lambda r: (-r[1], -len(r[0]), r[0][0]))
+    return ranked[:top_k]

@@ -165,6 +165,7 @@ def parse_snapshot(text: str) -> EngineState:
     stm: Dict[Signature, STMEntry] = {}
     ltm: Dict[Signature, LTMRecord] = {}
     stm_lines: Dict[Signature, int] = {}
+    param_lines: Dict[str, int] = {}
 
     for lineno, line in enumerate(lines[2:], start=3):
         tokens = _tokenize(line, lineno)
@@ -204,6 +205,7 @@ def parse_snapshot(text: str) -> EngineState:
                     value = convert(tokens[2])
                 except ValueError as exc:
                     raise ValueError(f"param {key}: {exc}") from None
+                param_lines[key] = lineno
             elif kind == "stm" and arity == 3:
                 table, key = stm, _parse_signature(tokens[1])
                 value = STMEntry(int(tokens[2]), int(tokens[3]))
@@ -238,7 +240,9 @@ def parse_snapshot(text: str) -> EngineState:
     try:
         engine_params = EngineParams(**params)
     except ValueError as exc:
-        raise SnapshotError(str(exc)) from None
+        # Each range error begins with the name of its field; so does the
+        # cross-field `epsilon must be < theta_w`, which names epsilon's line.
+        raise SnapshotError(str(exc), param_lines.get(str(exc).split()[0])) from None
     mmap = MindMap(cells, edges, step)
     # The one check that needs the finished map: every edge endpoint has a cell.
     stray = mmap.degree.keys() - cells.keys()

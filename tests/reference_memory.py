@@ -6,7 +6,10 @@ every record into a new list, and an engine step that works out which
 records were promoted, reopened or closed by diffing sets built over the
 whole LTM before and after the update. `ReferenceEngine` runs it on top of
 the reference dynamics step, so the differential test can compare the
-shipped engine with both references at once.
+shipped engine with both references at once. Components are found by the
+whole-skeleton search `_components`, not by `skeleton.components`, and
+`strongest_subgraphs` ranks them the way the shipped query did before it
+used that helper.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Dict, List, Set, Tuple
 
 from mindstream.engine import Engine, _sig_text
 from mindstream.memory import LTMRecord, Signature
-from mindstream.skeleton import Skeleton, _components, extract_skeleton
+from mindstream.model import MindMap
+from mindstream.skeleton import Skeleton, extract_skeleton
 from mindstream.snapshot import EngineState
 
 import reference_dynamics
@@ -33,6 +37,46 @@ class STMEntry:
     pattern: Pattern
     first_seen_step: int
     consecutive_steps: int = 1
+
+
+def _components(s: Skeleton) -> List[Skeleton]:
+    adjacency: Dict[str, set] = {n: set() for n in s.nodes}
+    for (a, b), _ in s.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    edges_of: Dict[str, list] = {}  # node -> edge list of its component
+    comps: List[Tuple[set, list]] = []
+    for start in sorted(s.nodes):
+        if start in edges_of:
+            continue
+        members, edges = set(), []
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node in members:
+                continue
+            members.add(node)
+            edges_of[node] = edges
+            stack.extend(adjacency[node] - members)
+        comps.append((members, edges))
+    for edge in s.edges:
+        edges_of[edge[0][0]].append(edge)
+    return [Skeleton(frozenset(members), tuple(edges)) for members, edges in comps]
+
+
+def strongest_subgraphs(
+    mmap: MindMap, theta_w: float, top_k: int
+) -> List[Tuple[Signature, float]]:
+    """(signature, mean edge weight) of the top_k components of the
+    weight-thresholded skeleton: mean weight descending, then size
+    descending, then the smallest node label."""
+
+    def rank_key(c: Skeleton):
+        mean_w = sum(w for _, w in c.edges) / len(c.edges)
+        return (-mean_w, -len(c.nodes), min(c.nodes))
+
+    comps = sorted(_components(extract_skeleton(mmap, theta_w, 0.0)), key=rank_key)[:top_k]
+    return [(tuple(sorted(c.nodes)), -rank_key(c)[0]) for c in comps]
 
 
 def detect_patterns(s: Skeleton, step: int) -> Set[Pattern]:

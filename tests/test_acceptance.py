@@ -203,16 +203,15 @@ def test_acceptance_7_memory_lifecycle():
 
     for _ in range(199):
         engine.ingest(txn([]))
-    closed = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))
-    assert len(closed) == 1 and not closed[0].is_open
-    assert closed[0].appeared_at <= closed[0].disappeared_at
+    closed = engine.state.ltm[("B", "C", "E")]
+    assert not closed.is_open
+    assert closed.appeared_at <= closed.disappeared_at
 
     for _ in range(50):
         engine.ingest(txn(["B", "C", "E"]))
-        reopened = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))
-        if reopened[0].recurrence_count == 2:
+        if engine.state.ltm[("B", "C", "E")].recurrence_count == 2:
             break
-    record = query_ltm(engine.state.ltm, "signature", ("B", "C", "E"))[0]
+    record = engine.state.ltm[("B", "C", "E")]
     assert record.is_open and record.recurrence_count == 2
     ok(7, "B|C|E record opened, closed under decay, reopened with recurrence 2")
 

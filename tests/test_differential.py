@@ -5,10 +5,11 @@ parameters. One runs the shipped step: the in-place dynamics and the
 signature-keyed memory. The other runs the copy-per-phase dynamics of
 `reference_dynamics` and the list-based memory of `reference_memory`.
 After every step the snapshots, the step's event lines, its events and the
-query emissions must be identical, and the shipped engine's maintained
+query emissions must be identical, the shipped engine's maintained
 structures (the per-cell degree count, the set the skeleton is read from,
 and the kept skeleton's adjacency and signatures) must equal a recount from
-the edges.
+the edges, and the strongest-subgraphs ranking must equal the one built
+from the reference's own component search.
 """
 
 import random
@@ -20,11 +21,11 @@ import pytest
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
-from mindstream.skeleton import extract_skeleton
+from mindstream.skeleton import extract_skeleton, strongest_subgraphs
 from mindstream.snapshot import render_snapshot
 
 from helpers import txn
-from reference_memory import ReferenceEngine
+from reference_memory import ReferenceEngine, strongest_subgraphs as reference_strongest
 
 
 def random_params(rng: random.Random, decay: bool, epsilon_near: str) -> EngineParams:
@@ -57,10 +58,7 @@ def random_stream(rng: random.Random, n_txns: int):
 
 
 def with_queries(engine: Engine, alphabet) -> Engine:
-    engine.register_query(
-        ContinuousQuery("trace-edge", (alphabet[0], alphabet[1]), horizon=10**6)
-    )
-    engine.register_query(ContinuousQuery("strongest-subgraphs", top_k=3))
+    engine.register_query(ContinuousQuery((alphabet[0], alphabet[1]), horizon=10**6))
     return engine
 
 
@@ -99,6 +97,8 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
                 adjacency.setdefault(b, set()).add(a)
             assert fast._adj == adjacency, where
             assert fast._sig_of == {n: sig for sig in fast._patterns for n in sig}, where
+            ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
+            assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where
             assert render_snapshot(fast.state) == render_snapshot(ref.state), where
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where

@@ -236,22 +236,12 @@ def test_trace_never_created_pair(stream_file, capsys):
 
 def test_trace_horizon_one():
     engine = Engine()
-    engine.register_query(ContinuousQuery("trace-edge", ("A", "C"), horizon=1))
+    engine.register_query(ContinuousQuery(("A", "C"), horizon=1))
     for t in worked_example_transactions():
         engine.ingest(t)
     assert len(engine.emissions) == 1
     assert engine.emissions[0].step == 1
     assert engine.emissions[0].text == repr(1 / 3)
-    assert engine.queries == []
-
-
-def test_strongest_subgraphs_query_emits_once():
-    engine = Engine()
-    engine.register_query(ContinuousQuery("strongest-subgraphs", top_k=2))
-    for t in worked_example_transactions():
-        engine.ingest(t)
-    emitted = [e for e in engine.emissions if e.query.kind == "strongest-subgraphs"]
-    assert len(emitted) == 1 and emitted[0].step == 1
     assert engine.queries == []
 
 

@@ -8,7 +8,8 @@ from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
 from mindstream.skeleton import (
-    _components,
+    adjacency,
+    components,
     derive_rules,
     extract_skeleton,
     strongest_subgraphs,
@@ -82,8 +83,9 @@ def test_rule_symmetry_closure(final_engine):
 def test_strongest_subgraph_is_the_triangle(final_engine):
     theta = triangle_gap_threshold(final_engine)
     top = strongest_subgraphs(final_engine.mmap, theta, 1)
-    assert len(top) == 1
-    assert top[0].nodes == {"B", "C", "E"}
+    assert [sig for sig, _ in top] == [("B", "C", "E")]
+    triangle = [final_engine.mmap.edges[p].weight for p in [("B", "C"), ("B", "E"), ("C", "E")]]
+    assert top[0][1] == sum(triangle) / 3
 
 
 def test_strongest_subgraphs_empty_map():
@@ -97,7 +99,8 @@ def test_strongest_subgraphs_orders_by_mean_weight():
     m, _ = ingest_transaction(m, txn(["c", "d"]), params)  # w = 0.5
     m, _ = ingest_transaction(m, txn(["c", "d"]), params)  # reinforced > 0.5
     comps = strongest_subgraphs(m, 0.1, 2)
-    assert [sorted(c.nodes) for c in comps] == [["c", "d"], ["a", "b"]]
+    assert [sig for sig, _ in comps] == [("c", "d"), ("a", "b")]
+    assert comps[0][1] > comps[1][1] == 0.5
 
 
 def test_strongest_subgraphs_tie_break_is_deterministic():
@@ -106,7 +109,7 @@ def test_strongest_subgraphs_tie_break_is_deterministic():
     m, _ = ingest_transaction(m, txn(["a", "b"]), params)
     m, _ = ingest_transaction(m, txn(["x", "y"]), params)  # equal mean, equal size
     comps = strongest_subgraphs(m, 0.1, 2)
-    assert [sorted(c.nodes) for c in comps] == [["a", "b"], ["x", "y"]]
+    assert comps == [(("a", "b"), 0.5), (("x", "y"), 0.5)]
 
 
 @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
@@ -119,18 +122,26 @@ def test_raising_threshold_shrinks_skeleton(t1, t2):
     assert set(small.edges) <= set(big.edges)
 
 
-def test_components_partition_the_skeleton_in_edge_order():
+def test_components_partition_the_skeleton():
     rng = random.Random(8)
     alphabet = [f"i{k}" for k in range(14)]
     for _ in range(30):
         engine = replay(random_transactions(rng, alphabet, 25, max_size=3))
         skel = extract_skeleton(engine.mmap, rng.uniform(0.3, 0.6))
-        comps = _components(skel)
-        assert [min(c.nodes) for c in comps] == sorted(min(c.nodes) for c in comps)
-        assert sum(len(c.nodes) for c in comps) == len(skel.nodes)
-        assert frozenset().union(*(c.nodes for c in comps)) == skel.nodes
-        for c in comps:
-            assert c.edges == tuple(e for e in skel.edges if e[0][0] in c.nodes)
+        adj = adjacency(pair for pair, _ in skel.edges)
+        sigs = list(components(adj, adj))
+        assert all(list(sig) == sorted(set(sig)) for sig in sigs)
+        assert sum(len(sig) for sig in sigs) == len(skel.nodes)
+        assert frozenset().union(*sigs) == skel.nodes
+        sig_of = {label: sig for sig in sigs for label in sig}
+        assert all(sig_of[a] == sig_of[b] for (a, b), _ in skel.edges)
+        # Several starts inside one component yield it once; starts are
+        # searched in the order given.
+        for sig in sigs:
+            assert list(components(adj, [*sig, *reversed(sig)])) == [sig]
+        assert list(components(adj, [])) == []
+        starts = [label for sig in reversed(sigs) for label in sig]
+        assert list(components(adj, starts)) == sigs[::-1]
 
 
 # The engine keeps the kept skeleton between steps and searches components

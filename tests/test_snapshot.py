@@ -231,25 +231,37 @@ def snapshot_with(*records):
         ("stm x|y 1 1", "no cell 'x'"),
         ("stm a|b|z 1 1", "no cell 'z'"),
         ("edge a z 0.5 2", "dangling edge endpoint 'z'"),
-        # A param line names a known parameter and holds a value of its type.
+        # A param line names a known parameter and holds a value of its type,
+        # in that parameter's range; a known param replaces its own line.
         ("param bogus 3", "unknown param 'bogus'"),
         ("param promote_after 2.0", "param promote_after: invalid literal"),
+        ("param eta 1.5", r"eta must be in \(0, 1\]"),
+        ("param lam 0", r"lam must be in \(0, 1\]"),
+        ("param beta_w 1", r"beta_w must be in \[0, 1\)"),
+        ("param beta_a -0.5", r"beta_a must be in \[0, 1\)"),
+        ("param epsilon 1", r"epsilon must be in \[0, 1\)"),
+        ("param theta_w 1.5", r"theta_w must be in \[0, 1\]"),
+        ("param theta_a nan", r"theta_a must be in \[0, 1\]"),
+        ("param promote_after 0", "promote_after must be >= 1"),
+        # The cross-field check runs once all params are read; it names
+        # epsilon's line.
+        ("param epsilon 0.75", "epsilon must be < theta_w"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
     lines = snapshot_with(record)
-    if record.startswith("step "):
-        lines[1] = lines.pop()
+    lineno = len(lines)
+    kind, name = record.split()[:2]
+    if kind == "step":
+        lines[1], lineno = lines.pop(), 2
+    elif kind == "param" and name in PARAM_TYPES:
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"param {name} "))
+        lines[lineno - 1] = lines.pop()
     with pytest.raises(SnapshotError, match=error) as caught:
         parse_snapshot("\n".join(lines) + "\n")
     # Each record is checked on its own line. Only the endpoint check needs
     # the finished map, so its error names no line.
-    if record.startswith("step "):
-        assert caught.value.lineno == 2
-    elif record.startswith("edge a z"):
-        assert caught.value.lineno is None
-    else:
-        assert caught.value.lineno == len(lines)
+    assert caught.value.lineno == (None if record.startswith("edge a z") else lineno)
 
 
 def test_edge_key_is_canonicalized():
