@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .model import Transaction
+from .model import Transaction, distinct_items
 
 Items = Tuple[str, ...]
 
@@ -88,10 +88,7 @@ def apriori_levels(
     if minsup < 1:
         raise ValueError("minsup must be >= 1")
     txn_sets = _txn_itemsets(txns)
-    item_counts: Dict[str, int] = {}
-    for t in txn_sets:
-        for item in t:
-            item_counts[item] = item_counts.get(item, 0) + 1
+    item_counts = distinct_items(item for t in txn_sets for item in t)
 
     c1 = tuple((item,) for item in sorted(item_counts))
     f1 = [

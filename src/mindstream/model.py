@@ -65,10 +65,10 @@ class Transaction:
 
 
 def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
-    """Merge a raw item sequence into a label -> occurrence-count map."""
+    """Merge a raw item sequence into a label -> occurrence-count map. The
+    labels are checked when the map becomes a `Transaction`."""
     counts: Dict[str, int] = {}
     for label in raw_items:
-        validate_label(label)
         counts[label] = counts.get(label, 0) + 1
     return counts
 

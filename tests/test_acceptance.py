@@ -16,7 +16,7 @@ from mindstream.memory import query_ltm
 from mindstream.model import EngineParams, MindMap
 from mindstream.skeleton import derive_rules, extract_skeleton
 from mindstream.snapshot import load_snapshot, render_snapshot, save_snapshot
-from mindstream.stream import TransactionGrouper, parse_record
+from mindstream.stream import read_transactions
 
 from helpers import (
     brute_force_frequent,
@@ -93,36 +93,32 @@ def test_acceptance_2_apriori_oracle():
     ok(2, f"apriori equals brute force on 200 random databases, {elapsed:.2f}s")
 
 
-def _random_records(rng, n_txns, alphabet):
-    records = []
+def _random_lines(rng, n_txns, alphabet):
+    lines = []
     for tid in range(1, n_txns + 1):
         for name in rng.sample(alphabet, rng.randint(1, min(4, len(alphabet)))):
-            records.append(parse_record(f"2004-03-01;{tid};{name}"))
-    return records
+            lines.append(f"2004-03-01;{tid};{name}\n")
+    return lines
 
 
-def _run_records(records, chunk):
+def _run_lines(lines, chunk):
+    """Replay `lines` delivered in chunks of `chunk` lines; a chunk may end
+    inside a transaction."""
+    chunks = (lines[i : i + chunk] for i in range(0, len(lines), chunk))
     engine = Engine(EngineParams())
-    grouper = TransactionGrouper()
-    i = 0
-    while i < len(records):
-        for r in records[i : i + chunk]:
-            for t in grouper.feed(r):
-                engine.ingest(t)
-        i += chunk
-    for t in grouper.finish():
+    for t in read_transactions(line for c in chunks for line in c):
         engine.ingest(t)
     return render_snapshot(engine.state)
 
 
 def test_acceptance_3_determinism():
     rng = random.Random(31)
-    records = _random_records(rng, 1000, list("ABCDEFGH"))
-    first = _run_records(records, 10**9)
-    second = _run_records(records, 10**9)
+    lines = _random_lines(rng, 1000, list("ABCDEFGH"))
+    first = _run_lines(lines, 10**9)
+    second = _run_lines(lines, 10**9)
     assert first == second
     for chunk in (1, 3, 17, 256):
-        assert _run_records(records, chunk) == first
+        assert _run_lines(lines, chunk) == first
     ok(3, "1,000-transaction replays byte-identical across runs and chunkings")
 
 

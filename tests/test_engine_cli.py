@@ -116,6 +116,27 @@ def test_invalid_utf8_on_stdin_is_a_parse_error():
     assert cells == ["A", "B", "C"]
 
 
+# Buffered, the write fails at the final flush; unbuffered, at the print.
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_not_a_traceback(tmp_path, stream_file, unbuffered):
+    snap = tmp_path / "out.snap"
+    assert run_cli("run", "--input", stream_file, "--snapshot", snap) == 0
+    src = os.path.dirname(os.path.dirname(mindstream.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    argv = [sys.executable, "-m", "mindstream.cli", "query", "--snapshot", str(snap), "skeleton"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize("argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]])
 def test_missing_input_is_a_clean_error(tmp_path, capsys, argv):
     missing = tmp_path / "missing.txt"
@@ -292,19 +313,12 @@ def test_replay_equivalence_across_chunkings(tmp_path):
     assert run_cli("run", "--input", base, "--snapshot", snap) == 0
     baseline = snap.read_text(encoding="utf-8")
 
-    from mindstream.stream import TransactionGrouper, parse_record
+    from mindstream.stream import read_transactions
 
-    records = [parse_record(l) for l in lines]
     for chunk in (1, 7, 500):
+        chunks = (lines[i : i + chunk] for i in range(0, len(lines), chunk))
         engine = Engine(EngineParams())
-        grouper = TransactionGrouper()
-        i = 0
-        while i < len(records):
-            for r in records[i : i + chunk]:
-                for t in grouper.feed(r):
-                    engine.ingest(t)
-            i += chunk
-        for t in grouper.finish():
+        for t in read_transactions(line for c in chunks for line in c):
             engine.ingest(t)
         assert render_snapshot(engine.state) == baseline
 

@@ -33,7 +33,7 @@ def test_newline_labels_are_rejected():
     with pytest.raises(ValueError):
         Transaction(None, {"a\nb": 1})
     with pytest.raises(ValueError):
-        distinct_items(["ok", "x\n"])
+        Transaction(None, distinct_items(["ok", "x\n"]))
 
 
 def test_other_whitespace_labels_round_trip_through_snapshots():

@@ -1,6 +1,8 @@
-"""Source checks that need no linter: every name a module imports is used."""
+"""Source checks that need no linter: every name a module imports is used,
+and every absolute import is of the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,35 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def non_stdlib_imports(source: str) -> list:
+    """Top-level packages the module imports absolutely that are not in the
+    standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            (node.lineno, top)
+            for top in (name.split(".")[0] for name in names)
+            if top not in sys.stdlib_module_names
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_non_stdlib_import_is_found():
+    source = "import os, numpy.linalg\nfrom . import model\nfrom yaml import load\n"
+    assert non_stdlib_imports(source) == [(1, "numpy"), (3, "yaml")]
 
 
 def test_unused_import_is_found():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +7,7 @@ from hypothesis import given, strategies as st
 from mindstream.stream import (
     ParseError,
     StreamRecord,
-    TransactionGrouper,
     format_record,
-    group_transactions,
     parse_record,
     read_records,
     read_transactions,
@@ -22,6 +21,10 @@ names = st.text(
 
 def rec(date, ref, name):
     return StreamRecord(date, ref, name)
+
+
+def lines_of(records):
+    return [format_record(r) + "\n" for r in records]
 
 
 def test_parse_record():
@@ -42,6 +45,13 @@ def test_parse_record_trims_whitespace():
         ("2004-03-01;x;A", "bad reference"),
         ("2004-03-01;-1;A", "negative reference"),
         ("2004-03-01;42;", "empty item name"),
+        ("2004-W09-7;10;E", "date"),  # ISO week date
+        ("2004-061;10;E", "date"),  # ISO ordinal date
+        ("20040301;10;E", "date"),  # ISO basic format
+        ("2004-03-01;1_0;E", "bad reference"),
+        ("2004-03-01;+10;E", "bad reference"),
+        ("2004-03-01;\u0661\u0660;E", "bad reference"),  # Arabic-Indic 10
+        ("2004-03-01;-0;E", "bad reference"),
     ],
 )
 def test_parse_record_errors(line, fragment):
@@ -62,24 +72,21 @@ def test_group_by_consecutive_tid_runs():
     tids = [1, 1, 1, 1, 2, 2, 2]
     items = ["A", "A", "C", "D", "B", "C", "E"]
     records = [rec("2004-03-01", t, n) for t, n in zip(tids, items)]
-    txns = list(group_transactions(records))
+    txns = list(read_transactions(lines_of(records)))
     assert [t.items for t in txns] == [{"A": 2, "C": 1, "D": 1}, {"B": 1, "C": 1, "E": 1}]
     assert txns[0].tid == ("2004-03-01", 1)
 
 
 def test_group_empty_stream():
-    assert list(group_transactions([])) == []
+    assert list(read_transactions([])) == []
+    assert list(read_transactions(["# only a comment\n", "\n"])) == []
 
 
 def test_nonadjacent_equal_tids_do_not_merge():
     records = [rec("2004-03-01", t, n) for t, n in [(1, "A"), (2, "B"), (1, "C")]]
-    txns = list(group_transactions(records))
+    txns = list(read_transactions(lines_of(records)))
     assert [t.items for t in txns] == [{"A": 1}, {"B": 1}, {"C": 1}]
-    grouper = TransactionGrouper()
-    for r in records:
-        grouper.feed(r)
-    grouper.finish()
-    assert grouper.repeated_tids == [("2004-03-01", 1)]
+    assert [t.tid[1] for t in txns] == [1, 2, 1]
 
 
 def test_no_loss_no_reorder():
@@ -87,13 +94,14 @@ def test_no_loss_no_reorder():
     records = [
         rec("2004-03-01", rng.randint(1, 5), rng.choice("ABCDE")) for _ in range(100)
     ]
-    txns = list(group_transactions(records))
+    txns = list(read_transactions(lines_of(records)))
     total = sum(sum(t.items.values()) for t in txns)
     assert total == len(records)
     # per-run multiset equality
     i = 0
     for t in txns:
         run = records[i : i + sum(t.items.values())]
+        assert {(r.date, r.ref) for r in run} == {t.tid}
         counts = {}
         for r in run:
             counts[r.name] = counts.get(r.name, 0) + 1
@@ -101,24 +109,45 @@ def test_no_loss_no_reorder():
         i += len(run)
 
 
-def test_chunked_grouping_matches_whole_stream():
+def test_transaction_is_yielded_after_one_record_of_the_next_tid():
     rng = random.Random(9)
     records = [
         rec("2004-03-01", rng.randint(1, 8), rng.choice("ABCDEFG")) for _ in range(200)
     ]
-    whole = list(group_transactions(records))
-    for seed in range(5):
-        chunk_rng = random.Random(seed)
-        grouper = TransactionGrouper()
-        out = []
-        i = 0
-        while i < len(records):
-            j = min(len(records), i + chunk_rng.randint(1, 7))
-            for r in records[i:j]:
-                out.extend(grouper.feed(r))
-            i = j
-        out.extend(grouper.finish())
-        assert [(t.tid, t.items) for t in out] == [(t.tid, t.items) for t in whole]
+    lines = lines_of(records)
+    whole = list(read_transactions(lines))
+    handed_out = 0
+
+    def counting(lines):
+        nonlocal handed_out
+        for line in lines:
+            handed_out += 1
+            yield line
+
+    run_end = 0
+    pulled = []
+    for t in read_transactions(counting(lines)):
+        run_end += sum(t.items.values())
+        assert run_end <= handed_out <= run_end + 1
+        pulled.append(t)
+    assert pulled == whole and handed_out == len(lines)
+
+
+def _peak_bytes_while_draining(n_txns):
+    lines = (f"2004-03-01;{tid};{name}\n" for tid in range(n_txns) for name in "ABC")
+    tracemalloc.start()
+    try:
+        for _ in read_transactions(lines):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grouping_memory_does_not_grow_with_the_stream():
+    small = _peak_bytes_while_draining(1_000)
+    large = _peak_bytes_while_draining(10_000)
+    assert large - small < 16 * 1024, (small, large)
 
 
 def test_read_records_skips_blank_and_comment_lines():
