@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mindstream.apriori import apriori
+from mindstream.cli import guard_stdout
 from mindstream.engine import Engine
 from mindstream.model import EngineParams, Transaction, distinct_items
 
@@ -43,12 +44,11 @@ def main() -> None:
     for t in txns:
         engine.ingest(t)
 
-    heaviest = sorted(
-        engine.mmap.edges.items(), key=lambda kv: -kv[1].weight
-    )[:10]
+    weights = {pair: engine.mmap.weight_of(conn) for pair, conn in engine.mmap.edges.items()}
+    heaviest = sorted(weights.items(), key=lambda kv: -kv[1])[:10]
     print("heaviest connections (dynamic mind-map):")
-    for pair, conn in heaviest:
-        print(f"  {pair[0]} -- {pair[1]}  weight {conn.weight:.4f}")
+    for pair, w in heaviest:
+        print(f"  {pair[0]} -- {pair[1]}  weight {w:.4f}")
 
     pairs = [s for s in apriori(txns, 1) if len(s.items) == 2]
     pairs.sort(key=lambda s: -s.support)
@@ -58,4 +58,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guard_stdout(main))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mindstream.cli import guard_stdout
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.model import EngineParams, Transaction, distinct_items
 from mindstream.skeleton import derive_rules, extract_skeleton
@@ -34,8 +35,9 @@ def main() -> None:
         print(f"  step {emission.step}: {emission.text}")
 
     triangle = {("B", "C"), ("B", "E"), ("C", "E")}
-    lo = min(c.weight for p, c in engine.mmap.edges.items() if p in triangle)
-    hi = max(c.weight for p, c in engine.mmap.edges.items() if p not in triangle)
+    weights = {p: engine.mmap.weight_of(c) for p, c in engine.mmap.edges.items()}
+    lo = min(w for p, w in weights.items() if p in triangle)
+    hi = max(w for p, w in weights.items() if p not in triangle)
     theta = (lo + hi) / 2
     print(f"\nweight gap: strongest other edge {hi:.4f} < triangle minimum {lo:.4f}")
     print(f"skeleton at theta_w = {theta:.4f}:")
@@ -51,4 +53,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guard_stdout(main))

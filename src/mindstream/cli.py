@@ -31,6 +31,11 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=name, type=kind, default=getattr(defaults, name))
 
 
+def _add_input_flags(parser: argparse.ArgumentParser, help: Optional[str] = None) -> None:
+    parser.add_argument("--input", default="-", help=help)
+    parser.add_argument("--on-parse-error", choices=("stop", "skip"), default="stop")
+
+
 def _params_from(args: argparse.Namespace) -> EngineParams:
     return EngineParams(**{name: getattr(args, name) for name in PARAM_TYPES})
 
@@ -78,9 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not _consume_input(args, engine.ingest):
         return 1
 
-    for emission in engine.emissions:
-        a, b = emission.query.target
-        print(f"{emission.step} trace {a} {b} {emission.text}")
+    # The files first, so that a reader leaving stdout early cannot lose them.
     try:
         if args.events:
             path = args.events
@@ -92,6 +95,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
+    for emission in engine.emissions:
+        a, b = emission.query.target
+        print(f"{emission.step} trace {a} {b} {emission.text}")
     if not args.snapshot:
         sys.stdout.write(render_snapshot(engine.state))
     return 0
@@ -182,11 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="stream transactions through the engine")
-    p.add_argument("--input", default="-", help="input file or - for stdin")
+    _add_input_flags(p, help="input file or - for stdin")
     _add_param_flags(p)
     p.add_argument("--snapshot", help="write final snapshot here (else stdout)")
     p.add_argument("--events", help="write the event log here")
-    p.add_argument("--on-parse-error", choices=("stop", "skip"), default="stop")
     p.add_argument(
         "--trace",
         nargs=2,
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("trace", help="trace one connection weight over k steps")
-    p.add_argument("--input", default="-")
+    _add_input_flags(p)
     p.add_argument("a", metavar="A")
     p.add_argument("b", metavar="B")
     p.add_argument("-k", type=int, default=10, help="number of steps to trace")
@@ -215,11 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="register the trace once this step has completed",
     )
     _add_param_flags(p)
-    p.add_argument("--on-parse-error", choices=("stop", "skip"), default="stop")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("apriori", help="static Apriori baseline")
-    p.add_argument("--input", default="-")
+    _add_input_flags(p)
     p.add_argument("--minsup", type=int, help="absolute support threshold")
     p.add_argument(
         "--minsup-frac", type=float, help="relative support, converted by ceiling"
@@ -228,22 +232,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--show-border", action="store_true", help="print per-level negative borders"
     )
-    p.add_argument("--on-parse-error", choices=("stop", "skip"), default="stop")
     p.set_defaults(func=_cmd_apriori)
 
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def guard_stdout(call: Callable[[], Optional[int]]) -> int:
+    """Run `call` and flush stdout; return its exit code (0 for None), or 1
+    with nothing on stderr if stdout's reader has gone (`| head`)."""
     try:
-        code = args.func(args)
+        code = call()
         sys.stdout.flush()
     except BrokenPipeError:
-        # Stdout's reader has gone (`| head`): keep the flush at exit from failing too.
+        # Keep the flush at exit from failing too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return code or 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return guard_stdout(lambda: args.func(args))
 
 
 if __name__ == "__main__":

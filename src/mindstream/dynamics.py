@@ -5,14 +5,16 @@ in place in one pass: duplicate merging, cell creation / merge with
 activation boosts, edge creation or Hebbian reinforcement, multiplicative
 decay of everything not touched this step, and forgetting of edges and
 cells that fell below the floor. The step advances the map's counter
-first and stamps every cell and edge it touches with it, so the stamps
-are the touched sets that decay skips.
+first and stamps every cell and edge it touches with it. Decay is forward
+(see `MindMap`): no untouched record is written, and a timing wheel keyed
+by step says which records can have crossed the floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import log
 from typing import Iterable, List, Tuple
 
 from .model import (
@@ -60,26 +62,29 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
 
 
 def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[str]]:
-    """Multiplicative decay, in place, of every record not stamped this step;
-    returns the edges now below the floor and the cells it took below it."""
-    step, eps = mmap.step, params.epsilon
+    """Pop this step's wheel bucket; returns the edges and the cells that
+    decay took below the floor this step. An entry whose record is gone or
+    was stamped again is stale (that touch filed its own); a live one not
+    yet below is filed again for the next step. No entry is due after its
+    record crosses, so each record is found in the step it crosses."""
+    step, eps, origin, wheel = mmap.step, params.epsilon, mmap.origin, mmap.wheel
     faded_edges: List[Pair] = []
     faded_cells: List[str] = []
-    if params.beta_w > 0.0:
-        keep_w = 1.0 - params.beta_w
-        for pair, conn in mmap.edges.items():
-            if conn.last_reinforced_at != step:
-                conn.weight = w = conn.weight * keep_w
-                if w < eps:
-                    faded_edges.append(pair)
-    if params.beta_a > 0.0:
-        keep_a = 1.0 - params.beta_a
-        for label, cell in mmap.cells.items():
-            if cell.last_activated_at != step:
-                a = cell.activation * keep_a
-                if a < eps <= cell.activation:
-                    faded_cells.append(label)
-                cell.activation = a
+    for key, stamp in wheel.pop(step, ()):
+        if isinstance(key, tuple):
+            record, keep, faded = mmap.edges.get(key), mmap.keep_w, faded_edges
+            if record is None or record.last_reinforced_at != stamp:
+                continue
+            value = record.weight
+        else:
+            record, keep, faded = mmap.cells.get(key), mmap.keep_a, faded_cells
+            if record is None or record.last_activated_at != stamp:
+                continue
+            value = record.activation
+        if value * keep ** (step - (stamp if stamp > origin else origin)) < eps:
+            faded.append(key)
+        else:
+            wheel.setdefault(step + 1, []).append((key, stamp))
     return faded_edges, faded_cells
 
 
@@ -96,7 +101,7 @@ def prune_forgotten(
     cell below it; a map adopted from elsewhere must start that way too.
     """
     table, degree = mmap.edges, mmap.degree
-    dead_edges = sorted(p for p in edges if table[p].weight < epsilon)
+    dead_edges = sorted(p for p in edges if mmap.weight_of(table[p]) < epsilon)
     for pair in dead_edges:
         del table[pair]
         for label in pair:
@@ -107,7 +112,7 @@ def prune_forgotten(
     dead_cells = sorted(
         label
         for label in candidates
-        if label not in degree and mmap.cells[label].activation < epsilon
+        if label not in degree and mmap.activation_of(mmap.cells[label]) < epsilon
     )
     for label in dead_cells:
         del mmap.cells[label]
@@ -125,11 +130,26 @@ def ingest_transaction(
     """
     # First, so that a record stamped with the new step is one this step touched.
     mmap.step = step = mmap.step + 1
+    mmap.keep_w, mmap.keep_a = keep_w, keep_a = 1.0 - params.beta_w, 1.0 - params.beta_a
     events = StepEvents(step=step)
-    cells, edges, eps = mmap.cells, mmap.edges, params.epsilon
+    cells, edges, eps, origin = mmap.cells, mmap.edges, params.epsilon, mmap.origin
+    before, wheel = step - 1, mmap.wheel  # a read before decay is of the value at `before`
+    # A touched value v >= eps decaying to a floor above 0 is below it from
+    # n = floor(log(eps / v) / log(keep)) + 1 steps on: file it n - 1 steps on.
+    log_w = log(keep_w) if keep_w < 1.0 and eps > 0.0 else 0.0
+    log_a = log(keep_a) if keep_a < 1.0 and eps > 0.0 else 0.0
+    if before == origin:  # the first step on given values: file them as of `origin`
+        for key, conn in edges.items():
+            if log_w and conn.weight >= eps:
+                due = max(step, origin + int(log(eps / conn.weight) / log_w))
+                wheel.setdefault(due, []).append((key, conn.last_reinforced_at))
+        for label, cell in cells.items():
+            if log_a and cell.activation >= eps:
+                due = max(step, origin + int(log(eps / cell.activation) / log_a))
+                wheel.setdefault(due, []).append((label, cell.last_activated_at))
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
-    # activation, so each cell is written at once.
+    # activation (a new cell's as stored), so each cell is written at once.
     labels = sorted(txn.items)
     low_cells: List[str] = []
     for label in labels:
@@ -138,12 +158,16 @@ def ingest_transaction(
             cells[label] = cell = ItemCell(INITIAL_ACTIVATION, step, step)
             events.cells_created.append(label)
         a = cell.activation
+        if keep_a != 1.0 and (stamp := cell.last_activated_at) < before:
+            a *= keep_a ** (before - (stamp if stamp > origin else origin))
         for _ in range(txn.items[label]):
             a = activate_cell(a, params.lam)
         cell.activation = a
         cell.last_activated_at = step
         if a < eps:
             low_cells.append(label)
+        elif log_a:
+            wheel.setdefault(step + int(log(eps / a) / log_a), []).append((label, step))
 
     # Create each edge, or reinforce its pre-step weight with the post-boost
     # activations of its cells (a new edge is not also reinforced). The labels
@@ -159,11 +183,19 @@ def ingest_transaction(
                 mmap.degree[pair[1]] += 1
                 events.edges_created.append(pair)
             else:
+                w = conn.weight
+                if keep_w != 1.0 and (stamp := conn.last_reinforced_at) < before:
+                    w *= keep_w ** (before - (stamp if stamp > origin else origin))
                 a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
-                conn.weight = hebbian_update(conn.weight, a_i, a_j, params.eta)
+                conn.weight = w = hebbian_update(w, a_i, a_j, params.eta)
                 conn.last_reinforced_at = step
+                if log_w:  # w is at least its pre-step value, which was >= eps
+                    wheel.setdefault(step + int(log(eps / w) / log_w), []).append((pair, step))
         if w0 < eps:
             low_edges = events.edges_created
+        elif log_w and events.edges_created:  # all born at w0, so all due together
+            due = wheel.setdefault(step + int(log(eps / w0) / log_w), [])
+            due.extend((pair, step) for pair in events.edges_created)
 
     # Forgetting decides only what can have crossed the floor this step:
     # what decay took below it, and new edges and touched cells below it.

@@ -43,10 +43,6 @@ class QueryEmission:
     text: str
 
 
-def _sig_text(sig: Signature) -> str:
-    return "|".join(sig)
-
-
 class Engine:
     def __init__(self, params: EngineParams = EngineParams()):
         self.params = params
@@ -111,18 +107,24 @@ class Engine:
         into pieces that each hold an end), and every other component keeps
         its signature.
         """
-        edges, cells = self.mmap.edges, self.mmap.cells
-        theta_w, theta_a = self.params.theta_w, self.params.theta_a
+        mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
+        edges, step, origin, keep = mmap.edges, mmap.step, mmap.origin, mmap.keep_w
         self._heavy.update(combinations(sorted(txn.items), 2))
+        # The weight read now (`MindMap.weight_of`, inlined) is at most the stored one.
         self._heavy = {
             pair
             for pair in self._heavy
-            if (conn := edges.get(pair)) is not None and conn.weight >= theta_w
+            if (conn := edges.get(pair)) is not None
+            and conn.weight >= theta_w
+            and (
+                keep == 1
+                or conn.weight * keep ** (step - max(conn.last_reinforced_at, origin)) >= theta_w
+            )
         }
         kept = {
             (a, b)
             for a, b in self._heavy
-            if cells[a].activation >= theta_a and cells[b].activation >= theta_a
+            if theta_a <= 0.0 or min(mmap.get_activation(a), mmap.get_activation(b)) >= theta_a
         }
         changed = kept ^ self._kept
         if not changed:
@@ -172,11 +174,11 @@ class Engine:
             log(f"{step} cell-forgotten {label}")
         for sig in sorted(promotions):
             kind = "reopened" if self._ltm[sig].recurrence_count > 1 else "promoted"
-            log(f"{step} pattern-{kind} {_sig_text(sig)}")
+            log(f"{step} pattern-{kind} {'|'.join(sig)}")
         for sig in sorted(lapsed):
             record = self._ltm.get(sig)
             if record is not None and record.disappeared_at == step:
-                log(f"{step} pattern-closed {_sig_text(sig)}")
+                log(f"{step} pattern-closed {'|'.join(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
         """Emit each query's next result; drop a query after its last one."""

@@ -12,9 +12,10 @@ items, `parse_snapshot` for a snapshot).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Pair = Tuple[str, str]
 
@@ -75,35 +76,49 @@ def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
 
 @dataclass
 class MindMap:
-    """Cells, edges and the step counter that stamps them. Edges change only
-    through the constructor or the synchronization step, which keep `degree`:
-    an edge written into `edges` directly leaves it stale."""
+    """Cells, edges and the step counter that stamps them. Decay is forward:
+    a record stores its value as of its stamp, or of `origin` (the step the
+    map was built at) if later, and `weight_of` / `activation_of` read it at
+    `step`, times `keep_w` / `keep_a` (1 - beta, set by each step) per step
+    since. `wheel` maps a step to the (edge pair or cell label, stamp)
+    entries due then. Edges change only through the constructor or the
+    step, which keep `degree`: an edge written into `edges` directly leaves
+    it stale."""
 
     cells: Dict[str, ItemCell] = field(default_factory=dict)
     edges: Dict[Pair, Connection] = field(default_factory=dict)
     step: int = 0
+    origin: int = field(init=False, repr=False, compare=False)
+    keep_w: float = field(init=False, repr=False, compare=False)
+    keep_a: float = field(init=False, repr=False, compare=False)
+    wheel: Dict[int, List[Tuple]] = field(init=False, repr=False, compare=False)
     # Edges per cell, with no entry for a cell that has none.
     degree: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.origin, self.keep_w, self.keep_a, self.wheel = self.step, 1.0, 1.0, {}
         self.degree = Counter(chain.from_iterable(self.edges))
+
+    def weight_of(self, conn: Connection) -> float:
+        n = self.step - max(conn.last_reinforced_at, self.origin)
+        return conn.weight * self.keep_w**n if n else conn.weight
+
+    def activation_of(self, cell: ItemCell) -> float:
+        n = self.step - max(cell.last_activated_at, self.origin)
+        return cell.activation * self.keep_a**n if n else cell.activation
 
     def get_weight(self, a: str, b: str) -> Optional[float]:
         """Weight of the unordered pair (a, b), or None if no edge exists."""
         conn = self.edges.get(canonical_pair(a, b))
-        return None if conn is None else conn.weight
+        return None if conn is None else self.weight_of(conn)
 
     def get_activation(self, label: str) -> Optional[float]:
         cell = self.cells.get(label)
-        return None if cell is None else cell.activation
+        return None if cell is None else self.activation_of(cell)
 
     def copy(self) -> "MindMap":
         """Independent copy; safe to mutate without touching the original."""
-        return MindMap(
-            cells={k: replace(v) for k, v in self.cells.items()},
-            edges={k: replace(v) for k, v in self.edges.items()},
-            step=self.step,
-        )
+        return deepcopy(self)
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,15 @@ class AssociationRule:
 def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Skeleton:
     """Keep edges with weight >= theta_w whose both endpoints have
     activation >= theta_a, sorted; nodes are the endpoints of kept edges."""
-    cells = mmap.cells
+    cells, activation = mmap.cells, mmap.activation_of
+    # A stored weight bounds the one read now, so most edges need no read.
     kept = [
-        (pair, c.weight)
+        (pair, w)
         for pair, c in mmap.edges.items()
         if c.weight >= theta_w
-        and cells[pair[0]].activation >= theta_a
-        and cells[pair[1]].activation >= theta_a
+        and (w := mmap.weight_of(c)) >= theta_w
+        and activation(cells[pair[0]]) >= theta_a
+        and activation(cells[pair[1]]) >= theta_a
     ]
     # Pairs are unique, so the faster pair key gives the order of the tuples.
     kept.sort(key=itemgetter(0))

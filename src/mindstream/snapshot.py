@@ -114,19 +114,20 @@ def render_snapshot(state: EngineState) -> str:
     for name, kind in PARAM_TYPES.items():
         value = getattr(state.params, name)
         lines.append(f"param {name} {value if kind is int else _fmt_num(value)}")
-    cells, edges = state.mmap.cells, state.mmap.edges
+    # Values are written as of `step`; a map that does not decay stores them so.
+    mmap = state.mmap
+    cells, edges, stored_a, stored_w = mmap.cells, mmap.edges, mmap.keep_a == 1, mmap.keep_w == 1
     quoted: Dict[str, str] = {}  # each label quoted once, for its edges too
     for label in sorted(cells):
         c = cells[label]
+        a = c.activation if stored_a else mmap.activation_of(c)
         quoted[label] = q = _quote(label)
-        lines.append(
-            f"cell {q} {_fmt_num(c.activation)} {c.created_at} {c.last_activated_at}"
-        )
+        lines.append(f"cell {q} {_fmt_num(a)} {c.created_at} {c.last_activated_at}")
     for pair in sorted(edges):
         e = edges[pair]
+        w = e.weight if stored_w else mmap.weight_of(e)
         lines.append(
-            f"edge {quoted[pair[0]]} {quoted[pair[1]]} "
-            f"{_fmt_num(e.weight)} {e.last_reinforced_at}"
+            f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {e.last_reinforced_at}"
         )
     for sig in sorted(state.stm):
         entry = state.stm[sig]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from mindstream.engine import Engine, _sig_text
+from mindstream.engine import Engine
 from mindstream.memory import LTMRecord, Signature
 from mindstream.model import MindMap
 from mindstream.skeleton import Skeleton, extract_skeleton
@@ -203,9 +203,9 @@ class ReferenceEngine(Engine):
         for pattern in sorted(promotions, key=lambda p: p.signature):
             sig = pattern.signature
             if sig in recurrence_before and sig not in open_before:
-                log(f"{step} pattern-reopened {_sig_text(sig)}")
+                log(f"{step} pattern-reopened {'|'.join(sig)}")
             else:
-                log(f"{step} pattern-promoted {_sig_text(sig)}")
+                log(f"{step} pattern-promoted {'|'.join(sig)}")
         open_after = {r.signature for r in self.ltm_list if r.is_open}
         for sig in sorted(open_before - open_after):
-            log(f"{step} pattern-closed {_sig_text(sig)}")
+            log(f"{step} pattern-closed {'|'.join(sig)}")

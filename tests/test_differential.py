@@ -1,15 +1,26 @@
 """Differential test: the shipped engine against the reference engine.
 
 Two engines consume the same seeded random stream under the same random
-parameters. One runs the shipped step: the in-place dynamics and the
-signature-keyed memory. The other runs the copy-per-phase dynamics of
-`reference_dynamics` and the list-based memory of `reference_memory`.
-After every step the snapshots, the step's event lines, its events and the
-query emissions must be identical, the shipped engine's maintained
-structures (the per-cell degree count, the set the skeleton is read from,
-and the kept skeleton's adjacency and signatures) must equal a recount from
+parameters. One runs the shipped step: the in-place dynamics with forward
+decay and the signature-keyed memory. The other runs the copy-per-phase
+dynamics of `reference_dynamics`, which multiplies every untouched record
+by 1 - beta in every step, and the list-based memory of `reference_memory`.
+
+After every step the two must hold the same cell, edge, heavy, kept, STM
+and LTM keys, the same stamps, STM runs and LTM records, and the same step
+events and event lines. Values need not be equal to the last bit: the
+shipped engine reads a value as stored * (1 - beta)**n where the reference
+multiplied n times, so each weight, activation and trace value must be
+within `REL` of the reference's. The shipped engine's maintained structures
+(the per-cell degree count, the heavy set the skeleton is read from, the
+kept skeleton's adjacency and signatures) must also equal a recount from
 the edges, and the strongest-subgraphs ranking must equal the one built
 from the reference's own component search.
+
+A knife edge is a step where the two readings of one value fall on
+opposite sides of a threshold; it can set the key sets apart however
+correct both engines are. None occurs over the 48 streams, so no case is
+excluded: `KNIFE_EDGES` is empty, and a stream that splits on one fails.
 """
 
 import random
@@ -22,7 +33,6 @@ from mindstream.engine import ContinuousQuery, Engine
 from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
 from mindstream.skeleton import extract_skeleton, strongest_subgraphs
-from mindstream.snapshot import render_snapshot
 
 from helpers import txn
 from reference_memory import ReferenceEngine, strongest_subgraphs as reference_strongest
@@ -57,6 +67,10 @@ def random_stream(rng: random.Random, n_txns: int):
     return stream, alphabet
 
 
+REL = 1e-12
+KNIFE_EDGES: dict = {}  # (decay, epsilon_near, seed) -> why; none so far
+
+
 def with_queries(engine: Engine, alphabet) -> Engine:
     engine.register_query(ContinuousQuery((alphabet[0], alphabet[1]), horizon=10**6))
     return engine
@@ -66,11 +80,39 @@ def fail_copy(self):
     raise AssertionError("the in-place step copied the map")
 
 
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL * max(abs(a), abs(b))
+
+
+def assert_same_map(fast: MindMap, ref: MindMap, where: str) -> None:
+    """Same keys and stamps; each value read now within REL of the reference's."""
+    assert fast.step == ref.step, where
+    assert fast.cells.keys() == ref.cells.keys(), where
+    assert fast.edges.keys() == ref.edges.keys(), where
+    for label, cell in fast.cells.items():
+        other = ref.cells[label]
+        assert (cell.created_at, cell.last_activated_at) == (
+            other.created_at,
+            other.last_activated_at,
+        ), where
+        assert close(fast.activation_of(cell), other.activation), (where, label)
+    for pair, conn in fast.edges.items():
+        other = ref.edges[pair]
+        assert conn.last_reinforced_at == other.last_reinforced_at, where
+        assert close(fast.weight_of(conn), other.weight), (where, pair)
+
+
+def same_trace(a: str, b: str) -> bool:
+    return a == b or (a != "absent" != b and close(float(a), float(b)))
+
+
 @pytest.mark.parametrize("decay", [False, True])
 @pytest.mark.parametrize("epsilon_near", ["zero", "theta_w"])
 def test_in_place_step_matches_reference(decay, epsilon_near):
     pattern_lines = Counter()
     for seed in range(12):
+        if (decay, epsilon_near, seed) in KNIFE_EDGES:
+            continue
         rng = random.Random(f"{decay}-{epsilon_near}-{seed}")
         params = random_params(rng, decay, epsilon_near)
         stream, alphabet = random_stream(rng, rng.randint(40, 160))
@@ -84,12 +126,17 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             ref_events = ref.ingest(t)
             where = f"seed {seed}, step {i}, {params}"
             assert fast.mmap is fast_map, where
+            assert_same_map(fast.mmap, ref.mmap, where)
             edges = fast.mmap.edges
             recount = Counter(label for pair in edges for label in pair)
             assert dict(fast.mmap.degree) == dict(recount), where
-            heavy = {p for p, c in edges.items() if c.weight >= params.theta_w}
+            weight = fast.mmap.weight_of
+            heavy = {p for p, c in edges.items() if weight(c) >= params.theta_w}
             assert fast._heavy == heavy, where
+            assert heavy == {p for p, c in ref.mmap.edges.items() if c.weight >= params.theta_w}, where
             skel = extract_skeleton(fast.mmap, params.theta_w, params.theta_a)
+            ref_skel = extract_skeleton(ref.mmap, params.theta_w, params.theta_a)
+            assert fast._kept == {p for p, _ in skel.edges} == {p for p, _ in ref_skel.edges}, where
             assert fast._patterns == detect_patterns(skel), where
             adjacency = {}
             for (a, b), _ in skel.edges:
@@ -99,12 +146,16 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert fast._sig_of == {n: sig for sig in fast._patterns for n in sig}, where
             ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
             assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where
-            assert render_snapshot(fast.state) == render_snapshot(ref.state), where
+            runs = {sig: (e.first_seen_step, e.consecutive_steps) for sig, e in fast.stm.items()}
+            assert runs == {
+                sig: (e.first_seen_step, e.consecutive_steps) for sig, e in ref.stm.items()
+            }, where
+            assert fast.state.ltm == ref.state.ltm, where
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where
-            assert [(e.step, e.text) for e in fast.emissions[emitted:]] == [
-                (e.step, e.text) for e in ref.emissions[emitted:]
-            ], where
+            fast_out, ref_out = fast.emissions[emitted:], ref.emissions[emitted:]
+            assert [e.step for e in fast_out] == [e.step for e in ref_out], where
+            assert all(same_trace(a.text, b.text) for a, b in zip(fast_out, ref_out)), where
         pattern_lines.update(
             line.split()[1] for line in fast.event_lines if " pattern-" in line
         )

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -106,9 +108,9 @@ def test_empty_transaction_only_decays():
     assert m2.step == step_before + 1
     assert sorted(m2.edges) == sorted(weights_before)
     for pair, conn in m2.edges.items():
-        assert conn.weight == pytest.approx(weights_before[pair] * (1 - params.beta_w))
+        assert m2.weight_of(conn) == pytest.approx(weights_before[pair] * (1 - params.beta_w))
     for label, cell in m2.cells.items():
-        assert cell.activation == pytest.approx(
+        assert m2.activation_of(cell) == pytest.approx(
             activations_before[label] * (1 - params.beta_a)
         )
 
@@ -122,32 +124,38 @@ def test_singleton_transaction_creates_cell_without_edges():
 
 def test_decay_pass_examples():
     # Each map is as decay sees it inside the step after the one that
-    # stamped A, B and A-B: a record stamped with the current step is skipped.
-    def next_step():
-        m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
+    # stamped A, B and A-B, under the same parameters: values are read at
+    # the map's step, and a record stamped with the current step reads as
+    # stored. Nothing is due yet, so decay fades nothing.
+    def next_step(params):
+        m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
         m.step += 1
-        return m, m.edges[("A", "B")].weight
+        assert decay_pass(m, params) == ([], [])
+        return m, m.edges[("A", "B")]
 
-    pair = ("A", "B")
-    same, before = next_step()
-    decay_pass(same, EngineParams(beta_w=0.0, beta_a=0.0))
-    assert same.edges[pair].weight == before
+    same, conn = next_step(EngineParams(beta_w=0.0, beta_a=0.0))
+    assert same.weight_of(conn) == conn.weight == 0.5
+    assert not same.wheel  # nothing decays, so nothing is filed
 
-    decayed, _ = next_step()
-    decay_pass(decayed, EngineParams(beta_w=0.02))
-    assert decayed.edges[pair].weight == pytest.approx(0.5 * 0.98)
+    decayed, conn = next_step(EngineParams(beta_w=0.02))
+    assert decayed.weight_of(conn) == pytest.approx(0.5 * 0.98)
+    assert conn.weight == 0.5  # stored as of its stamp
 
-    skipped, before = next_step()
-    skipped.edges[pair].last_reinforced_at = skipped.step
-    decay_pass(skipped, EngineParams(beta_w=0.02))
-    assert skipped.edges[pair].weight == before
+    skipped, conn = next_step(EngineParams(beta_w=0.02))
+    conn.last_reinforced_at = skipped.step
+    assert skipped.weight_of(conn) == conn.weight == 0.5
 
-    quiet, _ = next_step()
-    quiet.cells["A"].last_activated_at = quiet.step
+    quiet, _ = next_step(EngineParams(beta_a=0.05))
     a, b = quiet.cells["A"].activation, quiet.cells["B"].activation
-    decay_pass(quiet, EngineParams(beta_a=0.05))
-    assert quiet.cells["A"].activation == a
-    assert quiet.cells["B"].activation == pytest.approx(b * 0.95)
+    quiet.cells["A"].last_activated_at = quiet.step
+    assert quiet.activation_of(quiet.cells["A"]) == a
+    assert quiet.activation_of(quiet.cells["B"]) == pytest.approx(b * 0.95)
+
+    # An entry due in this step is decided on its value now: 0.5 * 0.1 < 0.1.
+    params = EngineParams(beta_w=0.9, beta_a=0.0, epsilon=0.1)
+    due, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
+    due.step += 1
+    assert decay_pass(due, params) == ([("A", "B")], [])
 
 
 def test_prune_forgotten():
@@ -206,11 +214,13 @@ def test_touched_cell_still_below_epsilon_is_forgotten():
 
 
 def test_edge_given_to_the_constructor_pins_its_cells():
-    cells = {"A": ItemCell(0.0101, 0, 0), "B": ItemCell(0.5, 0, 0)}
+    # The first step files the given records in the wheel: A and Q both
+    # decay below the floor in it, and only the isolated Q goes.
+    cells = {"A": ItemCell(0.0101, 0, 0), "B": ItemCell(0.5, 0, 0), "Q": ItemCell(0.0101, 0, 0)}
     m = MindMap(cells, {("A", "B"): Connection(0.5, 0)})
     m, events = ingest_transaction(m, txn(["C"]), EngineParams())
-    assert m.cells["A"].activation < 0.01  # decayed below the floor
-    assert events.cells_forgotten == [] and "A" in m.cells
+    assert m.get_activation("A") < 0.01  # decayed below the floor
+    assert events.cells_forgotten == ["Q"] and "A" in m.cells
     check_invariants(m)
 
 
@@ -249,8 +259,7 @@ class WalkCountingDict(dict):
         return super().items()
 
 
-def test_no_decay_step_never_walks_the_map():
-    params = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.01, promote_after=1)
+def assert_steps_never_walk_the_map(params):
     engine = Engine(params)
     rng = random.Random(9)
     alphabet = [f"i{k}" for k in range(60)]
@@ -265,6 +274,20 @@ def test_no_decay_step_never_walks_the_map():
     assert engine.stm  # the skeleton was read: it is not empty
     assert engine.mmap.edges.walks == 0
     assert engine.mmap.cells.walks == 0
+    return engine
+
+
+def test_no_decay_step_never_walks_the_map():
+    engine = assert_steps_never_walk_the_map(
+        EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.01, promote_after=1)
+    )
+    assert not engine.mmap.wheel  # nothing decays, so nothing is filed
+
+
+def test_decay_step_never_walks_the_map():
+    # The step reads only what it touches and what the wheel has due.
+    engine = assert_steps_never_walk_the_map(EngineParams(theta_w=0.2, promote_after=1))
+    assert engine.mmap.wheel
 
 
 def test_replay_is_deterministic():
@@ -322,3 +345,106 @@ def test_ranges_closed_under_any_stream(item_lists):
     for items in item_lists:
         m, _ = ingest_transaction(m, txn(items), EngineParams())
         check_invariants(m)
+
+
+# Forward decay: a record stores its value as of its stamp and is read at the
+# map's step; the wheel files each decaying record one step before a log
+# estimate of its epsilon crossing and decides it there on its value then.
+
+
+def test_a_touch_reads_the_value_before_this_steps_decay():
+    params = EngineParams(lam=0.5, beta_a=0.05)
+    m, _ = ingest_transaction(MindMap(), txn(["A"]), params)  # 0.75 at step 1
+    m, _ = ingest_transaction(m, txn([]), params)
+    m, _ = ingest_transaction(m, txn(["A"]), params)
+    # Decayed in step 2 only; step 3's own decay skips what it touches.
+    assert m.cells["A"].activation == activate_cell(0.75 * 0.95, 0.5)
+    assert m.get_activation("A") == m.cells["A"].activation
+
+
+class FirstChecks(dict):
+    """A wheel that records, for each live entry it hands out, how often it
+    was handed out and its record's value the first time."""
+
+    def __init__(self, mmap: MindMap):
+        super().__init__()
+        self.mmap, self.checks, self.first = mmap, Counter(), []
+
+    def pop(self, step, default):
+        entries = super().pop(step, default)
+        for key, stamp in entries:
+            if isinstance(key, tuple):
+                conn = self.mmap.edges.get(key)
+                live = conn is not None and conn.last_reinforced_at == stamp
+                value = live and self.mmap.weight_of(conn)
+            else:
+                cell = self.mmap.cells.get(key)
+                live = cell is not None and cell.last_activated_at == stamp
+                value = live and self.mmap.activation_of(cell)
+            if live:
+                self.checks[key, stamp] += 1
+                if self.checks[key, stamp] == 1:
+                    self.first.append(value)
+        return entries
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.1, 0.4])
+def test_no_entry_is_first_checked_below_the_floor(beta):
+    # The estimate is never late, and at most one step early besides the
+    # step it is filed early by: a live entry is handed out two or three times.
+    params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5)
+    engine = Engine(params)
+    wheel = engine.mmap.wheel = FirstChecks(engine.mmap)
+    forgotten = 0
+    for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], 1500):
+        events = engine.ingest(t)
+        forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
+    assert len(wheel.first) > 1000 and forgotten > 200
+    assert min(wheel.first) >= params.epsilon
+    assert max(wheel.checks.values()) <= 3
+
+
+def test_stale_wheel_entries_are_skipped():
+    params = EngineParams(beta_w=0.1, beta_a=0.0, epsilon=0.01, theta_w=0.5)
+    m = MindMap()
+    for _ in range(10):  # each touch files an entry; the last one is live
+        m, _ = ingest_transaction(m, txn(["A", "B"]), params)
+    live = (("A", "B"), 10)
+    filed = {entry: due for due, bucket in m.wheel.items() for entry in bucket}
+    assert sorted(stamp for _, stamp in filed) == list(range(1, 11))
+    w = m.edges[("A", "B")].weight
+    crossing = 10 + next(n for n in range(1, 500) if w * 0.9**n < 0.01)
+    while m.step < crossing:
+        m, events = ingest_transaction(m, txn([]), params)
+        # A stale entry leaves the wheel when it comes due; only the live one is filed again.
+        left = {entry for entry, due in filed.items() if entry != live and due > m.step}
+        in_wheel = [entry for bucket in m.wheel.values() for entry in bucket]
+        assert sorted(in_wheel) == sorted(left | ({live} if m.edges else set())), m.step
+        assert events.edges_forgotten == ([("A", "B")] if m.step == crossing else [])
+    assert not m.edges and not m.wheel
+
+
+def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
+    # A bounded alphabet under default decay: the map, the wheel and the
+    # memories outside it reach a steady state. The caller drains the event
+    # log each step, as a streaming consumer would.
+    rng = random.Random(8)
+    alphabet = [f"i{k}" for k in range(8)]
+    stream = [txn(rng.sample(alphabet, rng.randint(0, 3))) for _ in range(10_000)]
+    engine = Engine(EngineParams())
+    half = len(stream) // 2
+    peak_entries = [0, 0]
+    traced = []
+    tracemalloc.start()
+    try:
+        for i, t in enumerate(stream):
+            engine.ingest(t)
+            engine.event_lines.clear()
+            entries = sum(map(len, engine.mmap.wheel.values()))
+            peak_entries[i >= half] = max(peak_entries[i >= half], entries)
+            if i + 1 in (half, len(stream)):
+                traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert 100 < peak_entries[1] <= 1.1 * peak_entries[0]
+    assert traced[1] - traced[0] < 16 * 1024, traced

@@ -116,18 +116,15 @@ def test_invalid_utf8_on_stdin_is_a_parse_error():
     assert cells == ["A", "B", "C"]
 
 
-# Buffered, the write fails at the final flush; unbuffered, at the print.
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_is_not_a_traceback(tmp_path, stream_file, unbuffered):
-    snap = tmp_path / "out.snap"
-    assert run_cli("run", "--input", stream_file, "--snapshot", snap) == 0
+def run_with_closed_stdout(argv, unbuffered):
+    """Run `argv` in a subprocess whose stdout's reader is gone before the
+    first write; check that it exits 1 with no traceback on stderr."""
     src = os.path.dirname(os.path.dirname(mindstream.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
     if not unbuffered:
         del env["PYTHONUNBUFFERED"]
-    argv = [sys.executable, "-m", "mindstream.cli", "query", "--snapshot", str(snap), "skeleton"]
     read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the first write
+    os.close(read_end)
     try:
         proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
@@ -135,6 +132,40 @@ def test_closed_stdout_is_not_a_traceback(tmp_path, stream_file, unbuffered):
     err = proc.stderr.decode()
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert proc.returncode == 1
+
+
+# Buffered, the write fails at the final flush; unbuffered, at the print.
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_not_a_traceback(tmp_path, stream_file, unbuffered):
+    snap = tmp_path / "out.snap"
+    assert run_cli("run", "--input", stream_file, "--snapshot", snap) == 0
+    argv = [sys.executable, "-m", "mindstream.cli", "query", "--snapshot", str(snap), "skeleton"]
+    run_with_closed_stdout(argv, unbuffered)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_run_writes_its_files_before_printing_to_a_closed_stdout(tmp_path, unbuffered):
+    rng = random.Random(4)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("".join(
+        f"2004-03-01;{ref};{item}\n"
+        for ref in range(3000)
+        for item in rng.sample("ABCDEFGH", rng.randint(1, 4))
+    ))
+    flags = ["--input", stream, "--trace", "A", "B", "--horizon", 3000]
+    expected = [tmp_path / "expected.snap", tmp_path / "expected.log"]
+    assert run_cli("run", *flags, "--snapshot", expected[0], "--events", expected[1]) == 0
+    snap, events = tmp_path / "out.snap", tmp_path / "out.log"
+    argv = [sys.executable, "-m", "mindstream.cli", "run", *map(str, flags)]
+    run_with_closed_stdout(argv + ["--snapshot", str(snap), "--events", str(events)], unbuffered)
+    assert snap.read_bytes() == expected[0].read_bytes()
+    assert events.read_bytes() == expected[1].read_bytes()
+
+
+@pytest.mark.parametrize("script", ["run_worked_example.py", "random_stream_demo.py"])
+def test_scripts_exit_cleanly_on_a_closed_stdout(script):
+    scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+    run_with_closed_stdout([sys.executable, os.path.join(scripts, script)], unbuffered=True)
 
 
 @pytest.mark.parametrize("argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]])

@@ -119,4 +119,4 @@ def test_edge_enumeration_is_canonical():
     for (a, b), conn in engine.mmap.edges.items():
         assert a < b
         assert (a, b) == canonical_pair(b, a)
-        assert engine.mmap.get_weight(b, a) == conn.weight
+        assert engine.mmap.get_weight(b, a) == engine.mmap.weight_of(conn)

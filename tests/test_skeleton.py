@@ -167,7 +167,7 @@ def test_bridge_decaying_below_theta_w_splits_the_signature():
     # Only the bridge changes: 0.5 * 0.9 < theta_w, while A-B is reinforced
     # and C-D decays from well above it.
     assert step_patterns(engine, ["A", "B"]) == {("A", "B"), ("C", "D")}
-    assert engine.mmap.edges[("B", "C")].weight < 0.46
+    assert engine.mmap.get_weight("B", "C") < 0.46
     assert engine._sig_of == {"A": ("A", "B"), "B": ("A", "B"), "C": ("C", "D"), "D": ("C", "D")}
 
 
@@ -186,8 +186,8 @@ def test_edge_leaves_below_theta_a_and_returns_when_its_end_is_touched():
     assert step_patterns(engine, ["A", "B"]) == {("A", "B")}
     # A decays to 0.75 * 0.8 < theta_a; B is boosted. A-B keeps its weight.
     assert step_patterns(engine, ["B", "C", "C"]) == {("B", "C")}
-    assert engine.mmap.cells["A"].activation < 0.65
-    assert engine.mmap.edges[("A", "B")].weight >= 0.4
+    assert engine.mmap.get_activation("A") < 0.65
+    assert engine.mmap.get_weight("A", "B") >= 0.4
     assert engine._adj == {"B": {"C"}, "C": {"B"}}
     # Touching A alone brings the untouched edge A-B back.
     assert step_patterns(engine, ["A"]) == {("A", "B", "C")}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mindstream.memory import LTMRecord, STMEntry
-from mindstream.model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap
+from mindstream.dynamics import ingest_transaction
+from mindstream.model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Transaction
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
@@ -17,7 +18,7 @@ from mindstream.snapshot import (
     save_snapshot,
 )
 
-from helpers import random_engine_state, replay, worked_example_transactions
+from helpers import random_engine_state, random_transactions, replay, worked_example_transactions
 from reference_snapshot import parse_snapshot as reference_parse_snapshot
 
 
@@ -43,10 +44,44 @@ def test_round_trip_identity_on_worked_example():
 def test_round_trip_preserves_exact_floats():
     engine = replay(worked_example_transactions())
     loaded = parse_snapshot(render_snapshot(engine.state))
+    # The snapshot holds each value as read at its step, to the last bit.
     for pair, conn in engine.mmap.edges.items():
-        assert loaded.mmap.edges[pair].weight == conn.weight
+        assert loaded.mmap.edges[pair].weight == engine.mmap.weight_of(conn)
     for label, cell in engine.mmap.cells.items():
-        assert loaded.mmap.cells[label].activation == cell.activation
+        assert loaded.mmap.cells[label].activation == engine.mmap.activation_of(cell)
+
+
+def test_parsed_values_are_those_of_the_snapshot_step():
+    # A parsed map's origin is its step: its values read as written, and a
+    # step on it decays an untouched record from there, not from its stamp.
+    engine = replay(worked_example_transactions())
+    loaded = parse_snapshot(render_snapshot(engine.state)).mmap
+    assert loaded.origin == loaded.step == 4
+    conn = loaded.edges[("A", "D")]  # stamped at step 1
+    assert loaded.weight_of(conn) == conn.weight
+    ingest_transaction(loaded, Transaction(None, {}), engine.params)
+    assert loaded.weight_of(conn) == conn.weight * (1 - engine.params.beta_w)
+    assert loaded.get_weight("A", "D") == pytest.approx(engine.mmap.get_weight("A", "D") * 0.98)
+
+
+def test_a_stepped_parsed_map_forgets_as_its_engine_does():
+    # The first step on a parsed map files its records in the wheel as of
+    # the snapshot's step, so each is forgotten in the step that the map the
+    # snapshot was written from forgets it.
+    rng = random.Random(5)
+    alphabet = [f"i{k}" for k in range(12)]
+    params = EngineParams(beta_w=0.1, beta_a=0.1, epsilon=0.05, theta_w=0.5)
+    original = replay(random_transactions(rng, alphabet, 60), params).mmap
+    parsed = parse_snapshot(render_snapshot(state_of(original, params))).mmap
+    forgotten = 0
+    for t in random_transactions(rng, alphabet[:4], 100):
+        _, events = ingest_transaction(original, t, params)
+        _, parsed_events = ingest_transaction(parsed, t, params)
+        assert parsed_events == events
+        forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
+        for pair, conn in parsed.edges.items():
+            assert parsed.weight_of(conn) == pytest.approx(original.get_weight(*pair), rel=1e-12)
+    assert forgotten > 20 and parsed.edges.keys() == original.edges.keys()
 
 
 def test_awkward_labels_round_trip():
