@@ -20,7 +20,7 @@ from .apriori import apriori_levels, gen_rules, negative_border
 from .engine import ContinuousQuery, Engine
 from .model import PARAM_TYPES, EngineParams, Transaction
 from .queries import QueryUsageError, run_static_query
-from .snapshot import SnapshotError, load_snapshot, render_snapshot, save_snapshot
+from .snapshot import SnapshotError, _quote, load_snapshot, render_snapshot, save_snapshot
 from .stream import ParseError, read_transactions
 
 
@@ -97,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     for emission in engine.emissions:
         a, b = emission.query.target
-        print(f"{emission.step} trace {a} {b} {emission.text}")
+        print(f"{emission.step} trace {_quote(a)} {_quote(b)} {emission.text}")
     if not args.snapshot:
         sys.stdout.write(render_snapshot(engine.state))
     return 0
@@ -179,7 +179,10 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `mindstream` parser. Only `command`'s subparser gets its arguments,
+    or every subparser if `command` is None: the top-level help and errors
+    list the subcommands alone, so they read the same either way."""
     parser = argparse.ArgumentParser(
         prog="mindstream",
         description="Incremental mind-map association discovery over "
@@ -188,51 +191,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="stream transactions through the engine")
-    _add_input_flags(p, help="input file or - for stdin")
-    _add_param_flags(p)
-    p.add_argument("--snapshot", help="write final snapshot here (else stdout)")
-    p.add_argument("--events", help="write the event log here")
-    p.add_argument(
-        "--trace",
-        nargs=2,
-        action="append",
-        metavar=("A", "B"),
-        help="register an edge trace before the first step (repeatable)",
-    )
-    p.add_argument("--horizon", type=int, default=10, help="trace horizon k")
-    p.set_defaults(func=_cmd_run)
+    if command in (None, "run"):
+        _add_input_flags(p, help="input file or - for stdin")
+        _add_param_flags(p)
+        p.add_argument("--snapshot", help="write final snapshot here (else stdout)")
+        p.add_argument("--events", help="write the event log here")
+        p.add_argument(
+            "--trace",
+            nargs=2,
+            action="append",
+            metavar=("A", "B"),
+            help="register an edge trace before the first step (repeatable)",
+        )
+        p.add_argument("--horizon", type=int, default=10, help="trace horizon k")
+        p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("query", help="static query against a snapshot")
-    p.add_argument("--snapshot", required=True)
-    p.add_argument("query", nargs=argparse.REMAINDER)
-    p.set_defaults(func=_cmd_query)
+    if command in (None, "query"):
+        p.add_argument("--snapshot", required=True)
+        p.add_argument("query", nargs=argparse.REMAINDER)
+        p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("trace", help="trace one connection weight over k steps")
-    _add_input_flags(p)
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("-k", type=int, default=10, help="number of steps to trace")
-    p.add_argument(
-        "--register-after",
-        type=int,
-        default=0,
-        metavar="STEP",
-        help="register the trace once this step has completed",
-    )
-    _add_param_flags(p)
-    p.set_defaults(func=_cmd_trace)
+    if command in (None, "trace"):
+        _add_input_flags(p)
+        p.add_argument("a", metavar="A")
+        p.add_argument("b", metavar="B")
+        p.add_argument("-k", type=int, default=10, help="number of steps to trace")
+        p.add_argument(
+            "--register-after",
+            type=int,
+            default=0,
+            metavar="STEP",
+            help="register the trace once this step has completed",
+        )
+        _add_param_flags(p)
+        p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("apriori", help="static Apriori baseline")
-    _add_input_flags(p)
-    p.add_argument("--minsup", type=int, help="absolute support threshold")
-    p.add_argument(
-        "--minsup-frac", type=float, help="relative support, converted by ceiling"
-    )
-    p.add_argument("--minconf", type=float, help="also emit rules at this confidence")
-    p.add_argument(
-        "--show-border", action="store_true", help="print per-level negative borders"
-    )
-    p.set_defaults(func=_cmd_apriori)
+    if command in (None, "apriori"):
+        _add_input_flags(p)
+        p.add_argument("--minsup", type=int, help="absolute support threshold")
+        p.add_argument(
+            "--minsup-frac", type=float, help="relative support, converted by ceiling"
+        )
+        p.add_argument("--minconf", type=float, help="also emit rules at this confidence")
+        p.add_argument(
+            "--show-border", action="store_true", help="print per-level negative borders"
+        )
+        p.set_defaults(func=_cmd_apriori)
 
     return parser
 
@@ -251,7 +258,8 @@ def guard_stdout(call: Callable[[], Optional[int]]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else "").parse_args(argv)
     return guard_stdout(lambda: args.func(args))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import log
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .model import (
     Connection,
@@ -61,31 +61,46 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
     return min(1.0, w + eta * a_i * a_j * (1.0 - w))
 
 
-def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[str]]:
-    """Pop this step's wheel bucket; returns the edges and the cells that
-    decay took below the floor this step. An entry whose record is gone or
-    was stamped again is stale (that touch filed its own); a live one not
-    yet below is filed again for the next step. No entry is due after its
+def due_step(since: int, value: float, floor: float, log_keep: float) -> int:
+    """The last step at which `value`, held as of step `since` and multiplied
+    by exp(log_keep) < 1 in each step after, is at or above `floor` > 0, by
+    a log estimate; a rounding error of less than a step is never late."""
+    return since + int(log(floor / value) / log_keep)
+
+
+def pop_due(
+    mmap: MindMap, wheel: Dict[int, List[Tuple]], floor_w: float, floor_a: float
+) -> Tuple[List[Pair], List[str]]:
+    """Pop this step's bucket of `wheel`; returns the edges it holds that read
+    below `floor_w` and the cells below `floor_a`. An entry whose record is
+    gone or was stamped again is stale (that touch filed its own); a live one
+    not yet below is filed again for the next step. No entry is due after its
     record crosses, so each record is found in the step it crosses."""
-    step, eps, origin, wheel = mmap.step, params.epsilon, mmap.origin, mmap.wheel
-    faded_edges: List[Pair] = []
-    faded_cells: List[str] = []
+    step, origin = mmap.step, mmap.origin
+    crossed_edges: List[Pair] = []
+    crossed_cells: List[str] = []
     for key, stamp in wheel.pop(step, ()):
         if isinstance(key, tuple):
-            record, keep, faded = mmap.edges.get(key), mmap.keep_w, faded_edges
+            record, keep, floor, crossed = mmap.edges.get(key), mmap.keep_w, floor_w, crossed_edges
             if record is None or record.last_reinforced_at != stamp:
                 continue
             value = record.weight
         else:
-            record, keep, faded = mmap.cells.get(key), mmap.keep_a, faded_cells
+            record, keep, floor, crossed = mmap.cells.get(key), mmap.keep_a, floor_a, crossed_cells
             if record is None or record.last_activated_at != stamp:
                 continue
             value = record.activation
-        if value * keep ** (step - (stamp if stamp > origin else origin)) < eps:
-            faded.append(key)
+        if value * keep ** (step - (stamp if stamp > origin else origin)) < floor:
+            crossed.append(key)
         else:
             wheel.setdefault(step + 1, []).append((key, stamp))
-    return faded_edges, faded_cells
+    return crossed_edges, crossed_cells
+
+
+def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[str]]:
+    """Pop this step's bucket of `mmap.wheel`; returns the edges and the cells
+    that decay took below the floor this step."""
+    return pop_due(mmap, mmap.wheel, params.epsilon, params.epsilon)
 
 
 def prune_forgotten(
@@ -134,18 +149,16 @@ def ingest_transaction(
     events = StepEvents(step=step)
     cells, edges, eps, origin = mmap.cells, mmap.edges, params.epsilon, mmap.origin
     before, wheel = step - 1, mmap.wheel  # a read before decay is of the value at `before`
-    # A touched value v >= eps decaying to a floor above 0 is below it from
-    # n = floor(log(eps / v) / log(keep)) + 1 steps on: file it n - 1 steps on.
     log_w = log(keep_w) if keep_w < 1.0 and eps > 0.0 else 0.0
     log_a = log(keep_a) if keep_a < 1.0 and eps > 0.0 else 0.0
     if before == origin:  # the first step on given values: file them as of `origin`
         for key, conn in edges.items():
             if log_w and conn.weight >= eps:
-                due = max(step, origin + int(log(eps / conn.weight) / log_w))
+                due = max(step, due_step(origin, conn.weight, eps, log_w))
                 wheel.setdefault(due, []).append((key, conn.last_reinforced_at))
         for label, cell in cells.items():
             if log_a and cell.activation >= eps:
-                due = max(step, origin + int(log(eps / cell.activation) / log_a))
+                due = max(step, due_step(origin, cell.activation, eps, log_a))
                 wheel.setdefault(due, []).append((label, cell.last_activated_at))
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
@@ -167,7 +180,7 @@ def ingest_transaction(
         if a < eps:
             low_cells.append(label)
         elif log_a:
-            wheel.setdefault(step + int(log(eps / a) / log_a), []).append((label, step))
+            wheel.setdefault(due_step(step, a, eps, log_a), []).append((label, step))
 
     # Create each edge, or reinforce its pre-step weight with the post-boost
     # activations of its cells (a new edge is not also reinforced). The labels
@@ -190,11 +203,11 @@ def ingest_transaction(
                 conn.weight = w = hebbian_update(w, a_i, a_j, params.eta)
                 conn.last_reinforced_at = step
                 if log_w:  # w is at least its pre-step value, which was >= eps
-                    wheel.setdefault(step + int(log(eps / w) / log_w), []).append((pair, step))
+                    wheel.setdefault(due_step(step, w, eps, log_w), []).append((pair, step))
         if w0 < eps:
             low_edges = events.edges_created
         elif log_w and events.edges_created:  # all born at w0, so all due together
-            due = wheel.setdefault(step + int(log(eps / w0) / log_w), [])
+            due = wheel.setdefault(due_step(step, w0, eps, log_w), [])
             due.extend((pair, step) for pair in events.edges_created)
 
     # Forgetting decides only what can have crossed the floor this step:

@@ -47,15 +47,13 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-# An empty token, a leading quote or any whitespace (`\s` and str.isspace
-# agree) makes a token need quotes.
-_NEEDS_QUOTES = re.compile(r'^(?:"|$)|\s')
-
-
 def _quote(token: str) -> str:
-    if _NEEDS_QUOTES.search(token):
-        return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return token
+    # An empty token, a leading quote or any whitespace (what str.split breaks
+    # on; `\s` and str.isspace agree) makes a token need quotes. Letters and
+    # digits alone, the common label, are checked first.
+    if token.isalnum() or (token.split() == [token] and token[0] != '"'):
+        return token
+    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # A quoted token (a backslash escapes only `\\` and `"`; any other backslash
@@ -81,8 +79,10 @@ def _tokenize(line: str, lineno: int) -> List[str]:
 
 
 def _fmt_signature(sig: Signature) -> str:
-    escaped = [s.replace("\\", "\\\\").replace("|", "\\|") for s in sig]
-    return _quote("|".join(escaped))
+    joined = "|".join(sig)
+    if "\\" in joined or joined.count("|") >= len(sig):  # a label holds `\` or `|`
+        joined = "|".join(s.replace("\\", "\\\\").replace("|", "\\|") for s in sig)
+    return _quote(joined)
 
 
 def _parse_signature(token: str) -> Signature:

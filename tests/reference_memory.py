@@ -21,7 +21,7 @@ from mindstream.engine import Engine
 from mindstream.memory import LTMRecord, Signature
 from mindstream.model import MindMap
 from mindstream.skeleton import Skeleton, extract_skeleton
-from mindstream.snapshot import EngineState
+from mindstream.snapshot import EngineState, _fmt_signature, _quote
 
 import reference_dynamics
 
@@ -190,22 +190,22 @@ class ReferenceEngine(Engine):
         return events
 
     def _report(self, events, promotions, open_before, recurrence_before) -> None:
-        log = self.event_lines.append
+        log, q = self.event_lines.append, _quote
         step = events.step
         for label in events.cells_created:
-            log(f"{step} cell-created {label}")
+            log(f"{step} cell-created {q(label)}")
         for a, b in events.edges_created:
-            log(f"{step} edge-created {a} {b}")
+            log(f"{step} edge-created {q(a)} {q(b)}")
         for a, b in events.edges_forgotten:
-            log(f"{step} edge-forgotten {a} {b}")
+            log(f"{step} edge-forgotten {q(a)} {q(b)}")
         for label in events.cells_forgotten:
-            log(f"{step} cell-forgotten {label}")
+            log(f"{step} cell-forgotten {q(label)}")
         for pattern in sorted(promotions, key=lambda p: p.signature):
             sig = pattern.signature
             if sig in recurrence_before and sig not in open_before:
-                log(f"{step} pattern-reopened {'|'.join(sig)}")
+                log(f"{step} pattern-reopened {_fmt_signature(sig)}")
             else:
-                log(f"{step} pattern-promoted {'|'.join(sig)}")
+                log(f"{step} pattern-promoted {_fmt_signature(sig)}")
         open_after = {r.signature for r in self.ltm_list if r.is_open}
         for sig in sorted(open_before - open_after):
-            log(f"{step} pattern-closed {'|'.join(sig)}")
+            log(f"{step} pattern-closed {_fmt_signature(sig)}")

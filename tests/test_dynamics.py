@@ -290,6 +290,33 @@ def test_decay_step_never_walks_the_map():
     assert engine.mmap.wheel
 
 
+class NoWalkDict(dict):
+    """A dict that fails any call that walks all of it."""
+
+    def walk(self, *args):
+        raise AssertionError("the step walked a skeleton set")
+
+    __iter__ = keys = values = items = walk
+
+
+@pytest.mark.parametrize("theta_a", [0.0, 0.6])
+def test_step_never_walks_the_skeleton_sets(theta_a):
+    # 1,035 heavy pairs that do not decay (beta_w = 0, so none is filed); the
+    # step reads its touched pairs and its due crossings, not those pairs.
+    params = EngineParams(beta_w=0.0, beta_a=0.1, epsilon=0.01, theta_w=0.02, theta_a=theta_a)
+    engine = Engine(params)
+    engine.ingest(txn([f"i{k}" for k in range(46)]))  # every pair at 1/46
+    assert len(engine._heavy) == len(engine._kept) == 1035
+    engine._heavy, engine._kept = NoWalkDict(engine._heavy), NoWalkDict(engine._kept)
+    for _ in range(6):  # with theta_a > 0, every i cell goes dark and parks its pairs
+        engine.ingest(txn(["x", "y"]))
+    engine.ingest(txn(["i0", "i1", "x"]))
+    kept = {("x", "y"), ("i0", "i1"), ("i0", "x"), ("i1", "x")}
+    assert len(engine._heavy) == 1038
+    assert dict.keys(engine._kept) == (kept if theta_a else dict.keys(engine._heavy))
+    assert sum(map(len, engine._parked.values())) == (1038 - 4 if theta_a else 0)
+
+
 def test_replay_is_deterministic():
     rng = random.Random(11)
     alphabet = [f"i{k}" for k in range(10)]
@@ -364,27 +391,30 @@ def test_a_touch_reads_the_value_before_this_steps_decay():
 
 class FirstChecks(dict):
     """A wheel that records, for each live entry it hands out, how often it
-    was handed out and its record's value the first time."""
+    was handed out and, by kind, its record's value the first time and how
+    many live entries it handed out below the kind's floor."""
 
-    def __init__(self, mmap: MindMap):
+    def __init__(self, mmap: MindMap, floor_w: float, floor_a: float):
         super().__init__()
-        self.mmap, self.checks, self.first = mmap, Counter(), []
+        self.mmap, self.floors, self.checks = mmap, {"edge": floor_w, "cell": floor_a}, Counter()
+        self.first, self.crossed = {"edge": [], "cell": []}, Counter()
 
     def pop(self, step, default):
         entries = super().pop(step, default)
         for key, stamp in entries:
             if isinstance(key, tuple):
-                conn = self.mmap.edges.get(key)
+                kind, conn = "edge", self.mmap.edges.get(key)
                 live = conn is not None and conn.last_reinforced_at == stamp
                 value = live and self.mmap.weight_of(conn)
             else:
-                cell = self.mmap.cells.get(key)
+                kind, cell = "cell", self.mmap.cells.get(key)
                 live = cell is not None and cell.last_activated_at == stamp
                 value = live and self.mmap.activation_of(cell)
             if live:
                 self.checks[key, stamp] += 1
                 if self.checks[key, stamp] == 1:
-                    self.first.append(value)
+                    self.first[kind].append(value)
+                self.crossed[kind] += value < self.floors[kind]
         return entries
 
 
@@ -394,13 +424,14 @@ def test_no_entry_is_first_checked_below_the_floor(beta):
     # step it is filed early by: a live entry is handed out two or three times.
     params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5)
     engine = Engine(params)
-    wheel = engine.mmap.wheel = FirstChecks(engine.mmap)
+    wheel = engine.mmap.wheel = FirstChecks(engine.mmap, params.epsilon, params.epsilon)
     forgotten = 0
     for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], 1500):
         events = engine.ingest(t)
         forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
-    assert len(wheel.first) > 1000 and forgotten > 200
-    assert min(wheel.first) >= params.epsilon
+    first = wheel.first["edge"] + wheel.first["cell"]
+    assert len(first) > 1000 and forgotten > 200
+    assert min(first) >= params.epsilon
     assert max(wheel.checks.values()) <= 3
 
 
@@ -424,27 +455,97 @@ def test_stale_wheel_entries_are_skipped():
     assert not m.edges and not m.wheel
 
 
+@pytest.mark.parametrize("theta_a", [0.0, 0.6])
+@pytest.mark.parametrize("beta", [0.02, 0.1, 0.4])
+def test_no_threshold_crossing_is_first_checked_below_its_threshold(beta, theta_a):
+    # The engine's own wheel schedules the theta_w crossing of each heavy
+    # pair and, when theta_a > 0, the theta_a crossing of each cell.
+    params = EngineParams(
+        beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5, theta_a=theta_a, promote_after=1
+    )
+    engine = Engine(params)
+    wheel = engine._wheel = FirstChecks(engine.mmap, params.theta_w, params.theta_a)
+    for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], 1500):
+        engine.ingest(t)
+    assert len(wheel.first["edge"]) > 300 and wheel.crossed["edge"] > 300
+    assert min(wheel.first["edge"]) >= params.theta_w
+    if theta_a:
+        assert len(wheel.first["cell"]) > 500 and wheel.crossed["cell"] > 500
+        assert min(wheel.first["cell"]) >= params.theta_a
+    else:
+        assert not wheel.first["cell"]
+    assert max(wheel.checks.values()) <= 3
+
+
+def test_stale_crossing_entries_are_skipped():
+    params = EngineParams(beta_w=0.1, beta_a=0.1, epsilon=0.01, theta_w=0.4, theta_a=0.6)
+    engine = Engine(params)
+    filed = {}  # each touch files one entry per key; the last ones are live
+    for _ in range(10):
+        engine.ingest(txn(["A", "B"]))
+        for due, bucket in engine._wheel.items():
+            filed.update((entry, due) for entry in bucket if entry[1] == engine.step)
+    assert len(filed) == 30
+    w, a = engine.mmap.edges[("A", "B")].weight, engine.mmap.cells["A"].activation
+    assert engine.mmap.cells["B"].activation == a
+    heavy_until = 10 + next(n for n in range(1, 99) if w * 0.9**n < 0.4) - 1
+    light_until = 10 + next(n for n in range(1, 99) if a * 0.9**n < 0.6) - 1
+    assert light_until < heavy_until
+    while engine.step <= heavy_until:
+        engine.ingest(txn([]))
+        step = engine.step
+        # A stale entry leaves the wheel when it comes due; a live one is
+        # filed again until its record crosses.
+        live = {(("A", "B"), 10)} if step <= heavy_until else set()
+        live |= {("A", 10), ("B", 10)} if step <= light_until else set()
+        left = {e for e, due in filed.items() if e[1] != 10 and due > step}
+        in_wheel = [entry for bucket in engine._wheel.values() for entry in bucket]
+        assert Counter(in_wheel) == Counter(left | live), step
+        assert engine._heavy.keys() == ({("A", "B")} if step <= heavy_until else set()), step
+        assert engine._dark == (set() if step <= light_until else {"A", "B"}), step
+        assert engine._kept.keys() == ({("A", "B")} if step <= light_until else set()), step
+        parked = [pair for pairs in engine._parked.values() for pair in pairs]
+        assert parked == ([("A", "B")] if light_until < step <= heavy_until else []), step
+    assert not engine._wheel
+
+
 def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
-    # A bounded alphabet under default decay: the map, the wheel and the
-    # memories outside it reach a steady state. The caller drains the event
-    # log each step, as a streaming consumer would.
+    # A bounded alphabet under default decay: the map, both wheels, the dark
+    # set, the parked map and the memories outside them reach a steady state.
+    # The caller drains the event log each step, as a streaming consumer would.
     rng = random.Random(8)
     alphabet = [f"i{k}" for k in range(8)]
     stream = [txn(rng.sample(alphabet, rng.randint(0, 3))) for _ in range(10_000)]
-    engine = Engine(EngineParams())
     half = len(stream) // 2
-    peak_entries = [0, 0]
-    traced = []
-    tracemalloc.start()
-    try:
-        for i, t in enumerate(stream):
-            engine.ingest(t)
-            engine.event_lines.clear()
-            entries = sum(map(len, engine.mmap.wheel.values()))
-            peak_entries[i >= half] = max(peak_entries[i >= half], entries)
-            if i + 1 in (half, len(stream)):
-                traced.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert 100 < peak_entries[1] <= 1.1 * peak_entries[0]
-    assert traced[1] - traced[0] < 16 * 1024, traced
+    for theta_a in (0.0, 0.6):
+        engine = Engine(EngineParams(theta_a=theta_a))
+        peaks = {name: [0, 0] for name in ("wheel", "engine wheel", "dark", "parked")}
+        traced = []
+        tracemalloc.start()
+        try:
+            for i, t in enumerate(stream):
+                engine.ingest(t)
+                engine.event_lines.clear()
+                # The dark set and the parked map hold only what the map holds,
+                # and no empty parked set is kept.
+                assert engine._dark <= engine.mmap.cells.keys(), i
+                assert all(p <= engine._heavy.keys() for p in engine._parked.values()), i
+                assert all(engine._parked.values()), i
+                sizes = {
+                    "wheel": sum(map(len, engine.mmap.wheel.values())),
+                    "engine wheel": sum(map(len, engine._wheel.values())),
+                    "dark": len(engine._dark),
+                    "parked": sum(map(len, engine._parked.values())),
+                }
+                for name, size in sizes.items():
+                    peaks[name][i >= half] = max(peaks[name][i >= half], size)
+                if i + 1 in (half, len(stream)):
+                    traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert 100 < peaks["wheel"][1] and 10 < peaks["engine wheel"][1], peaks
+        if theta_a:
+            assert peaks["dark"][1] > 0 and peaks["parked"][1] > 0, peaks
+        for name in ("wheel", "engine wheel"):
+            assert peaks[name][1] <= 1.1 * peaks[name][0], (name, peaks)
+        assert traced[1] - traced[0] < 16 * 1024, traced

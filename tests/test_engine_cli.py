@@ -4,15 +4,23 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import combinations
 
 import pytest
 
 import mindstream
-from mindstream.cli import main
+from mindstream import cli
+from mindstream.cli import build_parser, main
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.model import EngineParams
 from mindstream.queries import QueryUsageError, run_static_query
-from mindstream.snapshot import load_snapshot, parse_snapshot, render_snapshot
+from mindstream.snapshot import (
+    _parse_signature,
+    _tokenize,
+    load_snapshot,
+    parse_snapshot,
+    render_snapshot,
+)
 
 from helpers import (
     random_transactions,
@@ -22,6 +30,7 @@ from helpers import (
     worked_example_stream_text,
     worked_example_transactions,
 )
+from reference_memory import ReferenceEngine
 
 
 @pytest.fixture()
@@ -417,3 +426,64 @@ def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, co
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("usage error: " if code == 2 else f"error: {unwritable}: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["nope"], ["run", "--bogus"]])
+def test_top_level_output_is_that_of_the_full_parser(argv, capsys):
+    # main builds only the invoked subcommand's arguments; help, a missing or
+    # unknown command and a stray argument print what every parser built does.
+    def outcome(call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        return exc.value.code, capsys.readouterr()
+
+    assert outcome(lambda: main(argv)) == outcome(lambda: build_parser().parse_args(argv))
+
+
+def test_only_the_invoked_subcommand_gets_its_arguments(tmp_path, monkeypatch, capsys):
+    snap = tmp_path / "s.snap"
+    snap.write_text(render_snapshot(replay(worked_example_transactions()).state))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built the arguments of a subcommand that was not invoked")
+
+    # run, trace and apriori add these; query adds neither.
+    monkeypatch.setattr(cli, "_add_param_flags", fail)
+    monkeypatch.setattr(cli, "_add_input_flags", fail)
+    assert run_cli("query", "--snapshot", snap, "weight", "A", "C") == 0
+    expected = run_static_query(load_snapshot(snap), ["weight", "A", "C"])
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_event_and_trace_lines_quote_labels_as_a_snapshot_does(tmp_path, capsys):
+    # Unquoted, "a b" and "b c" would read as the three labels a, b and c.
+    labels = ["a b", "b c", "x|y"]
+    stream = tmp_path / "stream.txt"
+    stream.write_text("".join(f"2004-03-01;{ref};{name}\n" for ref in (1, 2) for name in labels))
+    events = tmp_path / "events.log"
+    argv = ["run", "--input", stream, "--events", events, "--snapshot", tmp_path / "s.snap"]
+    argv += ["--theta-w", "0.3", "--promote-after", "1", "--trace", "b c", "a b"]
+    assert run_cli(*argv) == 0
+    lines = events.read_text().splitlines()
+    assert lines == [
+        '1 cell-created "a b"',
+        '1 cell-created "b c"',
+        "1 cell-created x|y",
+        '1 edge-created "a b" "b c"',
+        '1 edge-created "a b" x|y',
+        '1 edge-created "b c" x|y',
+        '1 pattern-promoted "a b|b c|x\\\\|y"',
+    ]
+    assert _parse_signature(_tokenize(lines[-1], 1)[2]) == tuple(labels)
+    assert [_tokenize(line, 1)[2:4] for line in lines[3:6]] == [
+        list(pair) for pair in combinations(labels, 2)
+    ]
+    trace = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in trace] == [
+        f'{step} trace "a b" "b c"' for step in (1, 2)
+    ]
+    # The reference engine writes the same lines.
+    reference = ReferenceEngine(EngineParams(theta_w=0.3, promote_after=1))
+    for _ in range(2):
+        reference.ingest(txn(labels))
+    assert reference.event_lines == lines
