@@ -149,6 +149,8 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
     frac = args.minsup_frac
     if frac is not None and not 0.0 < frac <= 1.0:  # also rejects nan
         return _usage_error(f"--minsup-frac must be in (0, 1], got {frac}")
+    if args.minconf is not None and not 0.0 <= args.minconf <= 1.0:  # also rejects nan
+        return _usage_error(f"--minconf must be in [0, 1], got {args.minconf}")
     txns: List[Transaction] = []
     if not _consume_input(args, txns.append):
         return 1

@@ -71,29 +71,31 @@ def due_step(since: int, value: float, floor: float, log_keep: float) -> int:
 def pop_due(
     mmap: MindMap, wheel: Dict[int, List[Tuple]], floor_w: float, floor_a: float
 ) -> Tuple[List[Pair], List[str]]:
-    """Pop this step's bucket of `wheel`; returns the edges it holds that read
-    below `floor_w` and the cells below `floor_a`. An entry whose record is
-    gone or was stamped again is stale (that touch filed its own); a live one
-    not yet below is filed again for the next step. No entry is due after its
-    record crosses, so each record is found in the step it crosses."""
+    """Pop this step's bucket of `wheel`, which holds one (key, stamp at
+    filing) entry per record at or above its floor; returns the edges that
+    read below `floor_w` and the cells below `floor_a`. An entry whose record
+    is gone, or is a cell created after it, is dropped; a record not yet
+    below is filed again, at the next step if unstamped since, else at the
+    estimate from its new stamp. No entry is due after its record crosses."""
     step, origin = mmap.step, mmap.origin
     crossed_edges: List[Pair] = []
     crossed_cells: List[str] = []
     for key, stamp in wheel.pop(step, ()):
         if isinstance(key, tuple):
             record, keep, floor, crossed = mmap.edges.get(key), mmap.keep_w, floor_w, crossed_edges
-            if record is None or record.last_reinforced_at != stamp:
+            if record is None:
                 continue
-            value = record.weight
+            now, value = record.last_reinforced_at, record.weight
         else:
             record, keep, floor, crossed = mmap.cells.get(key), mmap.keep_a, floor_a, crossed_cells
-            if record is None or record.last_activated_at != stamp:
+            if record is None or record.created_at > stamp:
                 continue
-            value = record.activation
-        if value * keep ** (step - (stamp if stamp > origin else origin)) < floor:
+            now, value = record.last_activated_at, record.activation
+        if value * keep ** (step - (now if now > origin else origin)) < floor:
             crossed.append(key)
-        else:
-            wheel.setdefault(step + 1, []).append((key, stamp))
+        else:  # at the next step, or at the estimate from a stamp set since filing
+            due = step + 1 if now == stamp else due_step(now, value, floor, log(keep))
+            wheel.setdefault(max(due, step + 1), []).append((key, now))
     return crossed_edges, crossed_cells
 
 
@@ -106,28 +108,30 @@ def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[st
 def prune_forgotten(
     mmap: MindMap, edges: Iterable[Pair], cells: Iterable[str], epsilon: float
 ) -> Tuple[List[Pair], List[str]]:
-    """Drop the candidate edges below the floor, then the candidate cells
-    below it that are isolated, in place; returns the dropped edges and
-    cells, each sorted. The endpoints of a dropped edge join the candidates.
+    """Drop the given edges, then the given cells and the dropped edges' ends
+    that are isolated and below the floor, in place; returns the dropped
+    edges and cells, each sorted. All that is given was found below the
+    floor already, so only a dropped edge's end has its activation read.
 
     A cell that still has a surviving edge is never removed, whatever its
-    activation: edges pin their endpoints. Deciding only candidates is exact
+    activation: edges pin their endpoints. Deciding only these is exact
     because every step ends with no edge below the floor and no isolated
     cell below it; a map adopted from elsewhere must start that way too.
     """
     table, degree = mmap.edges, mmap.degree
-    dead_edges = sorted(p for p in edges if mmap.weight_of(table[p]) < epsilon)
+    dead_edges = sorted(edges)
     for pair in dead_edges:
         del table[pair]
         for label in pair:
             degree[label] -= 1
             if not degree[label]:
                 del degree[label]
-    candidates = set(cells).union(*dead_edges)
+    below = set(cells)
     dead_cells = sorted(
         label
-        for label in candidates
-        if label not in degree and mmap.activation_of(mmap.cells[label]) < epsilon
+        for label in below.union(*dead_edges)
+        if label not in degree
+        and (label in below or mmap.activation_of(mmap.cells[label]) < epsilon)
     )
     for label in dead_cells:
         del mmap.cells[label]
@@ -163,6 +167,7 @@ def ingest_transaction(
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
     # activation (a new cell's as stored), so each cell is written at once.
+    # A cell is filed when it rises to the floor: born there, or boosted from below it.
     labels = sorted(txn.items)
     low_cells: List[str] = []
     for label in labels:
@@ -173,18 +178,19 @@ def ingest_transaction(
         a = cell.activation
         if keep_a != 1.0 and (stamp := cell.last_activated_at) < before:
             a *= keep_a ** (before - (stamp if stamp > origin else origin))
+        a_pre = a
         for _ in range(txn.items[label]):
             a = activate_cell(a, params.lam)
         cell.activation = a
         cell.last_activated_at = step
         if a < eps:
             low_cells.append(label)
-        elif log_a:
+        elif log_a and (a_pre < eps or cell.created_at == step):
             wheel.setdefault(due_step(step, a, eps, log_a), []).append((label, step))
 
     # Create each edge, or reinforce its pre-step weight with the post-boost
-    # activations of its cells (a new edge is not also reinforced). The labels
-    # are sorted and distinct, so each pair is already canonical.
+    # activations of its cells; only a new edge is filed, and it is not also
+    # reinforced. The labels are sorted and distinct, so each pair is canonical.
     low_edges: List[Pair] = []
     if len(labels) >= 2:
         w0 = initial_weight(len(labels))
@@ -200,10 +206,8 @@ def ingest_transaction(
                 if keep_w != 1.0 and (stamp := conn.last_reinforced_at) < before:
                     w *= keep_w ** (before - (stamp if stamp > origin else origin))
                 a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
-                conn.weight = w = hebbian_update(w, a_i, a_j, params.eta)
+                conn.weight = hebbian_update(w, a_i, a_j, params.eta)
                 conn.last_reinforced_at = step
-                if log_w:  # w is at least its pre-step value, which was >= eps
-                    wheel.setdefault(due_step(step, w, eps, log_w), []).append((pair, step))
         if w0 < eps:
             low_edges = events.edges_created
         elif log_w and events.edges_created:  # all born at w0, so all due together

@@ -108,8 +108,8 @@ class Engine:
         A step raises only what it touches and lowers only what it does not,
         so a touched pair can only join `_heavy` and a touched cell can only
         leave `_dark`. Every other change is a crossing that `_wheel` has due:
-        each touch at or above theta_w (a pair) or theta_a (a cell) files its
-        key at the last step a log estimate puts it at or above. Only the
+        a pair that joins `_heavy`, and a cell born lit or leaving `_dark`
+        when theta_a > 0, is filed until it crosses (see `pop_due`). Only the
         pairs that entered or left the kept set change the adjacency, and
         only their ends start a new search: every node of a component such a
         pair touches is reachable from one of them (a removal splits a
@@ -123,18 +123,19 @@ class Engine:
         log_a = log(mmap.keep_a) if mmap.keep_a < 1.0 and theta_a > 0.0 else 0.0
         ends: Set[str] = set()  # of the pairs that entered or left the kept set
         for label in txn.items:
-            cell = cells.get(label)  # None if forgotten in this step
-            if cell is not None:
-                if ((a := cell.activation) < theta_a) != (label in dark):
-                    self._shade(label, a < theta_a, ends)
-                if log_a and a >= theta_a:
+            if (cell := cells.get(label)) is None:  # forgotten in this step
+                continue
+            if (a := cell.activation) < theta_a:
+                self._shade(label, True, ends)
+            elif label in dark or cell.created_at == step:
+                self._shade(label, False, ends)
+                if log_a:
                     wheel.setdefault(due_step(step, a, theta_a, log_a), []).append((label, step))
         for pair in combinations(sorted(txn.items), 2):
             conn = edges.get(pair)
-            if conn is not None and (w := conn.weight) >= theta_w:
-                if pair not in heavy:
-                    heavy[pair] = None
-                    self._place(pair, ends)
+            if conn is not None and (w := conn.weight) >= theta_w and pair not in heavy:
+                heavy[pair] = None
+                self._place(pair, ends)
                 if log_w:
                     wheel.setdefault(due_step(step, w, theta_w, log_w), []).append((pair, step))
         crossed_pairs, crossed_cells = pop_due(mmap, wheel, theta_w, theta_a)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import datetime
 import logging
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from itertools import groupby, starmap
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .model import Transaction, distinct_items
 
@@ -36,6 +36,11 @@ class StreamRecord:
 
 
 def parse_record(line: str, lineno: Optional[int] = None) -> StreamRecord:
+    return StreamRecord(*_parse(line, lineno))
+
+
+def _parse(line: str, lineno: Optional[int], known: Optional[str] = None) -> Tuple[str, int, str]:
+    """The (date, ref, name) of a line; a date equal to `known` is not checked."""
     # The CLI decodes input with errors="surrogateescape", so a byte that is
     # not UTF-8 arrives as a lone surrogate, which cannot be encoded back.
     if not line.isascii():
@@ -48,7 +53,7 @@ def parse_record(line: str, lineno: Optional[int] = None) -> StreamRecord:
         raise ParseError(f"expected 3 fields, got {len(fields)}", lineno)
     date_s, ref_s, name = map(str.strip, fields)
     try:
-        day = datetime.date.fromisoformat(date_s)
+        day = None if date_s == known else datetime.date.fromisoformat(date_s)
     except ValueError:
         raise ParseError(f"bad date {date_s!r}", lineno) from None
     try:
@@ -61,36 +66,39 @@ def parse_record(line: str, lineno: Optional[int] = None) -> StreamRecord:
         raise ParseError(f"bad reference number {ref_s!r}", lineno)
     if not name:
         raise ParseError("empty item name", lineno)
-    if day.isoformat() != date_s:  # Python 3.11+ reads other ISO 8601 forms too
+    if day and day.isoformat() != date_s:  # Python 3.11+ reads other ISO 8601 forms too
         raise ParseError(f"date must be YYYY-MM-DD, got {date_s!r}", lineno)
-    return StreamRecord(date_s, ref, name)
-
-
-def format_record(record: StreamRecord) -> str:
-    return f"{record.date};{record.ref};{record.name}"
+    return date_s, ref, name
 
 
 def read_records(lines: Iterable[str], on_error: str = "stop") -> Iterator[StreamRecord]:
-    """Parse a line stream, skipping blanks and `#` comments.
+    """Parse a line stream, skipping blanks and `#` comments; on_error "stop"
+    raises ParseError, "skip" drops bad lines."""
+    return starmap(StreamRecord, _records(lines, on_error))
 
-    on_error: "stop" raises ParseError; "skip" drops bad lines.
-    """
+
+def _records(lines: Iterable[str], on_error: str) -> Iterator[Tuple[str, int, str]]:
+    # A record carries its TID's date, so most repeat the last valid record's.
     if on_error not in ("stop", "skip"):
         raise ValueError(f"on_error must be stop or skip, got {on_error!r}")
+    known = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
-            yield parse_record(line, lineno)
+            record = _parse(line, lineno, known)
         except ParseError as exc:
             if on_error == "stop":
                 raise
             logging.getLogger(__name__).warning("skipping bad record: %s", exc)
+            continue
+        known = record[0]
+        yield record
 
 
 def read_transactions(lines: Iterable[str], on_error: str = "stop") -> Iterator[Transaction]:
     """Group records into transactions lazily: each is yielded once the first
     record of the next TID, or the end of the stream, has been read."""
-    for tid, run in groupby(read_records(lines, on_error), key=attrgetter("date", "ref")):
-        yield Transaction(tid, distinct_items(record.name for record in run))
+    for tid, run in groupby(_records(lines, on_error), key=itemgetter(0, 1)):
+        yield Transaction(tid, distinct_items(map(itemgetter(2), run)))

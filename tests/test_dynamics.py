@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from mindstream.dynamics import (
     NoPairsError,
     activate_cell,
     decay_pass,
+    due_step,
     hebbian_update,
     ingest_transaction,
     initial_weight,
@@ -158,23 +160,47 @@ def test_decay_pass_examples():
     assert decay_pass(due, params) == ([("A", "B")], [])
 
 
+def reads_of(m: MindMap) -> list:
+    """Make `m` log the label of each cell whose activation is read."""
+    read, label_of = [], {id(cell): label for label, cell in m.cells.items()}
+
+    def activation_of(cell: ItemCell) -> float:
+        read.append(label_of[id(cell)])
+        return MindMap.activation_of(m, cell)
+
+    m.activation_of = activation_of
+    return read
+
+
 def test_prune_forgotten():
+    # Each edge and cell given was found below the floor already; only the
+    # ends of the dropped edges have their activation read.
     pair = ("A", "B")
     m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
-    dead_edges, dead_cells = prune_forgotten(m, [pair], ["A", "B"], 0.0)
-    assert not dead_edges and not dead_cells
+    read = reads_of(m)
+    assert prune_forgotten(m, [], [], 0.01) == ([], [])
 
     m.edges[pair].weight = 0.005
     dead_edges, dead_cells = prune_forgotten(m, [pair], [], 0.01)
-    assert dead_edges == [pair]
+    assert dead_edges == [pair] and not dead_cells
     # activations are still high, so the now-isolated cells survive
     assert sorted(m.cells) == ["A", "B"]
     assert not m.degree
+    assert sorted(read) == ["A", "B"]
 
     m2, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
     m2.cells["A"].activation = 0.001
     _, dead = prune_forgotten(m2, [], ["A"], 0.01)
     assert "A" in m2.cells and not dead  # the surviving edge pins the cell
+
+    # A quiet end of a dropped edge goes with it; a given cell is not read.
+    m3, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
+    m3, _ = ingest_transaction(m3, txn(["B", "C"]), NO_DECAY)
+    m3.cells["A"].activation = m3.cells["C"].activation = 0.001
+    read = reads_of(m3)
+    dead = prune_forgotten(m3, [("B", "C"), ("A", "B")], ["C"], 0.01)
+    assert dead == ([("A", "B"), ("B", "C")], ["A", "C"])
+    assert sorted(m3.cells) == ["B"] and sorted(read) == ["A", "B"]
 
 
 # Forgetting decides only the candidates of the step: each test below pins
@@ -375,8 +401,9 @@ def test_ranges_closed_under_any_stream(item_lists):
 
 
 # Forward decay: a record stores its value as of its stamp and is read at the
-# map's step; the wheel files each decaying record one step before a log
-# estimate of its epsilon crossing and decides it there on its value then.
+# map's step. The wheel holds one entry per record at or above the floor,
+# filed when the record rises to it at the last step a log estimate puts it
+# there, and decides it when due on its value then.
 
 
 def test_a_touch_reads_the_value_before_this_steps_decay():
@@ -389,10 +416,26 @@ def test_a_touch_reads_the_value_before_this_steps_decay():
     assert m.get_activation("A") == m.cells["A"].activation
 
 
+def is_live(mmap: MindMap, key, stamp: int) -> bool:
+    """Whether a wheel entry is its record's: the record is in the map and,
+    for a cell, was not created after the entry was filed."""
+    if isinstance(key, tuple):
+        return key in mmap.edges
+    cell = mmap.cells.get(key)
+    return cell is not None and cell.created_at <= stamp
+
+
+def entries(wheel) -> dict:
+    """Each entry in `wheel`, with the step it is due at."""
+    return {entry: due for due, bucket in wheel.items() for entry in bucket}
+
+
 class FirstChecks(dict):
-    """A wheel that records, for each live entry it hands out, how often it
-    was handed out and, by kind, its record's value the first time and how
-    many live entries it handed out below the kind's floor."""
+    """A wheel that records each check of a record: each entry it hands out
+    whose record is live, keyed by the record's stamp now, so that the check
+    of a record stamped again since its entry was filed counts as that
+    record's. By kind, it records the value at a record's first check and
+    how many checks found it below the kind's floor."""
 
     def __init__(self, mmap: MindMap, floor_w: float, floor_a: float):
         super().__init__()
@@ -400,28 +443,29 @@ class FirstChecks(dict):
         self.first, self.crossed = {"edge": [], "cell": []}, Counter()
 
     def pop(self, step, default):
-        entries = super().pop(step, default)
-        for key, stamp in entries:
+        bucket = super().pop(step, default)
+        for key, stamp in bucket:
+            if not is_live(self.mmap, key, stamp):
+                continue
             if isinstance(key, tuple):
-                kind, conn = "edge", self.mmap.edges.get(key)
-                live = conn is not None and conn.last_reinforced_at == stamp
-                value = live and self.mmap.weight_of(conn)
+                kind, conn = "edge", self.mmap.edges[key]
+                now, value = conn.last_reinforced_at, self.mmap.weight_of(conn)
             else:
-                kind, cell = "cell", self.mmap.cells.get(key)
-                live = cell is not None and cell.last_activated_at == stamp
-                value = live and self.mmap.activation_of(cell)
-            if live:
-                self.checks[key, stamp] += 1
-                if self.checks[key, stamp] == 1:
-                    self.first[kind].append(value)
-                self.crossed[kind] += value < self.floors[kind]
-        return entries
+                kind, cell = "cell", self.mmap.cells[key]
+                now, value = cell.last_activated_at, self.mmap.activation_of(cell)
+            self.checks[key, now] += 1
+            if self.checks[key, now] == 1:
+                self.first[kind].append(value)
+            self.crossed[kind] += value < self.floors[kind]
+        return bucket
 
 
 @pytest.mark.parametrize("beta", [0.02, 0.1, 0.4])
 def test_no_entry_is_first_checked_below_the_floor(beta):
     # The estimate is never late, and at most one step early besides the
-    # step it is filed early by: a live entry is handed out two or three times.
+    # step it is filed early by. A record stamped again is also checked when
+    # its old entry comes due; still, no record is checked more than three
+    # times at one stamp.
     params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5)
     engine = Engine(params)
     wheel = engine.mmap.wheel = FirstChecks(engine.mmap, params.epsilon, params.epsilon)
@@ -435,22 +479,28 @@ def test_no_entry_is_first_checked_below_the_floor(beta):
     assert max(wheel.checks.values()) <= 3
 
 
-def test_stale_wheel_entries_are_skipped():
+def test_a_restamped_entry_is_filed_again_at_its_new_estimate():
     params = EngineParams(beta_w=0.1, beta_a=0.0, epsilon=0.01, theta_w=0.5)
-    m = MindMap()
-    for _ in range(10):  # each touch files an entry; the last one is live
+    log_keep = math.log(0.9)
+    m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
+    first_due = due_step(1, 0.5, 0.01, log_keep)  # the new edge's estimate
+    assert entries(m.wheel) == {(("A", "B"), 1): first_due}
+    for _ in range(9):  # a touch files nothing: the entry stays as filed
         m, _ = ingest_transaction(m, txn(["A", "B"]), params)
-    live = (("A", "B"), 10)
-    filed = {entry: due for due, bucket in m.wheel.items() for entry in bucket}
-    assert sorted(stamp for _, stamp in filed) == list(range(1, 11))
+        assert entries(m.wheel) == {(("A", "B"), 1): first_due}
     w = m.edges[("A", "B")].weight
     crossing = 10 + next(n for n in range(1, 500) if w * 0.9**n < 0.01)
+    new_due = due_step(10, w, 0.01, log_keep)
+    assert first_due < new_due < crossing
     while m.step < crossing:
         m, events = ingest_transaction(m, txn([]), params)
-        # A stale entry leaves the wheel when it comes due; only the live one is filed again.
-        left = {entry for entry, due in filed.items() if entry != live and due > m.step}
-        in_wheel = [entry for bucket in m.wheel.values() for entry in bucket]
-        assert sorted(in_wheel) == sorted(left | ({live} if m.edges else set())), m.step
+        # One entry while the edge lives: the one filed at its birth until
+        # it comes due, then one with the new stamp, at the new estimate and
+        # then each next step until the edge crosses.
+        if m.step < first_due:
+            assert entries(m.wheel) == {(("A", "B"), 1): first_due}, m.step
+        elif m.step < crossing:
+            assert entries(m.wheel) == {(("A", "B"), 10): max(new_due, m.step + 1)}, m.step
         assert events.edges_forgotten == ([("A", "B")] if m.step == crossing else [])
     assert not m.edges and not m.wheel
 
@@ -477,36 +527,124 @@ def test_no_threshold_crossing_is_first_checked_below_its_threshold(beta, theta_
     assert max(wheel.checks.values()) <= 3
 
 
-def test_stale_crossing_entries_are_skipped():
+def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
     params = EngineParams(beta_w=0.1, beta_a=0.1, epsilon=0.01, theta_w=0.4, theta_a=0.6)
     engine = Engine(params)
-    filed = {}  # each touch files one entry per key; the last ones are live
-    for _ in range(10):
+    engine.ingest(txn(["A", "B"]))  # the pair joins _heavy, and A and B are born lit
+    keys = {"A", "B", ("A", "B")}
+    assert {key for key, stamp in entries(engine._wheel)} == keys
+    for _ in range(9):
+        # A touch files nothing; an entry that comes due is filed again
+        # with the record's stamp then, at the estimate from it.
         engine.ingest(txn(["A", "B"]))
-        for due, bucket in engine._wheel.items():
-            filed.update((entry, due) for entry in bucket if entry[1] == engine.step)
-    assert len(filed) == 30
+        in_wheel = [key for bucket in engine._wheel.values() for key, _ in bucket]
+        assert Counter(in_wheel) == Counter(keys), engine.step
+        filed = entries(engine._wheel)
     w, a = engine.mmap.edges[("A", "B")].weight, engine.mmap.cells["A"].activation
     assert engine.mmap.cells["B"].activation == a
     heavy_until = 10 + next(n for n in range(1, 99) if w * 0.9**n < 0.4) - 1
     light_until = 10 + next(n for n in range(1, 99) if a * 0.9**n < 0.6) - 1
     assert light_until < heavy_until
+    assert filed[("A", 7)] < light_until and filed[(("A", "B"), 9)] < heavy_until
+    log_keep = math.log(0.9)
+    new_due = {
+        ("A", "B"): due_step(10, w, 0.4, log_keep),
+        "A": due_step(10, a, 0.6, log_keep),
+        "B": due_step(10, a, 0.6, log_keep),
+    }
     while engine.step <= heavy_until:
         engine.ingest(txn([]))
         step = engine.step
-        # A stale entry leaves the wheel when it comes due; a live one is
-        # filed again until its record crosses.
-        live = {(("A", "B"), 10)} if step <= heavy_until else set()
-        live |= {("A", 10), ("B", 10)} if step <= light_until else set()
-        left = {e for e, due in filed.items() if e[1] != 10 and due > step}
-        in_wheel = [entry for bucket in engine._wheel.values() for entry in bucket]
-        assert Counter(in_wheel) == Counter(left | live), step
+        # One entry per heavy pair and lit cell: the one filed by step 10
+        # until it comes due, then one with stamp 10, at the new estimate
+        # and then each next step until its record crosses.
+        live = {("A", "B")} if step <= heavy_until else set()
+        live |= {"A", "B"} if step <= light_until else set()
+        expected = {}
+        for (key, stamp), due in filed.items():
+            if key in live and due > step:
+                expected[key, stamp] = due
+            elif key in live:
+                expected[key, 10] = max(new_due[key], step + 1)
+        assert entries(engine._wheel) == expected, step
         assert engine._heavy.keys() == ({("A", "B")} if step <= heavy_until else set()), step
         assert engine._dark == (set() if step <= light_until else {"A", "B"}), step
         assert engine._kept.keys() == ({("A", "B")} if step <= light_until else set()), step
         parked = [pair for pairs in engine._parked.values() for pair in pairs]
         assert parked == ([("A", "B")] if light_until < step <= heavy_until else []), step
     assert not engine._wheel
+
+
+def assert_one_entry_per_scheduled_record(engine: Engine) -> list:
+    """`mmap.wheel` holds one entry per edge and per cell at or above
+    epsilon; `_wheel` one per heavy pair and, when theta_a > 0, per lit cell,
+    besides the entries left by cells forgotten while lit, which it returns."""
+    m, params = engine.mmap, engine.params
+    eps, theta_a = params.epsilon, params.theta_a
+    assert all((m.activation_of(c) < theta_a) == (x in engine._dark) for x, c in m.cells.items())
+    assert all(m.weight_of(c) >= params.theta_w for c in map(m.edges.get, engine._heavy))
+    filed = Counter(key for bucket in m.wheel.values() for key, _ in bucket)
+    scheduled = [*m.edges] + [x for x, c in m.cells.items() if m.activation_of(c) >= eps]
+    assert filed == Counter(scheduled), m.step
+    in_wheel = [entry for bucket in engine._wheel.values() for entry in bucket]
+    filed = Counter(key for key, stamp in in_wheel if is_live(m, key, stamp))
+    lit = [x for x in m.cells if x not in engine._dark] if theta_a else []
+    assert filed == Counter([*engine._heavy] + lit), m.step
+    left = [(key, stamp) for key, stamp in in_wheel if not is_live(m, key, stamp)]
+    assert all(isinstance(key, str) for key, _ in left), left  # no edge leaves one
+    return left
+
+
+@pytest.mark.parametrize("theta_a", [0.0, 0.6, 0.01])
+@pytest.mark.parametrize("beta", [0.05, 0.3])
+def test_each_scheduled_record_holds_one_wheel_entry(beta, theta_a):
+    # Under decay, after every step. With theta_a below epsilon (0.01 <
+    # 0.05) a cell can be forgotten while lit: its entry outlives it, and a
+    # cell created again under its label files its own entry; the old one
+    # is dropped when it comes due.
+    params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5, theta_a=theta_a)
+    engine = Engine(params)
+    left_behind = recreated = 0
+    for t in random_transactions(random.Random(f"{beta}"), [f"i{k}" for k in range(20)], 1500):
+        engine.ingest(t)
+        left = assert_one_entry_per_scheduled_record(engine)
+        left_behind += len(left)
+        recreated += sum(key in engine.mmap.cells for key, _ in left)
+    if 0.0 < theta_a < params.epsilon:
+        assert left_behind > 0 and recreated > 0, (left_behind, recreated)
+    else:
+        assert left_behind == 0
+
+
+def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():
+    # theta_a < epsilon: A is forgotten in step 3, still lit, and its entry
+    # in the engine's wheel, due at step 7, outlives it. A is created again
+    # in step 4 and files its own entry; the old one must go when it comes
+    # due, or A would hold two entries from then on.
+    params = EngineParams(
+        lam=0.5, beta_w=0.5, beta_a=0.5, epsilon=0.3, theta_w=0.5, theta_a=0.01
+    )
+    engine = Engine(params)
+
+    def a_entries():
+        return {e: due for e, due in entries(engine._wheel).items() if e[0] == "A"}
+
+    engine.ingest(txn(["A", "B"]))
+    assert a_entries() == {("A", 1): 7}
+    engine.ingest(txn(["B"]))  # A-B falls below epsilon and goes
+    events = engine.ingest(txn([]))
+    assert events.cells_forgotten == ["A"]
+    assert a_entries() == {("A", 1): 7}
+    for _ in range(3):  # created again in step 4, and kept above epsilon
+        engine.ingest(txn(["A"]))
+        assert a_entries() == {("A", 1): 7, ("A", 4): 10}
+    engine.ingest(txn([]))
+    assert engine.step == 7 and engine.mmap.cells["A"].created_at == 4
+    assert a_entries() == {("A", 4): 10}
+    assert_one_entry_per_scheduled_record(engine)
+    while a_entries():
+        engine.ingest(txn([]))
+        assert_one_entry_per_scheduled_record(engine)
 
 
 def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
@@ -537,13 +675,19 @@ def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
                     "dark": len(engine._dark),
                     "parked": sum(map(len, engine._parked.values())),
                 }
+                # Each wheel holds one entry per record it schedules, no more.
+                m = engine.mmap
+                above = sum(m.activation_of(cell) >= 0.01 for cell in m.cells.values())
+                assert sizes["wheel"] == len(m.edges) + above, i
+                lit = len(m.cells) - len(engine._dark) if theta_a else 0
+                assert sizes["engine wheel"] == len(engine._heavy) + lit, i
                 for name, size in sizes.items():
                     peaks[name][i >= half] = max(peaks[name][i >= half], size)
                 if i + 1 in (half, len(stream)):
                     traced.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert 100 < peaks["wheel"][1] and 10 < peaks["engine wheel"][1], peaks
+        assert peaks["wheel"][1] > 0 and peaks["engine wheel"][1] > 0, peaks
         if theta_a:
             assert peaks["dark"][1] > 0 and peaks["parked"][1] > 0, peaks
         for name in ("wheel", "engine wheel"):

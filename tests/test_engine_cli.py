@@ -405,6 +405,9 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["apriori", "--minsup-frac", "inf"], 2),
         (["apriori", "--minsup-frac", "0"], 2),
         (["apriori", "--minsup-frac", "1.5"], 2),
+        (["apriori", "--minsup", "2", "--minconf", "2"], 2),
+        (["apriori", "--minsup", "2", "--minconf", "nan"], 2),
+        (["apriori", "--minsup", "2", "--minconf", "-1"], 2),
         (["trace", "--register-after", "-5", "A", "B"], 2),
         (["query", "--snapshot", "{snap}", "skeleton", "--theta-w", "1.5"], 2),
         (["query", "--snapshot", "{snap}", "rules", "--theta-a", "nan"], 2),

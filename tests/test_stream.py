@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from mindstream.stream import (
     ParseError,
     StreamRecord,
-    format_record,
     parse_record,
     read_records,
     read_transactions,
@@ -21,6 +20,10 @@ names = st.text(
 
 def rec(date, ref, name):
     return StreamRecord(date, ref, name)
+
+
+def format_record(record):
+    return f"{record.date};{record.ref};{record.name}"
 
 
 def lines_of(records):
@@ -60,12 +63,51 @@ def test_parse_record_errors(line, fragment):
     assert fragment in str(err.value)
     assert err.value.lineno == 17
     assert "line 17" in str(err.value)
+    # The same error after a valid record, whose date is then not checked again.
+    with pytest.raises(ParseError) as err:
+        list(read_transactions(["2004-03-01;1;A\n", line + "\n"]))
+    assert fragment in str(err.value) and err.value.lineno == 2
 
 
 @given(names, st.integers(min_value=0, max_value=10**9))
 def test_format_parse_round_trip(name, ref):
     record = rec("2004-03-01", ref, name)
     assert parse_record(format_record(record)) == record
+    txns = list(read_transactions([format_record(record) + "\n"]))
+    assert [(t.tid, t.items) for t in txns] == [(("2004-03-01", ref), {name: 1})]
+
+
+@pytest.mark.parametrize("on_error", ["stop", "skip"])
+@pytest.mark.parametrize(
+    "bad,fragment",
+    [
+        ("2004-13-01", "bad date"),
+        ("2004-W09-7", "date must be YYYY-MM-DD"),
+        ("20040301", "date must be YYYY-MM-DD"),
+    ],
+)
+def test_a_date_is_checked_unless_a_valid_record_carried_it(bad, fragment, on_error):
+    # A date equal to the last valid record's is not parsed again; any other
+    # date is, also after a bad line that carried it was skipped.
+    lines = [
+        "2004-03-01;1;A\n",
+        "2004-03-01;1;B\n",
+        f"{bad};2;C\n",
+        f"{bad};2;D\n",
+        "2004-03-02;3;E\n",
+        "2004-03-01;4;F\n",
+    ]
+    if on_error == "stop":
+        with pytest.raises(ParseError) as err:
+            list(read_transactions(lines))
+        assert err.value.lineno == 3 and fragment in str(err.value)
+        return
+    txns = list(read_transactions(lines, on_error="skip"))
+    assert [(t.tid, list(t.items)) for t in txns] == [
+        (("2004-03-01", 1), ["A", "B"]),
+        (("2004-03-02", 3), ["E"]),
+        (("2004-03-01", 4), ["F"]),
+    ]
 
 
 def test_group_by_consecutive_tid_runs():
