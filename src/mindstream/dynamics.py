@@ -7,7 +7,7 @@ decay of everything not touched this step, and forgetting of edges and
 cells that fell below the floor. The step advances the map's counter
 first and stamps every cell and edge it touches with it. Decay is forward
 (see `MindMap`): no untouched record is written, and a timing wheel keyed
-by step says which records can have crossed the floor.
+by step files each record at the first step it reads below the floor.
 """
 
 from __future__ import annotations
@@ -61,41 +61,62 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
     return min(1.0, w + eta * a_i * a_j * (1.0 - w))
 
 
-def due_step(since: int, value: float, floor: float, log_keep: float) -> int:
-    """The last step at which `value`, held as of step `since` and multiplied
-    by exp(log_keep) < 1 in each step after, is at or above `floor` > 0, by
-    a log estimate; a rounding error of less than a step is never late."""
-    return since + int(log(floor / value) / log_keep)
+def due_step(since: int, value: float, floor: float, keep: float, log_keep: float) -> int:
+    """The first step at which `value` >= `floor` > 0, held as of step
+    `since` and read as value * keep**n after n steps (keep < 1, log_keep =
+    log(keep)), is below `floor`: a log estimate, corrected by that read."""
+    n = int(log(floor / value) / log_keep) + 1
+    while value * keep**n >= floor:
+        n += 1
+    while n > 1 and value * keep ** (n - 1) < floor:
+        n -= 1
+    return since + n
+
+
+def file_due(
+    wheel: Dict[int, List[Tuple]], keys: Iterable, since: int,
+    value: float, floor: float, keep: float, log_keep: float,
+) -> None:
+    """File a (key, since) entry for each of `keys`, whose records hold
+    `value` as of step `since`, at the step `due_step` gives."""
+    bucket = wheel.setdefault(due_step(since, value, floor, keep, log_keep), [])
+    for key in keys:
+        bucket.append((key, since))
 
 
 def pop_due(
     mmap: MindMap, wheel: Dict[int, List[Tuple]], floor_w: float, floor_a: float
 ) -> Tuple[List[Pair], List[str]]:
-    """Pop this step's bucket of `wheel`, which holds one (key, stamp at
-    filing) entry per record at or above its floor; returns the edges that
-    read below `floor_w` and the cells below `floor_a`. An entry whose record
-    is gone, or is a cell created after it, is dropped; a record not yet
-    below is filed again, at the next step if unstamped since, else at the
-    estimate from its new stamp. No entry is due after its record crosses."""
-    step, origin = mmap.step, mmap.origin
+    """Pop this step's bucket of `wheel`, which holds one (key, since) entry
+    per record at or above its floor, filed at the first step the record
+    reads below it as held since then; returns the edges below `floor_w` and
+    the cells below `floor_a`. An entry whose record is gone, or is a cell
+    created after it, is dropped. A record not stamped since has crossed and
+    is not read; one stamped since is read, and is filed again from its new
+    stamp if it is not below. No entry is due after its record crosses."""
+    step, keep_w, keep_a = mmap.step, mmap.keep_w, mmap.keep_a
+    log_w, log_a = mmap.log_w, mmap.log_a
     crossed_edges: List[Pair] = []
     crossed_cells: List[str] = []
-    for key, stamp in wheel.pop(step, ()):
+    for key, since in wheel.pop(step, ()):
         if isinstance(key, tuple):
-            record, keep, floor, crossed = mmap.edges.get(key), mmap.keep_w, floor_w, crossed_edges
+            record = mmap.edges.get(key)
             if record is None:
                 continue
-            now, value = record.last_reinforced_at, record.weight
+            now, crossed = record.last_reinforced_at, crossed_edges
+            if now > since:
+                value, floor, keep, log_keep = record.weight, floor_w, keep_w, log_w
         else:
-            record, keep, floor, crossed = mmap.cells.get(key), mmap.keep_a, floor_a, crossed_cells
-            if record is None or record.created_at > stamp:
+            record = mmap.cells.get(key)
+            if record is None or record.created_at > since:
                 continue
-            now, value = record.last_activated_at, record.activation
-        if value * keep ** (step - (now if now > origin else origin)) < floor:
+            now, crossed = record.last_activated_at, crossed_cells
+            if now > since:
+                value, floor, keep, log_keep = record.activation, floor_a, keep_a, log_a
+        if now <= since or value * keep ** (step - now) < floor:  # unread if not stamped since
             crossed.append(key)
-        else:  # at the next step, or at the estimate from a stamp set since filing
-            due = step + 1 if now == stamp else due_step(now, value, floor, log(keep))
-            wheel.setdefault(max(due, step + 1), []).append((key, now))
+        else:
+            file_due(wheel, (key,), now, value, floor, keep, log_keep)
     return crossed_edges, crossed_cells
 
 
@@ -150,20 +171,19 @@ def ingest_transaction(
     # First, so that a record stamped with the new step is one this step touched.
     mmap.step = step = mmap.step + 1
     mmap.keep_w, mmap.keep_a = keep_w, keep_a = 1.0 - params.beta_w, 1.0 - params.beta_a
+    mmap.log_w, mmap.log_a = log_w, log_a = log(keep_w), log(keep_a)  # 0.0 without decay
     events = StepEvents(step=step)
     cells, edges, eps, origin = mmap.cells, mmap.edges, params.epsilon, mmap.origin
     before, wheel = step - 1, mmap.wheel  # a read before decay is of the value at `before`
-    log_w = log(keep_w) if keep_w < 1.0 and eps > 0.0 else 0.0
-    log_a = log(keep_a) if keep_a < 1.0 and eps > 0.0 else 0.0
+    if eps == 0.0:  # nothing reads below a floor of 0, so nothing is filed
+        log_w = log_a = 0.0
     if before == origin:  # the first step on given values: file them as of `origin`
         for key, conn in edges.items():
             if log_w and conn.weight >= eps:
-                due = max(step, due_step(origin, conn.weight, eps, log_w))
-                wheel.setdefault(due, []).append((key, conn.last_reinforced_at))
+                file_due(wheel, (key,), origin, conn.weight, eps, keep_w, log_w)
         for label, cell in cells.items():
             if log_a and cell.activation >= eps:
-                due = max(step, due_step(origin, cell.activation, eps, log_a))
-                wheel.setdefault(due, []).append((label, cell.last_activated_at))
+                file_due(wheel, (label,), origin, cell.activation, eps, keep_a, log_a)
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
     # activation (a new cell's as stored), so each cell is written at once.
@@ -186,7 +206,7 @@ def ingest_transaction(
         if a < eps:
             low_cells.append(label)
         elif log_a and (a_pre < eps or cell.created_at == step):
-            wheel.setdefault(due_step(step, a, eps, log_a), []).append((label, step))
+            file_due(wheel, (label,), step, a, eps, keep_a, log_a)
 
     # Create each edge, or reinforce its pre-step weight with the post-boost
     # activations of its cells; only a new edge is filed, and it is not also
@@ -211,8 +231,7 @@ def ingest_transaction(
         if w0 < eps:
             low_edges = events.edges_created
         elif log_w and events.edges_created:  # all born at w0, so all due together
-            due = wheel.setdefault(due_step(step, w0, eps, log_w), [])
-            due.extend((pair, step) for pair in events.edges_created)
+            file_due(wheel, events.edges_created, step, w0, eps, keep_w, log_w)
 
     # Forgetting decides only what can have crossed the floor this step:
     # what decay took below it, and new edges and touched cells below it.

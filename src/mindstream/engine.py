@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import log
 from typing import Dict, List, Set, Tuple, ValuesView
 
-from .dynamics import StepEvents, due_step, ingest_transaction, pop_due
+from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
 from .memory import LTMRecord, Signature, STMEntry, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
 from .skeleton import components
@@ -109,7 +108,7 @@ class Engine:
         so a touched pair can only join `_heavy` and a touched cell can only
         leave `_dark`. Every other change is a crossing that `_wheel` has due:
         a pair that joins `_heavy`, and a cell born lit or leaving `_dark`
-        when theta_a > 0, is filed until it crosses (see `pop_due`). Only the
+        when theta_a > 0, is filed at the step it crosses (see `pop_due`). Only the
         pairs that entered or left the kept set change the adjacency, and
         only their ends start a new search: every node of a component such a
         pair touches is reachable from one of them (a removal splits a
@@ -119,8 +118,8 @@ class Engine:
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
         heavy, dark, wheel = self._heavy, self._dark, self._wheel
-        log_w = log(mmap.keep_w) if mmap.keep_w < 1.0 else 0.0
-        log_a = log(mmap.keep_a) if mmap.keep_a < 1.0 and theta_a > 0.0 else 0.0
+        keep_w, keep_a, log_w = mmap.keep_w, mmap.keep_a, mmap.log_w
+        log_a = mmap.log_a if theta_a > 0.0 else 0.0  # theta_w > epsilon >= 0
         ends: Set[str] = set()  # of the pairs that entered or left the kept set
         for label in txn.items:
             if (cell := cells.get(label)) is None:  # forgotten in this step
@@ -130,14 +129,14 @@ class Engine:
             elif label in dark or cell.created_at == step:
                 self._shade(label, False, ends)
                 if log_a:
-                    wheel.setdefault(due_step(step, a, theta_a, log_a), []).append((label, step))
+                    file_due(wheel, (label,), step, a, theta_a, keep_a, log_a)
         for pair in combinations(sorted(txn.items), 2):
             conn = edges.get(pair)
             if conn is not None and (w := conn.weight) >= theta_w and pair not in heavy:
                 heavy[pair] = None
                 self._place(pair, ends)
                 if log_w:
-                    wheel.setdefault(due_step(step, w, theta_w, log_w), []).append((pair, step))
+                    file_due(wheel, (pair,), step, w, theta_w, keep_w, log_w)
         crossed_pairs, crossed_cells = pop_due(mmap, wheel, theta_w, theta_a)
         for pair in chain(events.edges_forgotten, crossed_pairs):
             if pair in heavy:

@@ -79,11 +79,11 @@ class MindMap:
     """Cells, edges and the step counter that stamps them. Decay is forward:
     a record stores its value as of its stamp, or of `origin` (the step the
     map was built at) if later, and `weight_of` / `activation_of` read it at
-    `step`, times `keep_w` / `keep_a` (1 - beta, set by each step) per step
-    since. `wheel` maps a step to the (edge pair or cell label, stamp)
-    entries due then. Edges change only through the constructor or the
-    step, which keep `degree`: an edge written into `edges` directly leaves
-    it stale."""
+    `step`, times `keep_w` / `keep_a` (1 - beta, set by each step with its
+    log, `log_w` / `log_a`) per step since. `wheel` maps a step to the (edge
+    pair or cell label, step filed from) entries due then. Edges change only
+    through the constructor or the step, which keep `degree`: an edge
+    written into `edges` directly leaves it stale."""
 
     cells: Dict[str, ItemCell] = field(default_factory=dict)
     edges: Dict[Pair, Connection] = field(default_factory=dict)
@@ -91,12 +91,15 @@ class MindMap:
     origin: int = field(init=False, repr=False, compare=False)
     keep_w: float = field(init=False, repr=False, compare=False)
     keep_a: float = field(init=False, repr=False, compare=False)
+    log_w: float = field(init=False, repr=False, compare=False)
+    log_a: float = field(init=False, repr=False, compare=False)
     wheel: Dict[int, List[Tuple]] = field(init=False, repr=False, compare=False)
     # Edges per cell, with no entry for a cell that has none.
     degree: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.origin, self.keep_w, self.keep_a, self.wheel = self.step, 1.0, 1.0, {}
+        self.log_w = self.log_a = 0.0
         self.degree = Counter(chain.from_iterable(self.edges))
 
     def weight_of(self, conn: Connection) -> float:
@@ -146,24 +149,20 @@ class EngineParams:
     promote_after: int = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lam must be in (0, 1]")
-        if not 0.0 <= self.beta_w < 1.0:
-            raise ValueError("beta_w must be in [0, 1)")
-        if not 0.0 <= self.beta_a < 1.0:
-            raise ValueError("beta_a must be in [0, 1)")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
-        if not 0.0 <= self.theta_w <= 1.0:
-            raise ValueError("theta_w must be in [0, 1]")
-        if not 0.0 <= self.theta_a <= 1.0:
-            raise ValueError("theta_a must be in [0, 1]")
-        if self.epsilon >= self.theta_w:
-            raise ValueError("epsilon must be < theta_w")
-        if self.promote_after < 1:
-            raise ValueError("promote_after must be >= 1")
+        # `parse_snapshot` names the `param` line of a message's first word.
+        for ok, message in (
+            (0.0 < self.eta <= 1.0, "eta must be in (0, 1]"),
+            (0.0 < self.lam <= 1.0, "lam must be in (0, 1]"),
+            (0.0 <= self.beta_w < 1.0, "beta_w must be in [0, 1)"),
+            (0.0 <= self.beta_a < 1.0, "beta_a must be in [0, 1)"),
+            (0.0 <= self.epsilon < 1.0, "epsilon must be in [0, 1)"),
+            (0.0 <= self.theta_w <= 1.0, "theta_w must be in [0, 1]"),
+            (0.0 <= self.theta_a <= 1.0, "theta_a must be in [0, 1]"),
+            (self.epsilon < self.theta_w, "epsilon must be < theta_w"),
+            (self.promote_after >= 1, "promote_after must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 # Each parameter's name and value type (int or float), in declaration order:

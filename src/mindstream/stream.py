@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import datetime
 import logging
-from dataclasses import dataclass
-from itertools import groupby, starmap
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -22,24 +21,12 @@ from .model import Transaction, distinct_items
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, lineno: Optional[int] = None):
+    def __init__(self, message: str, lineno: int):
         self.lineno = lineno
-        prefix = f"line {lineno}: " if lineno is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(frozen=True)
-class StreamRecord:
-    date: str  # ISO-8601 calendar date
-    ref: int
-    name: str
-
-
-def parse_record(line: str, lineno: Optional[int] = None) -> StreamRecord:
-    return StreamRecord(*_parse(line, lineno))
-
-
-def _parse(line: str, lineno: Optional[int], known: Optional[str] = None) -> Tuple[str, int, str]:
+def _parse(line: str, lineno: int, known: Optional[str]) -> Tuple[str, int, str]:
     """The (date, ref, name) of a line; a date equal to `known` is not checked."""
     # The CLI decodes input with errors="surrogateescape", so a byte that is
     # not UTF-8 arrives as a lone surrogate, which cannot be encoded back.
@@ -69,12 +56,6 @@ def _parse(line: str, lineno: Optional[int], known: Optional[str] = None) -> Tup
     if day and day.isoformat() != date_s:  # Python 3.11+ reads other ISO 8601 forms too
         raise ParseError(f"date must be YYYY-MM-DD, got {date_s!r}", lineno)
     return date_s, ref, name
-
-
-def read_records(lines: Iterable[str], on_error: str = "stop") -> Iterator[StreamRecord]:
-    """Parse a line stream, skipping blanks and `#` comments; on_error "stop"
-    raises ParseError, "skip" drops bad lines."""
-    return starmap(StreamRecord, _records(lines, on_error))
 
 
 def _records(lines: Iterable[str], on_error: str) -> Iterator[Tuple[str, int, str]]:

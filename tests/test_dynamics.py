@@ -3,10 +3,12 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mindstream import dynamics
 from mindstream.dynamics import (
     NoPairsError,
     activate_cell,
@@ -402,8 +404,9 @@ def test_ranges_closed_under_any_stream(item_lists):
 
 # Forward decay: a record stores its value as of its stamp and is read at the
 # map's step. The wheel holds one entry per record at or above the floor,
-# filed when the record rises to it at the last step a log estimate puts it
-# there, and decides it when due on its value then.
+# filed when the record rises to it, at the first step its read is below the
+# floor. An entry that comes due with its record not stamped since has
+# crossed; one stamped since is read, and filed again if it is not below.
 
 
 def test_a_touch_reads_the_value_before_this_steps_decay():
@@ -430,77 +433,152 @@ def entries(wheel) -> dict:
     return {entry: due for due, bucket in wheel.items() for entry in bucket}
 
 
-class FirstChecks(dict):
+def read_at(mmap: MindMap, record, step: int) -> float:
+    """The value of `record` read at `step`, with the expression that
+    `weight_of` / `activation_of` evaluate at the map's step."""
+    if isinstance(record, Connection):
+        value, stamp, keep = record.weight, record.last_reinforced_at, mmap.keep_w
+    else:
+        value, stamp, keep = record.activation, record.last_activated_at, mmap.keep_a
+    return value * keep ** (step - max(stamp, mmap.origin))
+
+
+class Checks(dict):
     """A wheel that records each check of a record: each entry it hands out
     whose record is live, keyed by the record's stamp now, so that the check
     of a record stamped again since its entry was filed counts as that
-    record's. By kind, it records the value at a record's first check and
-    how many checks found it below the kind's floor."""
+    record's. By kind, it keeps the reads at the step and at the step before
+    of each record that comes due with the stamp it was filed with, and the
+    number of entries for records stamped since."""
 
     def __init__(self, mmap: MindMap, floor_w: float, floor_a: float):
         super().__init__()
         self.mmap, self.floors, self.checks = mmap, {"edge": floor_w, "cell": floor_a}, Counter()
-        self.first, self.crossed = {"edge": [], "cell": []}, Counter()
+        self.due, self.restamped = {"edge": [], "cell": []}, Counter()
 
     def pop(self, step, default):
         bucket = super().pop(step, default)
-        for key, stamp in bucket:
-            if not is_live(self.mmap, key, stamp):
+        for key, since in bucket:
+            if not is_live(self.mmap, key, since):
                 continue
             if isinstance(key, tuple):
-                kind, conn = "edge", self.mmap.edges[key]
-                now, value = conn.last_reinforced_at, self.mmap.weight_of(conn)
+                kind, record = "edge", self.mmap.edges[key]
+                now = record.last_reinforced_at
             else:
-                kind, cell = "cell", self.mmap.cells[key]
-                now, value = cell.last_activated_at, self.mmap.activation_of(cell)
+                kind, record = "cell", self.mmap.cells[key]
+                now = record.last_activated_at
             self.checks[key, now] += 1
-            if self.checks[key, now] == 1:
-                self.first[kind].append(value)
-            self.crossed[kind] += value < self.floors[kind]
+            if now <= since:
+                reads = read_at(self.mmap, record, step), read_at(self.mmap, record, step - 1)
+                self.due[kind].append(reads)
+            else:
+                self.restamped[kind] += 1
         return bucket
+
+    def assert_exact(self, kind: str) -> None:
+        """Each record that came due with its stamp unchanged reads below
+        its floor at that step and at or above it one step before; no record
+        is checked more than twice at one stamp."""
+        floor, due = self.floors[kind], self.due[kind]
+        assert all(now < floor <= before for now, before in due), f"{kind} due off its crossing"
+        assert max(self.checks.values()) <= 2, "checked more than twice at one stamp"
+
+
+def exact_forgetting(beta: float, n_txns: int = 1500) -> Tuple[Checks, int]:
+    """Run a random stream with `mmap.wheel` recording its checks, assert
+    that the schedule is exact, and return the wheel and the number of
+    records forgotten."""
+    params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5)
+    engine = Engine(params)
+    wheel = engine.mmap.wheel = Checks(engine.mmap, params.epsilon, params.epsilon)
+    forgotten = 0
+    for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], n_txns):
+        events = engine.ingest(t)
+        forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
+    wheel.assert_exact("edge")
+    wheel.assert_exact("cell")
+    return wheel, forgotten
 
 
 @pytest.mark.parametrize("beta", [0.02, 0.1, 0.4])
 def test_no_entry_is_first_checked_below_the_floor(beta):
-    # The estimate is never late, and at most one step early besides the
-    # step it is filed early by. A record stamped again is also checked when
-    # its old entry comes due; still, no record is checked more than three
-    # times at one stamp.
-    params = EngineParams(beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5)
-    engine = Engine(params)
-    wheel = engine.mmap.wheel = FirstChecks(engine.mmap, params.epsilon, params.epsilon)
-    forgotten = 0
-    for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], 1500):
-        events = engine.ingest(t)
-        forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
-    first = wheel.first["edge"] + wheel.first["cell"]
-    assert len(first) > 1000 and forgotten > 200
-    assert min(first) >= params.epsilon
-    assert max(wheel.checks.values()) <= 3
+    # Never late, never early: a record not stamped since its entry was
+    # filed comes due at the first step it reads below the floor, so no
+    # check finds it below at the step before. A record stamped again is
+    # also checked when its old entry comes due, and then at most once more.
+    wheel, forgotten = exact_forgetting(beta)
+    assert len(wheel.due["edge"] + wheel.due["cell"]) > 1000 and forgotten > 200
+    assert sum(wheel.restamped.values()) > 300
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=1e-12, max_value=0.999999),
+    st.floats(min_value=1e-9, max_value=0.999),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_due_step_is_the_first_step_below_the_floor(beta, floor, share, since):
+    # `value` anywhere in [floor, 1]; the log estimate is off by a step or
+    # two at most before the read corrects it.
+    value, keep = floor + share * (1.0 - floor), 1.0 - beta
+    log_keep = math.log(keep)
+    n = due_step(since, value, floor, keep, log_keep) - since
+    assert n >= 1 and value * keep**n < floor
+    assert n == 1 or value * keep ** (n - 1) >= floor
+    assert abs(n - (int(math.log(floor / value) / log_keep) + 1)) <= 2
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_filing_a_step_off_fails_the_exactness_check(monkeypatch, shift):
+    # The exactness check catches a schedule one step early (a record taken
+    # as crossed while above the floor) or one step late (one below the
+    # floor at the step before it comes due).
+    exact = dynamics.due_step
+    monkeypatch.setattr(dynamics, "due_step", lambda *args: exact(*args) + shift)
+    with pytest.raises(AssertionError, match="due off its crossing"):
+        exact_forgetting(0.1, 300)
+
+
+def test_an_untouched_due_entry_is_not_read():
+    # A poisoned value would read as not below the floor and be filed again.
+    params = EngineParams(beta_w=0.1, beta_a=0.0, epsilon=0.01)
+    m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
+    (due,) = m.wheel
+    while m.step < due - 1:
+        m, _ = ingest_transaction(m, txn([]), params)
+    m.edges[("A", "B")].weight = math.nan
+    m, events = ingest_transaction(m, txn([]), params)
+    assert m.step == due and events.edges_forgotten == [("A", "B")] and not m.wheel
+
+
+def first_below(value: float, floor: float, keep: float) -> int:
+    """The least n >= 1 with value * keep**n below `floor`, by stepping."""
+    return next(n for n in range(1, 10**4) if value * keep**n < floor)
 
 
 def test_a_restamped_entry_is_filed_again_at_its_new_estimate():
     params = EngineParams(beta_w=0.1, beta_a=0.0, epsilon=0.01, theta_w=0.5)
-    log_keep = math.log(0.9)
+    keep = 1.0 - params.beta_w
     m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
-    first_due = due_step(1, 0.5, 0.01, log_keep)  # the new edge's estimate
+    first_due = 1 + first_below(0.5, 0.01, keep)  # the new edge's first step below
+    assert due_step(1, 0.5, 0.01, keep, math.log(keep)) == first_due
     assert entries(m.wheel) == {(("A", "B"), 1): first_due}
     for _ in range(9):  # a touch files nothing: the entry stays as filed
         m, _ = ingest_transaction(m, txn(["A", "B"]), params)
         assert entries(m.wheel) == {(("A", "B"), 1): first_due}
     w = m.edges[("A", "B")].weight
-    crossing = 10 + next(n for n in range(1, 500) if w * 0.9**n < 0.01)
-    new_due = due_step(10, w, 0.01, log_keep)
-    assert first_due < new_due < crossing
+    crossing = 10 + first_below(w, 0.01, keep)
+    assert due_step(10, w, 0.01, keep, math.log(keep)) == crossing
+    assert first_due < crossing
     while m.step < crossing:
         m, events = ingest_transaction(m, txn([]), params)
         # One entry while the edge lives: the one filed at its birth until
-        # it comes due, then one with the new stamp, at the new estimate and
-        # then each next step until the edge crosses.
+        # it comes due, then one with the new stamp, due at the crossing.
         if m.step < first_due:
             assert entries(m.wheel) == {(("A", "B"), 1): first_due}, m.step
         elif m.step < crossing:
-            assert entries(m.wheel) == {(("A", "B"), 10): max(new_due, m.step + 1)}, m.step
+            assert entries(m.wheel) == {(("A", "B"), 10): crossing}, m.step
         assert events.edges_forgotten == ([("A", "B")] if m.step == crossing else [])
     assert not m.edges and not m.wheel
 
@@ -509,55 +587,52 @@ def test_a_restamped_entry_is_filed_again_at_its_new_estimate():
 @pytest.mark.parametrize("beta", [0.02, 0.1, 0.4])
 def test_no_threshold_crossing_is_first_checked_below_its_threshold(beta, theta_a):
     # The engine's own wheel schedules the theta_w crossing of each heavy
-    # pair and, when theta_a > 0, the theta_a crossing of each cell.
+    # pair and, when theta_a > 0, the theta_a crossing of each cell, exactly
+    # as the map's wheel schedules forgetting.
     params = EngineParams(
         beta_w=beta, beta_a=beta, epsilon=0.05, theta_w=0.5, theta_a=theta_a, promote_after=1
     )
     engine = Engine(params)
-    wheel = engine._wheel = FirstChecks(engine.mmap, params.theta_w, params.theta_a)
+    wheel = engine._wheel = Checks(engine.mmap, params.theta_w, params.theta_a)
     for t in random_transactions(random.Random(beta), [f"i{k}" for k in range(30)], 1500):
         engine.ingest(t)
-    assert len(wheel.first["edge"]) > 300 and wheel.crossed["edge"] > 300
-    assert min(wheel.first["edge"]) >= params.theta_w
+    assert len(wheel.due["edge"]) > 300 and wheel.restamped["edge"] > 0
+    wheel.assert_exact("edge")
     if theta_a:
-        assert len(wheel.first["cell"]) > 500 and wheel.crossed["cell"] > 500
-        assert min(wheel.first["cell"]) >= params.theta_a
+        assert len(wheel.due["cell"]) > 500 and wheel.restamped["cell"] > 200
+        wheel.assert_exact("cell")
     else:
-        assert not wheel.first["cell"]
-    assert max(wheel.checks.values()) <= 3
+        assert not wheel.due["cell"] and not wheel.restamped["cell"]
 
 
 def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
     params = EngineParams(beta_w=0.1, beta_a=0.1, epsilon=0.01, theta_w=0.4, theta_a=0.6)
+    keep = 1.0 - params.beta_w
     engine = Engine(params)
     engine.ingest(txn(["A", "B"]))  # the pair joins _heavy, and A and B are born lit
     keys = {"A", "B", ("A", "B")}
     assert {key for key, stamp in entries(engine._wheel)} == keys
     for _ in range(9):
         # A touch files nothing; an entry that comes due is filed again
-        # with the record's stamp then, at the estimate from it.
+        # with the record's stamp then, at the first step below from it.
         engine.ingest(txn(["A", "B"]))
         in_wheel = [key for bucket in engine._wheel.values() for key, _ in bucket]
         assert Counter(in_wheel) == Counter(keys), engine.step
         filed = entries(engine._wheel)
     w, a = engine.mmap.edges[("A", "B")].weight, engine.mmap.cells["A"].activation
     assert engine.mmap.cells["B"].activation == a
-    heavy_until = 10 + next(n for n in range(1, 99) if w * 0.9**n < 0.4) - 1
-    light_until = 10 + next(n for n in range(1, 99) if a * 0.9**n < 0.6) - 1
+    heavy_until = 10 + first_below(w, 0.4, keep) - 1
+    light_until = 10 + first_below(a, 0.6, keep) - 1
     assert light_until < heavy_until
-    assert filed[("A", 7)] < light_until and filed[(("A", "B"), 9)] < heavy_until
-    log_keep = math.log(0.9)
-    new_due = {
-        ("A", "B"): due_step(10, w, 0.4, log_keep),
-        "A": due_step(10, a, 0.6, log_keep),
-        "B": due_step(10, a, 0.6, log_keep),
-    }
+    assert filed[("A", 9)] <= light_until and filed[(("A", "B"), 4)] <= heavy_until
+    new_due = {("A", "B"): heavy_until + 1, "A": light_until + 1, "B": light_until + 1}
+    assert due_step(10, w, 0.4, keep, math.log(keep)) == new_due[("A", "B")]
+    assert due_step(10, a, 0.6, keep, math.log(keep)) == new_due["A"]
     while engine.step <= heavy_until:
         engine.ingest(txn([]))
         step = engine.step
         # One entry per heavy pair and lit cell: the one filed by step 10
-        # until it comes due, then one with stamp 10, at the new estimate
-        # and then each next step until its record crosses.
+        # until it comes due, then one with stamp 10, due at its crossing.
         live = {("A", "B")} if step <= heavy_until else set()
         live |= {"A", "B"} if step <= light_until else set()
         expected = {}
@@ -565,7 +640,7 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
             if key in live and due > step:
                 expected[key, stamp] = due
             elif key in live:
-                expected[key, 10] = max(new_due[key], step + 1)
+                expected[key, 10] = new_due[key]
         assert entries(engine._wheel) == expected, step
         assert engine._heavy.keys() == ({("A", "B")} if step <= heavy_until else set()), step
         assert engine._dark == (set() if step <= light_until else {"A", "B"}), step
@@ -618,9 +693,10 @@ def test_each_scheduled_record_holds_one_wheel_entry(beta, theta_a):
 
 def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():
     # theta_a < epsilon: A is forgotten in step 3, still lit, and its entry
-    # in the engine's wheel, due at step 7, outlives it. A is created again
-    # in step 4 and files its own entry; the old one must go when it comes
-    # due, or A would hold two entries from then on.
+    # in the engine's wheel, due at step 8 (0.75 * 0.5**7 < 0.01, the first
+    # read below), outlives it. A is created again in step 4 and files its
+    # own entry; the old one must go when it comes due, or A would hold two
+    # entries from then on.
     params = EngineParams(
         lam=0.5, beta_w=0.5, beta_a=0.5, epsilon=0.3, theta_w=0.5, theta_a=0.01
     )
@@ -630,17 +706,17 @@ def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():
         return {e: due for e, due in entries(engine._wheel).items() if e[0] == "A"}
 
     engine.ingest(txn(["A", "B"]))
-    assert a_entries() == {("A", 1): 7}
+    assert a_entries() == {("A", 1): 8}
     engine.ingest(txn(["B"]))  # A-B falls below epsilon and goes
     events = engine.ingest(txn([]))
     assert events.cells_forgotten == ["A"]
-    assert a_entries() == {("A", 1): 7}
-    for _ in range(3):  # created again in step 4, and kept above epsilon
+    assert a_entries() == {("A", 1): 8}
+    for _ in range(4):  # created again in step 4, and kept above epsilon
         engine.ingest(txn(["A"]))
-        assert a_entries() == {("A", 1): 7, ("A", 4): 10}
+        assert a_entries() == {("A", 1): 8, ("A", 4): 11}
     engine.ingest(txn([]))
-    assert engine.step == 7 and engine.mmap.cells["A"].created_at == 4
-    assert a_entries() == {("A", 4): 10}
+    assert engine.step == 8 and engine.mmap.cells["A"].created_at == 4
+    assert a_entries() == {("A", 4): 11}
     assert_one_entry_per_scheduled_record(engine)
     while a_entries():
         engine.ingest(txn([]))

@@ -1,4 +1,5 @@
 import random
+import re
 from typing import List
 
 import pytest
@@ -267,7 +268,8 @@ def snapshot_with(*records):
         ("stm a|b|z 1 1", "no cell 'z'"),
         ("edge a z 0.5 2", "dangling edge endpoint 'z'"),
         # A param line names a known parameter and holds a value of its type,
-        # in that parameter's range; a known param replaces its own line.
+        # in that parameter's range; a known param replaces its own line. A
+        # range message must match whole: its first word names the line.
         ("param bogus 3", "unknown param 'bogus'"),
         ("param promote_after 2.0", "param promote_after: invalid literal"),
         ("param eta 1.5", r"eta must be in \(0, 1\]"),
@@ -297,6 +299,8 @@ def test_bad_records_are_rejected(record, error):
     # Each record is checked on its own line. Only the endpoint check needs
     # the finished map, so its error names no line.
     assert caught.value.lineno == (None if record.startswith("edge a z") else lineno)
+    if error.startswith(f"{name} must be "):
+        assert re.fullmatch(f"line {lineno}: {error}", str(caught.value))
 
 
 def test_edge_key_is_canonicalized():

@@ -4,13 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from mindstream.stream import (
-    ParseError,
-    StreamRecord,
-    parse_record,
-    read_records,
-    read_transactions,
-)
+from mindstream.stream import ParseError, read_transactions
 
 names = st.text(
     alphabet=st.characters(blacklist_characters=";\n\r", blacklist_categories=("Cs",)),
@@ -18,24 +12,27 @@ names = st.text(
 ).filter(lambda s: s.strip() == s and s)
 
 
-def rec(date, ref, name):
-    return StreamRecord(date, ref, name)
-
-
 def format_record(record):
-    return f"{record.date};{record.ref};{record.name}"
+    """The line of a (date, ref, name) record."""
+    return "{};{};{}".format(*record)
 
 
 def lines_of(records):
     return [format_record(r) + "\n" for r in records]
 
 
+def parsed(line):
+    """The TID and items of the one transaction that a record line makes."""
+    (t,) = read_transactions([line + "\n"])
+    return t.tid, t.items
+
+
 def test_parse_record():
-    assert parse_record("2004-03-01;42;Smith") == rec("2004-03-01", 42, "Smith")
+    assert parsed("2004-03-01;42;Smith") == (("2004-03-01", 42), {"Smith": 1})
 
 
 def test_parse_record_trims_whitespace():
-    assert parse_record(" 2004-03-01 ; 7 ; A ") == rec("2004-03-01", 7, "A")
+    assert parsed(" 2004-03-01 ; 7 ; A ") == (("2004-03-01", 7), {"A": 1})
 
 
 @pytest.mark.parametrize(
@@ -58,11 +55,12 @@ def test_parse_record_trims_whitespace():
     ],
 )
 def test_parse_record_errors(line, fragment):
+    # Line numbers count the skipped comment lines too.
     with pytest.raises(ParseError) as err:
-        parse_record(line, lineno=17)
+        list(read_transactions(["# header\n"] * 16 + [line + "\n"]))
     assert fragment in str(err.value)
     assert err.value.lineno == 17
-    assert "line 17" in str(err.value)
+    assert str(err.value).startswith("line 17: ")
     # The same error after a valid record, whose date is then not checked again.
     with pytest.raises(ParseError) as err:
         list(read_transactions(["2004-03-01;1;A\n", line + "\n"]))
@@ -71,10 +69,7 @@ def test_parse_record_errors(line, fragment):
 
 @given(names, st.integers(min_value=0, max_value=10**9))
 def test_format_parse_round_trip(name, ref):
-    record = rec("2004-03-01", ref, name)
-    assert parse_record(format_record(record)) == record
-    txns = list(read_transactions([format_record(record) + "\n"]))
-    assert [(t.tid, t.items) for t in txns] == [(("2004-03-01", ref), {name: 1})]
+    assert parsed(format_record(("2004-03-01", ref, name))) == (("2004-03-01", ref), {name: 1})
 
 
 @pytest.mark.parametrize("on_error", ["stop", "skip"])
@@ -113,7 +108,7 @@ def test_a_date_is_checked_unless_a_valid_record_carried_it(bad, fragment, on_er
 def test_group_by_consecutive_tid_runs():
     tids = [1, 1, 1, 1, 2, 2, 2]
     items = ["A", "A", "C", "D", "B", "C", "E"]
-    records = [rec("2004-03-01", t, n) for t, n in zip(tids, items)]
+    records = [("2004-03-01", t, n) for t, n in zip(tids, items)]
     txns = list(read_transactions(lines_of(records)))
     assert [t.items for t in txns] == [{"A": 2, "C": 1, "D": 1}, {"B": 1, "C": 1, "E": 1}]
     assert txns[0].tid == ("2004-03-01", 1)
@@ -125,7 +120,7 @@ def test_group_empty_stream():
 
 
 def test_nonadjacent_equal_tids_do_not_merge():
-    records = [rec("2004-03-01", t, n) for t, n in [(1, "A"), (2, "B"), (1, "C")]]
+    records = [("2004-03-01", t, n) for t, n in [(1, "A"), (2, "B"), (1, "C")]]
     txns = list(read_transactions(lines_of(records)))
     assert [t.items for t in txns] == [{"A": 1}, {"B": 1}, {"C": 1}]
     assert [t.tid[1] for t in txns] == [1, 2, 1]
@@ -134,7 +129,7 @@ def test_nonadjacent_equal_tids_do_not_merge():
 def test_no_loss_no_reorder():
     rng = random.Random(2)
     records = [
-        rec("2004-03-01", rng.randint(1, 5), rng.choice("ABCDE")) for _ in range(100)
+        ("2004-03-01", rng.randint(1, 5), rng.choice("ABCDE")) for _ in range(100)
     ]
     txns = list(read_transactions(lines_of(records)))
     total = sum(sum(t.items.values()) for t in txns)
@@ -143,10 +138,10 @@ def test_no_loss_no_reorder():
     i = 0
     for t in txns:
         run = records[i : i + sum(t.items.values())]
-        assert {(r.date, r.ref) for r in run} == {t.tid}
+        assert {r[:2] for r in run} == {t.tid}
         counts = {}
-        for r in run:
-            counts[r.name] = counts.get(r.name, 0) + 1
+        for _, _, name in run:
+            counts[name] = counts.get(name, 0) + 1
         assert counts == t.items
         i += len(run)
 
@@ -154,7 +149,7 @@ def test_no_loss_no_reorder():
 def test_transaction_is_yielded_after_one_record_of_the_next_tid():
     rng = random.Random(9)
     records = [
-        rec("2004-03-01", rng.randint(1, 8), rng.choice("ABCDEFG")) for _ in range(200)
+        ("2004-03-01", rng.randint(1, 8), rng.choice("ABCDEFG")) for _ in range(200)
     ]
     lines = lines_of(records)
     whole = list(read_transactions(lines))
@@ -193,19 +188,20 @@ def test_grouping_memory_does_not_grow_with_the_stream():
 
 
 def test_read_records_skips_blank_and_comment_lines():
-    text = "# header\n\n2004-03-01;1;A\n   \n2004-03-01;1;B\n"
-    records = list(read_records(text.splitlines(keepends=True)))
-    assert [r.name for r in records] == ["A", "B"]
+    # A skipped line does not end a TID's run.
+    text = "# header\n\n2004-03-01;1;A\n   \n  # indented\n2004-03-01;1;B\n"
+    txns = list(read_transactions(text.splitlines(keepends=True)))
+    assert [(t.tid, list(t.items)) for t in txns] == [(("2004-03-01", 1), ["A", "B"])]
 
 
 def test_read_records_stop_vs_skip():
     text = "2004-03-01;1;A\nnot a record\n2004-03-01;1;B\n"
     lines = text.splitlines(keepends=True)
     with pytest.raises(ParseError) as err:
-        list(read_records(lines, on_error="stop"))
+        list(read_transactions(lines, on_error="stop"))
     assert err.value.lineno == 2
-    names = [r.name for r in read_records(lines, on_error="skip")]
-    assert names == ["A", "B"]
+    txns = list(read_transactions(lines, on_error="skip"))
+    assert [list(t.items) for t in txns] == [["A", "B"]]
 
 
 def test_read_transactions_worked_example():
