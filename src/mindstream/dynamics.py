@@ -13,9 +13,9 @@ by step files each record at the first step it reads below the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import log
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .model import (
     Connection,
@@ -35,11 +35,12 @@ class NoPairsError(ValueError):
 
 @dataclass
 class StepEvents:
-    """What happened during one synchronization step."""
+    """What happened during one synchronization step; pairs in `combinations` order."""
 
     step: int = 0
     cells_created: List[str] = field(default_factory=list)
     edges_created: List[Pair] = field(default_factory=list)
+    edges_reinforced: List[Pair] = field(default_factory=list)
     cells_forgotten: List[str] = field(default_factory=list)
     edges_forgotten: List[Pair] = field(default_factory=list)
 
@@ -127,7 +128,7 @@ def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[st
 
 
 def prune_forgotten(
-    mmap: MindMap, edges: Iterable[Pair], cells: Iterable[str], epsilon: float
+    mmap: MindMap, edges: Sequence[Pair], cells: Sequence[str], epsilon: float
 ) -> Tuple[List[Pair], List[str]]:
     """Drop the given edges, then the given cells and the dropped edges' ends
     that are isolated and below the floor, in place; returns the dropped
@@ -139,6 +140,8 @@ def prune_forgotten(
     because every step ends with no edge below the floor and no isolated
     cell below it; a map adopted from elsewhere must start that way too.
     """
+    if not edges and not cells:
+        return [], []
     table, degree = mmap.edges, mmap.degree
     dead_edges = sorted(edges)
     for pair in dead_edges:
@@ -208,30 +211,31 @@ def ingest_transaction(
         elif log_a and (a_pre < eps or cell.created_at == step):
             file_due(wheel, (label,), step, a, eps, keep_a, log_a)
 
-    # Create each edge, or reinforce its pre-step weight with the post-boost
-    # activations of its cells; only a new edge is filed, and it is not also
-    # reinforced. The labels are sorted and distinct, so each pair is canonical.
+    # Reinforce each existing edge's pre-step weight with the post-boost
+    # activations of its cells, then create, count and file the new edges as one
+    # batch: all are born at one weight. Sorted distinct labels give canonical pairs.
     low_edges: List[Pair] = []
     if len(labels) >= 2:
-        w0 = initial_weight(len(labels))
+        created, reinforced = events.edges_created, events.edges_reinforced
         for pair in combinations(labels, 2):
             conn = edges.get(pair)
             if conn is None:
-                edges[pair] = Connection(w0, step)
-                mmap.degree[pair[0]] += 1
-                mmap.degree[pair[1]] += 1
-                events.edges_created.append(pair)
-            else:
-                w = conn.weight
-                if keep_w != 1.0 and (stamp := conn.last_reinforced_at) < before:
-                    w *= keep_w ** (before - (stamp if stamp > origin else origin))
-                a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
-                conn.weight = hebbian_update(w, a_i, a_j, params.eta)
-                conn.last_reinforced_at = step
+                created.append(pair)
+                continue
+            w = conn.weight
+            if keep_w != 1.0 and (stamp := conn.last_reinforced_at) < before:
+                w *= keep_w ** (before - (stamp if stamp > origin else origin))
+            a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
+            conn.weight = hebbian_update(w, a_i, a_j, params.eta)
+            conn.last_reinforced_at = step
+            reinforced.append(pair)
+        w0 = initial_weight(len(labels))
+        edges.update(zip(created, map(Connection, repeat(w0), repeat(step))))
+        mmap.degree.update(chain.from_iterable(created))
         if w0 < eps:
-            low_edges = events.edges_created
-        elif log_w and events.edges_created:  # all born at w0, so all due together
-            file_due(wheel, events.edges_created, step, w0, eps, keep_w, log_w)
+            low_edges = created
+        elif log_w and created:  # all born at w0, so all due together
+            file_due(wheel, created, step, w0, eps, keep_w, log_w)
 
     # Forgetting decides only what can have crossed the floor this step:
     # what decay took below it, and new edges and touched cells below it.

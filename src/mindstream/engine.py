@@ -10,7 +10,7 @@ after the step has committed, so evaluation order never affects the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, List, Set, Tuple, ValuesView
 
 from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
@@ -104,16 +104,16 @@ class Engine:
         """Bring the kept skeleton and its signatures to the step that
         ingested `txn`.
 
-        A step raises only what it touches and lowers only what it does not,
-        so a touched pair can only join `_heavy` and a touched cell can only
-        leave `_dark`. Every other change is a crossing that `_wheel` has due:
-        a pair that joins `_heavy`, and a cell born lit or leaving `_dark`
-        when theta_a > 0, is filed at the step it crosses (see `pop_due`). Only the
-        pairs that entered or left the kept set change the adjacency, and
-        only their ends start a new search: every node of a component such a
-        pair touches is reachable from one of them (a removal splits a
-        component into pieces that each hold an end), and every other
-        component keeps its signature.
+        A step raises only what it touches and lowers only what it does not, so
+        a touched pair can only join `_heavy` and a touched cell can only leave
+        `_dark`; `events` lists the touched pairs, created and reinforced. Every
+        other change is a crossing that `_wheel` has due: a pair that joins
+        `_heavy`, and a cell born lit or leaving `_dark` when theta_a > 0, is
+        filed at the step it crosses (see `pop_due`). Only the pairs that
+        entered or left the kept set change the adjacency, and only their ends
+        start a new search: every node of a component such a pair touches is
+        reachable from one of them (a removal splits a component into pieces
+        that each hold an end), and every other component keeps its signature.
         """
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
@@ -130,9 +130,12 @@ class Engine:
                 self._shade(label, False, ends)
                 if log_a:
                     file_due(wheel, (label,), step, a, theta_a, keep_a, log_a)
-        for pair in combinations(sorted(txn.items), 2):
-            conn = edges.get(pair)
-            if conn is not None and (w := conn.weight) >= theta_w and pair not in heavy:
+        # New edges share one stored birth weight, so one compare decides all.
+        created = events.edges_created
+        born = edges.get(created[0]) if created else None  # gone if born below epsilon
+        rising = created if born is not None and born.weight >= theta_w else []
+        for pair in chain(rising, events.edges_reinforced):
+            if (w := edges[pair].weight) >= theta_w and pair not in heavy:
                 heavy[pair] = None
                 self._place(pair, ends)
                 if log_w:

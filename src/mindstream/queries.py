@@ -1,7 +1,8 @@
 """One-shot static queries over a loaded snapshot.
 
-All queries are pure reads; results are plain text, one fact per line.
-Unknown labels answer "absent" rather than erroring.
+All queries are pure reads; results are plain text, one fact per line,
+with labels and signatures written as in a snapshot. Unknown labels
+answer "absent" rather than erroring.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from typing import Callable, Dict, List
 
 from .memory import detect_patterns, query_ltm
 from .skeleton import derive_rules, extract_skeleton, strongest_subgraphs
-from .snapshot import EngineState
+from .snapshot import EngineState, _fmt_signature, _quote
 
 
 class QueryUsageError(ValueError):
@@ -73,9 +74,10 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         opts = _take_options(rest, _THETAS)
         theta_w = opts.get("--theta-w", state.params.theta_w)
         theta_a = opts.get("--theta-a", state.params.theta_a)
-        skel = extract_skeleton(state.mmap, theta_w, theta_a)
-        lines = ["nodes " + " ".join(sorted(skel.nodes))]
-        lines += [f"edge {a} {b} {_fmt(w)}" for (a, b), w in skel.edges]
+        edges = extract_skeleton(state.mmap, theta_w, theta_a).edges
+        quoted = {label: _quote(label) for label in sorted({x for p, _ in edges for x in p})}
+        lines = ["nodes " + " ".join(quoted.values())]
+        lines += [f"edge {quoted[a]} {quoted[b]} {_fmt(w)}" for (a, b), w in edges]
         return "\n".join(lines)
 
     if kind == "rules":
@@ -85,14 +87,14 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         rules = derive_rules(extract_skeleton(state.mmap, theta_w, theta_a))
         rules.sort(key=lambda r: (r.antecedent, r.consequent))
         return "\n".join(
-            f"{r.antecedent} => {r.consequent} {_fmt(r.weight)}" for r in rules
+            f"{_quote(r.antecedent)} => {_quote(r.consequent)} {_fmt(r.weight)}" for r in rules
         )
 
     if kind == "patterns":
         _take_options(rest, {})
         skel = extract_skeleton(state.mmap, state.params.theta_w, state.params.theta_a)
         return "\n".join(
-            "pattern " + "|".join(sig) for sig in sorted(detect_patterns(skel))
+            "pattern " + _fmt_signature(sig) for sig in sorted(detect_patterns(skel))
         )
 
     if kind == "ltm":
@@ -101,7 +103,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
             raise QueryUsageError("usage: ltm [open|closed|all]")
         records = query_ltm(state.ltm, which)
         return "\n".join(
-            f"{'|'.join(r.signature)} {r.appeared_at} "
+            f"{_fmt_signature(r.signature)} {r.appeared_at} "
             f"{'open' if r.is_open else r.disappeared_at} {r.recurrence_count}"
             for r in records
         )
@@ -114,7 +116,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         except ValueError as exc:
             raise QueryUsageError(str(exc)) from None
         return "\n".join(
-            f"{rank} [{'|'.join(sig)}] mean-weight {_fmt(mean_w)}"
+            f"{rank} [{_fmt_signature(sig)}] mean-weight {_fmt(mean_w)}"
             for rank, (sig, mean_w) in enumerate(comps, start=1)
         )
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from .model import MindMap, Pair
 
@@ -16,9 +16,8 @@ Signature = Tuple[str, ...]  # a component's labels, sorted
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Subgraph surviving the weight and activation thresholds."""
+    """The edges surviving the weight and activation thresholds."""
 
-    nodes: FrozenSet[str]
     edges: Tuple[Tuple[Pair, float], ...]
 
 
@@ -31,7 +30,7 @@ class AssociationRule:
 
 def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Skeleton:
     """Keep edges with weight >= theta_w whose both endpoints have
-    activation >= theta_a, sorted; nodes are the endpoints of kept edges."""
+    activation >= theta_a, sorted."""
     cells, activation = mmap.cells, mmap.activation_of
     # A stored weight bounds the one read now, so most edges need no read.
     kept = [
@@ -44,8 +43,7 @@ def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Ske
     ]
     # Pairs are unique, so the faster pair key gives the order of the tuples.
     kept.sort(key=itemgetter(0))
-    nodes = frozenset(label for pair, _ in kept for label in pair)
-    return Skeleton(nodes=nodes, edges=tuple(kept))
+    return Skeleton(edges=tuple(kept))
 
 
 def derive_rules(s: Skeleton) -> List[AssociationRule]:

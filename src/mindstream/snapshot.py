@@ -85,25 +85,17 @@ def _fmt_signature(sig: Signature) -> str:
     return _quote(joined)
 
 
+# A signature's label: up to an unescaped `|` or the end. A backslash
+# escapes the character after it; one that ends the token is literal.
+_LABEL = re.compile(r"(?:^|\|)((?:[^\\|]|\\.|\\\Z)*)", re.S)
+_UNESCAPE = re.compile(r"\\(.)", re.S)
+
+
 def _parse_signature(token: str) -> Signature:
-    """The labels of a signature token; a pattern has two or more cells, and
-    its signature lists their labels in strictly increasing order."""
-    labels: List[str] = []
-    buf: List[str] = []
-    i = 0
-    while i < len(token):
-        c = token[i]
-        if c == "\\" and i + 1 < len(token):
-            buf.append(token[i + 1])
-            i += 2
-        elif c == "|":
-            labels.append("".join(buf))
-            buf = []
-            i += 1
-        else:
-            buf.append(c)
-            i += 1
-    labels.append("".join(buf))
+    """The labels of a signature token: two or more, strictly increasing."""
+    labels = token.split("|")  # exact, and far cheaper, when no label holds an escape
+    if "\\" in token:
+        labels = [_UNESCAPE.sub(r"\1", label) for label in _LABEL.findall(token)]
     if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
         raise ValueError(f"signature {token!r} is not two or more increasing labels")
     return tuple(labels)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from mindstream.engine import Engine
 from mindstream.memory import LTMRecord, STMEntry
@@ -17,6 +17,7 @@ from mindstream.model import (
     Transaction,
     distinct_items,
 )
+from mindstream.skeleton import Skeleton
 from mindstream.snapshot import EngineState
 
 WORKED_EXAMPLE = [
@@ -48,6 +49,11 @@ def replay(transactions, params: EngineParams = EngineParams()) -> Engine:
     for t in transactions:
         engine.ingest(t)
     return engine
+
+
+def skeleton_nodes(skel: Skeleton) -> Set[str]:
+    """The nodes of `skel`: the ends of its edges."""
+    return {label for pair, _ in skel.edges for label in pair}
 
 
 def triangle_gap_threshold(engine: Engine) -> float:

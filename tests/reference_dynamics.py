@@ -115,6 +115,7 @@ def ingest_transaction(
                 new_weights[pair] = hebbian_update(
                     conn.weight, boosted[a], boosted[b], params.eta
                 )
+                events.edges_reinforced.append(pair)
 
     # Commit.
     for label, a in boosted.items():

@@ -15,7 +15,7 @@ used that helper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from mindstream.engine import Engine
 from mindstream.memory import LTMRecord, Signature
@@ -39,14 +39,17 @@ class STMEntry:
     consecutive_steps: int = 1
 
 
-def _components(s: Skeleton) -> List[Skeleton]:
-    adjacency: Dict[str, set] = {n: set() for n in s.nodes}
+def _components(s: Skeleton) -> List[Tuple[FrozenSet[str], Tuple]]:
+    """(nodes, edges) of each connected component of `s`; its nodes are the
+    ends of its edges."""
+    nodes = sorted({label for pair, _ in s.edges for label in pair})
+    adjacency: Dict[str, set] = {n: set() for n in nodes}
     for (a, b), _ in s.edges:
         adjacency[a].add(b)
         adjacency[b].add(a)
     edges_of: Dict[str, list] = {}  # node -> edge list of its component
     comps: List[Tuple[set, list]] = []
-    for start in sorted(s.nodes):
+    for start in nodes:
         if start in edges_of:
             continue
         members, edges = set(), []
@@ -61,7 +64,7 @@ def _components(s: Skeleton) -> List[Skeleton]:
         comps.append((members, edges))
     for edge in s.edges:
         edges_of[edge[0][0]].append(edge)
-    return [Skeleton(frozenset(members), tuple(edges)) for members, edges in comps]
+    return [(frozenset(members), tuple(edges)) for members, edges in comps]
 
 
 def strongest_subgraphs(
@@ -71,20 +74,21 @@ def strongest_subgraphs(
     weight-thresholded skeleton: mean weight descending, then size
     descending, then the smallest node label."""
 
-    def rank_key(c: Skeleton):
-        mean_w = sum(w for _, w in c.edges) / len(c.edges)
-        return (-mean_w, -len(c.nodes), min(c.nodes))
+    def rank_key(comp):
+        nodes, edges = comp
+        mean_w = sum(w for _, w in edges) / len(edges)
+        return (-mean_w, -len(nodes), min(nodes))
 
     comps = sorted(_components(extract_skeleton(mmap, theta_w, 0.0)), key=rank_key)[:top_k]
-    return [(tuple(sorted(c.nodes)), -rank_key(c)[0]) for c in comps]
+    return [(tuple(sorted(c[0])), -rank_key(c)[0]) for c in comps]
 
 
 def detect_patterns(s: Skeleton, step: int) -> Set[Pattern]:
     """One pattern per connected skeleton component with >= 2 nodes."""
     patterns = set()
-    for comp in _components(s):
-        if len(comp.nodes) >= 2:
-            patterns.add(Pattern(tuple(sorted(comp.nodes)), comp.edges))
+    for nodes, edges in _components(s):
+        if len(nodes) >= 2:
+            patterns.add(Pattern(tuple(sorted(nodes)), edges))
     return patterns
 
 

@@ -1,7 +1,8 @@
 """Test-only reference: the three-pass snapshot load.
 
 This is the `parse_snapshot` that `mindstream.snapshot` replaced with a
-one-pass parser, and the whole-map `check_invariants` it ended with. The
+one-pass parser, the whole-map `check_invariants` it ended with, and the
+character loop `parse_signature` that a regex split replaced. The
 parser built every record unchecked, let `MindMap` count degrees, then
 walked the finished map once more to validate it. The differential test
 feeds both parsers the same mutated snapshots and requires the same
@@ -12,7 +13,7 @@ check of a map the step has built.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from mindstream.memory import LTMRecord, Signature, STMEntry
 from mindstream.model import (
@@ -29,9 +30,33 @@ from mindstream.snapshot import (
     HEADER,
     EngineState,
     SnapshotError,
-    _parse_signature,
     _tokenize,
 )
+
+
+def parse_signature(token: str) -> Signature:
+    """The labels of a signature token, read one character at a time: a
+    backslash takes the next character literally, a backslash that ends the
+    token is itself literal, and an unescaped `|` ends a label."""
+    labels: List[str] = []
+    buf: List[str] = []
+    i = 0
+    while i < len(token):
+        c = token[i]
+        if c == "\\" and i + 1 < len(token):
+            buf.append(token[i + 1])
+            i += 2
+        elif c == "|":
+            labels.append("".join(buf))
+            buf = []
+            i += 1
+        else:
+            buf.append(c)
+            i += 1
+    labels.append("".join(buf))
+    if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError(f"signature {token!r} is not two or more increasing labels")
+    return tuple(labels)
 
 
 def check_invariants(mmap: MindMap) -> None:
@@ -95,13 +120,13 @@ def parse_snapshot(text: str) -> EngineState:
                 table, key = edges, canonical_pair(args[0], args[1])
                 value = Connection(float(args[2]), int(args[3]))
             elif kind == "stm" and len(args) == 3:
-                table, key = stm, _parse_signature(args[0])
+                table, key = stm, parse_signature(args[0])
                 value = STMEntry(int(args[1]), int(args[2]))
                 if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
                 stm_lines[key] = lineno
             elif kind == "ltm" and len(args) == 4:
-                table, key = ltm, _parse_signature(args[0])
+                table, key = ltm, parse_signature(args[0])
                 gone = None if args[2] == "open" else int(args[2])
                 value = LTMRecord(key, int(args[1]), gone, int(args[3]))
                 last = step if gone is None else gone

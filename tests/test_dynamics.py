@@ -263,6 +263,28 @@ def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():
     assert engine.event_lines[-1] == "2 pattern-closed A|B"
 
 
+@pytest.mark.parametrize("theta_w", [0.5, math.nextafter(0.5, 1.0)])
+def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
+    # Two distinct items: the new edge is stored at exactly 1/2.
+    engine = Engine(EngineParams(theta_w=theta_w, promote_after=1))
+    events = engine.ingest(txn(["A", "B"]))
+    assert events.edges_created == [("A", "B")] and events.edges_reinforced == []
+    assert engine.mmap.edges[("A", "B")].weight == 0.5
+    born_heavy = theta_w == 0.5
+    joined = {("A", "B")} if born_heavy else set()
+    assert engine._heavy.keys() == engine._kept.keys() == joined
+    assert engine._patterns == joined
+    promoted = [line for line in engine.event_lines if " pattern-" in line]
+    assert promoted == (["1 pattern-promoted A|B"] if born_heavy else [])
+    # A reinforced pair is read from the step's list: A-B rises past either.
+    events = engine.ingest(txn(["A", "B", "C"]))
+    assert events.edges_created == [("A", "C"), ("B", "C")]
+    assert events.edges_reinforced == [("A", "B")]
+    assert engine._heavy.keys() == engine._kept.keys() == {("A", "B")}
+    promoted = [line for line in engine.event_lines if " pattern-" in line]
+    assert promoted == ["1 pattern-promoted A|B" if born_heavy else "2 pattern-promoted A|B"]
+
+
 class WalkCountingDict(dict):
     """A dict that counts the calls that walk all of it."""
 

@@ -264,6 +264,33 @@ def test_query_usage_errors(tmp_path, capsys):
     assert run_cli("query", "--snapshot", snap, "weight", "A") == 2
 
 
+def test_query_answers_read_back_as_their_labels():
+    # Unquoted, "a b" would read as two labels and "x|y" as two members.
+    labels = sorted(["a b", "c", "x|y", 'q"\\'])
+    engine = Engine(EngineParams(theta_w=0.2, promote_after=1))
+    for _ in range(2):
+        engine.ingest(txn(labels))
+    state = parse_snapshot(render_snapshot(engine.state))
+
+    def answer(*query):
+        return run_static_query(state, list(query)).splitlines()
+
+    def tokens(*query):
+        return [_tokenize(line, 1) for line in answer(*query)]
+
+    pairs = [list(pair) for pair in combinations(labels, 2)]
+    skeleton = tokens("skeleton")
+    assert skeleton[0] == ["nodes", *labels]
+    assert [t[1:3] for t in skeleton[1:]] == pairs
+    rules = sorted([t[0], t[2]] for t in tokens("rules"))
+    assert rules == sorted(pairs + [pair[::-1] for pair in pairs])
+    assert [_parse_signature(t[1]) for t in tokens("patterns")] == [tuple(labels)]
+    assert [_parse_signature(t[0]) for t in tokens("ltm")] == [tuple(labels)]
+    # A strongest line brackets its signature: "<rank> [<signature>] mean-weight <w>".
+    inner = [line.split(" ", 1)[1].rsplit(" mean-weight ", 1)[0] for line in answer("strongest")]
+    assert [_parse_signature(*_tokenize(s[1:-1], 1)) for s in inner] == [tuple(labels)]
+
+
 def test_trace_bc_over_replay(stream_file, capsys):
     # registered after step 1, the B-C weight strictly increases at steps 2-4
     assert run_cli("trace", "--input", stream_file, "B", "C", "-k", "3",

@@ -18,6 +18,7 @@ from mindstream.skeleton import (
 from helpers import (
     random_transactions,
     replay,
+    skeleton_nodes,
     triangle_gap_threshold,
     txn,
     worked_example_transactions,
@@ -32,26 +33,26 @@ def final_engine():
 def test_skeleton_in_the_gap_is_the_triangle(final_engine):
     theta = triangle_gap_threshold(final_engine)
     skel = extract_skeleton(final_engine.mmap, theta)
-    assert skel.nodes == {"B", "C", "E"}
+    assert skeleton_nodes(skel) == {"B", "C", "E"}
     assert {pair for pair, _ in skel.edges} == {("B", "C"), ("B", "E"), ("C", "E")}
 
 
 def test_zero_thresholds_keep_whole_graph(final_engine):
     skel = extract_skeleton(final_engine.mmap, 0.0, 0.0)
-    assert skel.nodes == set(final_engine.mmap.cells)
+    assert skeleton_nodes(skel) == set(final_engine.mmap.cells)
     assert len(skel.edges) == len(final_engine.mmap.edges)
 
 
 def test_threshold_above_one_empties_skeleton(final_engine):
     skel = extract_skeleton(final_engine.mmap, 1.0 + 1e-9, 0.0)
-    assert not skel.nodes and not skel.edges
+    assert not skeleton_nodes(skel) and not skel.edges
 
 
 def test_activation_threshold_is_anded(final_engine):
     # D's activation decayed well below the others
     theta_a = final_engine.mmap.cells["D"].activation + 1e-9
     skel = extract_skeleton(final_engine.mmap, 0.0, theta_a)
-    assert "D" not in skel.nodes
+    assert "D" not in skeleton_nodes(skel)
 
 
 def test_six_rules_from_the_triangle(final_engine):
@@ -118,7 +119,7 @@ def test_raising_threshold_shrinks_skeleton(t1, t2):
     engine = replay(worked_example_transactions())
     big = extract_skeleton(engine.mmap, lo)
     small = extract_skeleton(engine.mmap, hi)
-    assert small.nodes <= big.nodes
+    assert skeleton_nodes(small) <= skeleton_nodes(big)
     assert set(small.edges) <= set(big.edges)
 
 
@@ -131,8 +132,8 @@ def test_components_partition_the_skeleton():
         adj = adjacency(pair for pair, _ in skel.edges)
         sigs = list(components(adj, adj))
         assert all(list(sig) == sorted(set(sig)) for sig in sigs)
-        assert sum(len(sig) for sig in sigs) == len(skel.nodes)
-        assert frozenset().union(*sigs) == skel.nodes
+        assert sum(len(sig) for sig in sigs) == len(skeleton_nodes(skel))
+        assert frozenset().union(*sigs) == skeleton_nodes(skel)
         sig_of = {label: sig for sig in sigs for label in sig}
         assert all(sig_of[a] == sig_of[b] for (a, b), _ in skel.edges)
         # Several starts inside one component yield it once; starts are

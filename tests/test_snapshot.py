@@ -11,6 +11,7 @@ from mindstream.model import PARAM_TYPES, Connection, EngineParams, ItemCell, Mi
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
+    _parse_signature,
     _quote,
     _tokenize,
     parse_snapshot,
@@ -20,6 +21,7 @@ from mindstream.snapshot import (
 )
 
 from helpers import random_engine_state, random_transactions, replay, worked_example_transactions
+from reference_snapshot import parse_signature as reference_parse_signature
 from reference_snapshot import parse_snapshot as reference_parse_snapshot
 
 
@@ -215,6 +217,27 @@ def reference_quote(token: str) -> str:
 @given(st.text(alphabet='a"\\ \t\n\x1c\x85\xa0\u3000', max_size=8))
 def test_quote_matches_reference(token):
     assert _quote(token) == reference_quote(token)
+
+
+def labels_or_error(parse, token):
+    try:
+        return parse(token)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Escaped and bare `|`, escaped backslashes, a backslash that ends the token,
+# empty labels at either end, and labels out of order.
+@settings(max_examples=3000, deadline=None)
+@given(st.text(alphabet="\\| ab", max_size=12))
+@example("a\\")
+@example("a|b\\")
+@example("a\\|b|c\\\\|d")
+@example("|a")
+@example("a|")
+def test_parse_signature_matches_reference(token):
+    got = labels_or_error(_parse_signature, token)
+    assert got == labels_or_error(reference_parse_signature, token)
 
 
 @pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
