@@ -76,6 +76,8 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         engine = Engine(_params_from(args))
+        if args.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         for a, b in args.trace or []:
             engine.register_query(ContinuousQuery((a, b), horizon=args.horizon))
     except ValueError as exc:

@@ -47,17 +47,13 @@ class Engine:
     def __init__(self, params: EngineParams = EngineParams()):
         self.params = params
         self.mmap = MindMap()
-        # The kept skeleton, maintained by _update_skeleton: the edges at or
-        # above theta_w, the cells below theta_a, each dark cell's parked heavy
-        # pairs, the wheel of due threshold crossings, the kept pairs, their
-        # adjacency, and each kept node's component signature; the signatures.
-        # Heavy and kept pairs are dict keys: a set's table size depends on
-        # string hashing, so its memory would vary with the hash seed.
-        self._heavy: Dict[Pair, None] = {}
+        # The kept skeleton, maintained by _update_skeleton: the cells below
+        # theta_a, the wheel of due threshold crossings, the adjacency of the
+        # heavy pairs (at or above theta_w), each kept node's component
+        # signature, and the signatures. A kept pair is a heavy pair with no
+        # dark end.
         self._dark: Set[str] = set()
-        self._parked: Dict[str, Set[Pair]] = {}
         self._wheel: Dict[int, List[Tuple]] = {}
-        self._kept: Dict[Pair, None] = {}
         self._adj: Dict[str, Set[str]] = {}
         self._sig_of: Dict[str, Signature] = {}
         self._patterns: Set[Signature] = set()
@@ -105,22 +101,25 @@ class Engine:
         ingested `txn`.
 
         A step raises only what it touches and lowers only what it does not, so
-        a touched pair can only join `_heavy` and a touched cell can only leave
+        a touched pair can only become heavy and a touched cell can only leave
         `_dark`; `events` lists the touched pairs, created and reinforced. Every
-        other change is a crossing that `_wheel` has due: a pair that joins
-        `_heavy`, and a cell born lit or leaving `_dark` when theta_a > 0, is
-        filed at the step it crosses (see `pop_due`). Only the pairs that
-        entered or left the kept set change the adjacency, and only their ends
-        start a new search: every node of a component such a pair touches is
-        reachable from one of them (a removal splits a component into pieces
-        that each hold an end), and every other component keeps its signature.
+        other change is a crossing that `_wheel` has due: a pair that becomes
+        heavy, and a cell born lit or leaving `_dark` when theta_a > 0, is
+        filed at the step it crosses (see `pop_due`). `_adj` links the heavy
+        pairs and the search skips dark cells, so only the ends of a pair
+        linked or unlinked, and a cell that changed shade with its heavy
+        neighbours, start a new search: every node of a component that such a
+        change touches is reachable from one of them (a removal splits a
+        component into pieces that each hold one), and every other component
+        keeps its signature. A lit cell whose heavy pairs all have a dark end
+        is a singleton, not a pattern.
         """
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
-        heavy, dark, wheel = self._heavy, self._dark, self._wheel
+        dark, wheel, link = self._dark, self._wheel, self._link
         keep_w, keep_a, log_w = mmap.keep_w, mmap.keep_a, mmap.log_w
         log_a = mmap.log_a if theta_a > 0.0 else 0.0  # theta_w > epsilon >= 0
-        ends: Set[str] = set()  # of the pairs that entered or left the kept set
+        ends: Set[str] = set()  # of the pairs linked or unlinked, and the shaded cells
         for label in txn.items:
             if (cell := cells.get(label)) is None:  # forgotten in this step
                 continue
@@ -135,16 +134,11 @@ class Engine:
         born = edges.get(created[0]) if created else None  # gone if born below epsilon
         rising = created if born is not None and born.weight >= theta_w else []
         for pair in chain(rising, events.edges_reinforced):
-            if (w := edges[pair].weight) >= theta_w and pair not in heavy:
-                heavy[pair] = None
-                self._place(pair, ends)
-                if log_w:
-                    file_due(wheel, (pair,), step, w, theta_w, keep_w, log_w)
+            if (w := edges[pair].weight) >= theta_w and link(pair, True, ends) and log_w:
+                file_due(wheel, (pair,), step, w, theta_w, keep_w, log_w)
         crossed_pairs, crossed_cells = pop_due(mmap, wheel, theta_w, theta_a)
         for pair in chain(events.edges_forgotten, crossed_pairs):
-            if pair in heavy:
-                del heavy[pair]
-                self._place(pair, ends)
+            link(pair, False, ends)
         for label in crossed_cells:
             self._shade(label, True, ends)
         dark.difference_update(events.cells_forgotten)
@@ -154,53 +148,36 @@ class Engine:
         adj, sig_of, patterns = self._adj, self._sig_of, self._patterns
         for label in ends:
             patterns.discard(sig_of.pop(label, None))
-        for sig in components(adj, ends & adj.keys()):
-            patterns.add(sig)
-            for label in sig:
-                sig_of[label] = sig
+        for sig in components(adj, [x for x in ends if x in adj and x not in dark], dark):
+            if len(sig) > 1:
+                patterns.add(sig)
+                for label in sig:
+                    sig_of[label] = sig
 
     def _shade(self, label: str, dark: bool, ends: Set[str]) -> None:
-        """Put `label` in the dark set or take it out, and place the pairs
-        that this moves: its kept pairs, or the pairs parked under it."""
-        if dark == (label in self._dark):
-            return
-        if dark:
-            self._dark.add(label)
-            moved = [canonical_pair(label, other) for other in self._adj.get(label, ())]
-        else:
-            self._dark.remove(label)
-            moved = self._parked.pop(label, ())
-        for pair in moved:
-            self._place(pair, ends)
+        """Put `label` in `_dark` or take it out; a cell that moves adds
+        itself and its heavy neighbours to `ends`."""
+        if dark != (label in self._dark):
+            self._dark ^= {label}
+            ends.add(label)
+            ends.update(self._adj.get(label, ()))
 
-    def _place(self, pair: Pair, ends: Set[str]) -> None:
-        """Move `pair` to where `_heavy` and `_dark` now put it: the kept set
-        if it is heavy with no dark end, else parked under a dark end if it
-        is heavy, else nowhere. A pair that enters or leaves the kept set
-        adds its ends to `ends`."""
-        kept, adj, parked, dark = self._kept, self._adj, self._parked, self._dark
-        for label in pair:
-            if pair in parked.get(label, ()):
-                parked[label].remove(pair)
-                if not parked[label]:
-                    del parked[label]
-        keep = pair in self._heavy
-        if keep and (pair[0] in dark or pair[1] in dark):
-            parked.setdefault(pair[0] if pair[0] in dark else pair[1], set()).add(pair)
-            keep = False
-        if keep == (pair in kept):
-            return
+    def _link(self, pair: Pair, heavy: bool, ends: Set[str]) -> bool:
+        """Link `pair` in `_adj` if it is `heavy`, else unlink it; a pair
+        that moves adds its ends to `ends`. Returns whether it moved."""
+        a, b = pair
+        adj = self._adj
+        if heavy == (b in adj.get(a, ())):
+            return False
         ends.update(pair)
-        if keep:
-            kept[pair] = None
-            for x, y in (pair, pair[::-1]):
+        for x, y in (pair, (b, a)):
+            if heavy:
                 adj.setdefault(x, set()).add(y)
-        else:
-            del kept[pair]
-            for x, y in (pair, pair[::-1]):
-                adj[x].discard(y)
+            else:
+                adj[x].remove(y)
                 if not adj[x]:
                     del adj[x]
+        return True
 
     def _report(
         self,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Set, Tuple
 
 from .model import MindMap, Pair
 
@@ -64,9 +64,12 @@ def adjacency(pairs: Iterable[Pair]) -> Dict[str, Set[str]]:
     return adj
 
 
-def components(adj: Dict[str, Set[str]], starts: Iterable[str]) -> Iterator[Signature]:
-    """The signature (sorted labels) of each component of `adj` that holds
-    one of `starts`, once per component; every start must be a key of `adj`."""
+def components(
+    adj: Dict[str, Set[str]], starts: Iterable[str], skip: AbstractSet[str] = frozenset()
+) -> Iterator[Signature]:
+    """The signature (sorted labels) of each component of `adj` less the
+    labels in `skip` that holds one of `starts`, once per component; every
+    start must be a key of `adj` and not in `skip`."""
     seen: Set[str] = set()
     for start in starts:
         if start in seen:
@@ -74,7 +77,7 @@ def components(adj: Dict[str, Set[str]], starts: Iterable[str]) -> Iterator[Sign
         members, stack = {start}, [start]
         while stack:
             for label in adj[stack.pop()]:
-                if label not in members:
+                if label not in members and label not in skip:
                     members.add(label)
                     stack.append(label)
         seen |= members

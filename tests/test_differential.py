@@ -132,18 +132,21 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert dict(fast.mmap.degree) == dict(recount), where
             weight = fast.mmap.weight_of
             heavy = {p for p, c in edges.items() if weight(c) >= params.theta_w}
-            assert fast._heavy.keys() == heavy, where
             assert heavy == {p for p, c in ref.mmap.edges.items() if c.weight >= params.theta_w}, where
-            skel = extract_skeleton(fast.mmap, params.theta_w, params.theta_a)
-            ref_skel = extract_skeleton(ref.mmap, params.theta_w, params.theta_a)
-            kept = fast._kept.keys()
-            assert kept == {p for p, _ in skel.edges} == {p for p, _ in ref_skel.edges}, where
-            assert fast._patterns == detect_patterns(skel), where
             adjacency = {}
-            for (a, b), _ in skel.edges:
+            for a, b in heavy:
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
             assert fast._adj == adjacency, where
+            activation = fast.mmap.activation_of
+            dark = {x for x, c in fast.mmap.cells.items() if activation(c) < params.theta_a}
+            assert fast._dark == dark, where
+            skel = extract_skeleton(fast.mmap, params.theta_w, params.theta_a)
+            ref_skel = extract_skeleton(ref.mmap, params.theta_w, params.theta_a)
+            kept = {(a, b) for a, ns in fast._adj.items() for b in ns if a < b}
+            kept = {p for p in kept if p[0] not in fast._dark and p[1] not in fast._dark}
+            assert kept == {p for p, _ in skel.edges} == {p for p, _ in ref_skel.edges}, where
+            assert fast._patterns == detect_patterns(skel), where
             assert fast._sig_of == {n: sig for sig in fast._patterns for n in sig}, where
             ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
             assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where

@@ -259,7 +259,7 @@ def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():
     assert list(engine.stm) == [("A", "B")]
     events = engine.ingest(txn(["C"]))  # 0.5 * 0.1 < epsilon in one step
     assert events.edges_forgotten == [("A", "B")]
-    assert not engine.mmap.edges and not engine.stm and not engine._heavy
+    assert not engine.mmap.edges and not engine.stm and not engine._adj
     assert engine.event_lines[-1] == "2 pattern-closed A|B"
 
 
@@ -272,7 +272,7 @@ def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
     assert engine.mmap.edges[("A", "B")].weight == 0.5
     born_heavy = theta_w == 0.5
     joined = {("A", "B")} if born_heavy else set()
-    assert engine._heavy.keys() == engine._kept.keys() == joined
+    assert heavy_pairs(engine) == joined and not engine._dark
     assert engine._patterns == joined
     promoted = [line for line in engine.event_lines if " pattern-" in line]
     assert promoted == (["1 pattern-promoted A|B"] if born_heavy else [])
@@ -280,7 +280,8 @@ def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
     events = engine.ingest(txn(["A", "B", "C"]))
     assert events.edges_created == [("A", "C"), ("B", "C")]
     assert events.edges_reinforced == [("A", "B")]
-    assert engine._heavy.keys() == engine._kept.keys() == {("A", "B")}
+    assert heavy_pairs(engine) == {("A", "B")} and not engine._dark
+    assert engine._patterns == {("A", "B")}
     promoted = [line for line in engine.event_lines if " pattern-" in line]
     assert promoted == ["1 pattern-promoted A|B" if born_heavy else "2 pattern-promoted A|B"]
 
@@ -349,22 +350,31 @@ class NoWalkDict(dict):
     __iter__ = keys = values = items = walk
 
 
+def heavy_pairs(engine: Engine) -> set:
+    """The pairs linked in the engine's heavy adjacency, each once; read
+    with the plain dict's walk, which a NoWalkDict does not override."""
+    return {(a, b) for a, others in dict.items(engine._adj) for b in others if a < b}
+
+
 @pytest.mark.parametrize("theta_a", [0.0, 0.6])
 def test_step_never_walks_the_skeleton_sets(theta_a):
     # 1,035 heavy pairs that do not decay (beta_w = 0, so none is filed); the
     # step reads its touched pairs and its due crossings, not those pairs.
     params = EngineParams(beta_w=0.0, beta_a=0.1, epsilon=0.01, theta_w=0.02, theta_a=theta_a)
     engine = Engine(params)
-    engine.ingest(txn([f"i{k}" for k in range(46)]))  # every pair at 1/46
-    assert len(engine._heavy) == len(engine._kept) == 1035
-    engine._heavy, engine._kept = NoWalkDict(engine._heavy), NoWalkDict(engine._kept)
-    for _ in range(6):  # with theta_a > 0, every i cell goes dark and parks its pairs
+    cells = {f"i{k}" for k in range(46)}
+    engine.ingest(txn(sorted(cells)))  # every pair at 1/46
+    assert len(heavy_pairs(engine)) == 1035 and engine._patterns == {tuple(sorted(cells))}
+    engine._adj = NoWalkDict(engine._adj)
+    for _ in range(6):  # with theta_a > 0, every i cell goes dark, and its pairs stay heavy
         engine.ingest(txn(["x", "y"]))
+    assert engine._dark == (cells if theta_a else set())
     engine.ingest(txn(["i0", "i1", "x"]))
-    kept = {("x", "y"), ("i0", "i1"), ("i0", "x"), ("i1", "x")}
-    assert len(engine._heavy) == 1038
-    assert dict.keys(engine._kept) == (kept if theta_a else dict.keys(engine._heavy))
-    assert sum(map(len, engine._parked.values())) == (1038 - 4 if theta_a else 0)
+    heavy = heavy_pairs(engine)
+    assert len(heavy) == 1038
+    kept = {p for p in heavy if p[0] not in engine._dark and p[1] not in engine._dark}
+    assert kept == ({("x", "y"), ("i0", "i1"), ("i0", "x"), ("i1", "x")} if theta_a else heavy)
+    assert engine._patterns == {tuple(sorted({x for p in kept for x in p}))}
 
 
 def test_replay_is_deterministic():
@@ -631,7 +641,7 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
     params = EngineParams(beta_w=0.1, beta_a=0.1, epsilon=0.01, theta_w=0.4, theta_a=0.6)
     keep = 1.0 - params.beta_w
     engine = Engine(params)
-    engine.ingest(txn(["A", "B"]))  # the pair joins _heavy, and A and B are born lit
+    engine.ingest(txn(["A", "B"]))  # the pair is born heavy, and A and B are born lit
     keys = {"A", "B", ("A", "B")}
     assert {key for key, stamp in entries(engine._wheel)} == keys
     for _ in range(9):
@@ -664,11 +674,10 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
             elif key in live:
                 expected[key, 10] = new_due[key]
         assert entries(engine._wheel) == expected, step
-        assert engine._heavy.keys() == ({("A", "B")} if step <= heavy_until else set()), step
+        # A-B stays heavy after its ends go dark, but leaves the skeleton then.
+        assert heavy_pairs(engine) == ({("A", "B")} if step <= heavy_until else set()), step
         assert engine._dark == (set() if step <= light_until else {"A", "B"}), step
-        assert engine._kept.keys() == ({("A", "B")} if step <= light_until else set()), step
-        parked = [pair for pairs in engine._parked.values() for pair in pairs]
-        assert parked == ([("A", "B")] if light_until < step <= heavy_until else []), step
+        assert engine._patterns == ({("A", "B")} if step <= light_until else set()), step
     assert not engine._wheel
 
 
@@ -679,14 +688,15 @@ def assert_one_entry_per_scheduled_record(engine: Engine) -> list:
     m, params = engine.mmap, engine.params
     eps, theta_a = params.epsilon, params.theta_a
     assert all((m.activation_of(c) < theta_a) == (x in engine._dark) for x, c in m.cells.items())
-    assert all(m.weight_of(c) >= params.theta_w for c in map(m.edges.get, engine._heavy))
+    heavy = {p for p, c in m.edges.items() if m.weight_of(c) >= params.theta_w}
+    assert heavy_pairs(engine) == heavy, m.step
     filed = Counter(key for bucket in m.wheel.values() for key, _ in bucket)
     scheduled = [*m.edges] + [x for x, c in m.cells.items() if m.activation_of(c) >= eps]
     assert filed == Counter(scheduled), m.step
     in_wheel = [entry for bucket in engine._wheel.values() for entry in bucket]
     filed = Counter(key for key, stamp in in_wheel if is_live(m, key, stamp))
     lit = [x for x in m.cells if x not in engine._dark] if theta_a else []
-    assert filed == Counter([*engine._heavy] + lit), m.step
+    assert filed == Counter([*heavy] + lit), m.step
     left = [(key, stamp) for key, stamp in in_wheel if not is_live(m, key, stamp)]
     assert all(isinstance(key, str) for key, _ in left), left  # no edge leaves one
     return left
@@ -747,7 +757,7 @@ def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():
 
 def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
     # A bounded alphabet under default decay: the map, both wheels, the dark
-    # set, the parked map and the memories outside them reach a steady state.
+    # set, the heavy adjacency and the memories outside them reach a steady state.
     # The caller drains the event log each step, as a streaming consumer would.
     rng = random.Random(8)
     alphabet = [f"i{k}" for k in range(8)]
@@ -755,30 +765,30 @@ def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
     half = len(stream) // 2
     for theta_a in (0.0, 0.6):
         engine = Engine(EngineParams(theta_a=theta_a))
-        peaks = {name: [0, 0] for name in ("wheel", "engine wheel", "dark", "parked")}
+        peaks = {name: [0, 0] for name in ("wheel", "engine wheel", "dark", "dark-ended")}
         traced = []
         tracemalloc.start()
         try:
             for i, t in enumerate(stream):
                 engine.ingest(t)
                 engine.event_lines.clear()
-                # The dark set and the parked map hold only what the map holds,
-                # and no empty parked set is kept.
+                # The dark set and the heavy adjacency hold only what the map
+                # holds, and no empty neighbour set is kept.
+                heavy = heavy_pairs(engine)
                 assert engine._dark <= engine.mmap.cells.keys(), i
-                assert all(p <= engine._heavy.keys() for p in engine._parked.values()), i
-                assert all(engine._parked.values()), i
+                assert heavy <= engine.mmap.edges.keys() and all(engine._adj.values()), i
                 sizes = {
                     "wheel": sum(map(len, engine.mmap.wheel.values())),
                     "engine wheel": sum(map(len, engine._wheel.values())),
                     "dark": len(engine._dark),
-                    "parked": sum(map(len, engine._parked.values())),
+                    "dark-ended": sum(not engine._dark.isdisjoint(p) for p in heavy),
                 }
                 # Each wheel holds one entry per record it schedules, no more.
                 m = engine.mmap
                 above = sum(m.activation_of(cell) >= 0.01 for cell in m.cells.values())
                 assert sizes["wheel"] == len(m.edges) + above, i
                 lit = len(m.cells) - len(engine._dark) if theta_a else 0
-                assert sizes["engine wheel"] == len(engine._heavy) + lit, i
+                assert sizes["engine wheel"] == len(heavy) + lit, i
                 for name, size in sizes.items():
                     peaks[name][i >= half] = max(peaks[name][i >= half], size)
                 if i + 1 in (half, len(stream)):
@@ -787,7 +797,7 @@ def test_wheel_and_engine_memory_stay_flat_on_a_long_stream():
             tracemalloc.stop()
         assert peaks["wheel"][1] > 0 and peaks["engine wheel"][1] > 0, peaks
         if theta_a:
-            assert peaks["dark"][1] > 0 and peaks["parked"][1] > 0, peaks
+            assert peaks["dark"][1] > 0 and peaks["dark-ended"][1] > 0, peaks
         for name in ("wheel", "engine wheel"):
             assert peaks[name][1] <= 1.1 * peaks[name][0], (name, peaks)
         assert traced[1] - traced[0] < 16 * 1024, traced

@@ -442,6 +442,7 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["query", "--snapshot", "{snap}", "patterns", "extra"], 2),
         (["query", "--snapshot", "{snap}", "skeleton", "foo"], 2),
         (["query", "--snapshot", "{snap}", "ltm", "open", "extra"], 2),
+        (["run", "--horizon", "0"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):

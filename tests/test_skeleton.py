@@ -189,7 +189,56 @@ def test_edge_leaves_below_theta_a_and_returns_when_its_end_is_touched():
     assert step_patterns(engine, ["B", "C", "C"]) == {("B", "C")}
     assert engine.mmap.get_activation("A") < 0.65
     assert engine.mmap.get_weight("A", "B") >= 0.4
-    assert engine._adj == {"B": {"C"}, "C": {"B"}}
+    # A-B stays in the heavy adjacency; the search skips the dark A.
+    assert engine._adj == {"A": {"B"}, "B": {"A", "C"}, "C": {"B"}}
+    assert engine._dark == {"A"}
     # Touching A alone brings the untouched edge A-B back.
     assert step_patterns(engine, ["A"]) == {("A", "B", "C")}
     assert engine._adj == {"A": {"B"}, "B": {"A", "C"}, "C": {"B"}}
+    assert not engine._dark
+
+
+# Heavy pairs that never decay (beta_w = 0); a cell left untouched goes dark
+# after a few steps, while one touched every other step stays lit.
+DARK_PATH = EngineParams(beta_w=0.0, beta_a=0.1, epsilon=0.01, theta_w=0.5, theta_a=0.6)
+
+
+def test_a_dark_middle_cell_leaves_no_pattern_on_a_path_of_three():
+    engine = Engine(DARK_PATH)
+    step_patterns(engine, ["A", "B"])
+    assert step_patterns(engine, ["B", "C"]) == {("A", "B", "C")}
+    for items in (["A"], ["C"], ["A"]):
+        assert step_patterns(engine, items) == {("A", "B", "C")}
+    # B goes dark: A and C are lit, but each is left with no kept pair.
+    assert step_patterns(engine, ["C"]) == set()
+    assert engine._dark == {"B"} and engine._sig_of == {}
+    assert engine._adj == {"A": {"B"}, "B": {"A", "C"}, "C": {"B"}}
+    assert step_patterns(engine, ["B"]) == {("A", "B", "C")}
+    assert not engine._dark
+
+
+def test_a_dark_cell_splits_off_the_rest_of_its_path():
+    engine = Engine(DARK_PATH)
+    for items in (["A", "B"], ["B", "C"]):
+        step_patterns(engine, items)
+    for items in (["C", "D"], ["A"], ["C"]):
+        assert step_patterns(engine, items) == {("A", "B", "C", "D")}
+    # B goes dark: A is a singleton, and C-D is all that is kept.
+    assert step_patterns(engine, ["D"]) == {("C", "D")}
+    assert engine._dark == {"B"}
+    assert engine._sig_of == {"C": ("C", "D"), "D": ("C", "D")}
+
+
+def test_a_pair_born_heavy_between_dark_cells_joins_once_both_are_lit():
+    # Born at 0.5 and boosted to 0.75, a cell stays below theta_a = 0.9
+    # until it is touched twice more.
+    params = EngineParams(beta_w=0.0, beta_a=0.01, epsilon=0.01, theta_w=0.5, theta_a=0.9)
+    engine = Engine(params)
+    step_patterns(engine, ["A"])
+    step_patterns(engine, ["B"])
+    assert step_patterns(engine, ["A", "B"]) == set()  # born at theta_w
+    assert engine._adj == {"A": {"B"}, "B": {"A"}} and engine._dark == {"A", "B"}
+    assert step_patterns(engine, ["A"]) == set()  # A is lit, and its one pair has a dark end
+    assert engine._dark == {"B"} and engine._sig_of == {}
+    assert step_patterns(engine, ["B"]) == {("A", "B")}
+    assert not engine._dark
