@@ -123,16 +123,16 @@ def apriori(txns: Sequence[Transaction], minsup: int) -> List[ItemSet]:
 
 
 def negative_border(candidates: CandidateSet, frequent_k: Sequence[ItemSet]) -> List[ItemSet]:
-    """C_k - F_k: candidates that failed the support threshold."""
+    """C_k - F_k: candidates that failed the support threshold. A border
+    set's support is not counted: it is given as 0."""
     for s in frequent_k:
         if len(s.items) != candidates.level:
             raise ValueError(
                 f"level mismatch: frequent set {s.items} vs level {candidates.level}"
             )
     frequent_items = {s.items for s in frequent_k}
-    support_of = {s.items: s.support for s in frequent_k}
     border = [c for c in candidates.sets if c not in frequent_items]
-    return [ItemSet(c, support_of.get(c, 0)) for c in sorted(border)]
+    return [ItemSet(c, 0) for c in sorted(border)]
 
 
 def gen_rules(frequent: Sequence[ItemSet], minconf: float) -> List[StaticRule]:

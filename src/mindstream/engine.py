@@ -49,14 +49,13 @@ class Engine:
         self.mmap = MindMap()
         # The kept skeleton, maintained by _update_skeleton: the cells below
         # theta_a, the wheel of due threshold crossings, the adjacency of the
-        # heavy pairs (at or above theta_w), each kept node's component
-        # signature, and the signatures. A kept pair is a heavy pair with no
-        # dark end.
+        # heavy pairs (at or above theta_w), and each kept node's component
+        # signature. A kept pair is a heavy pair with no dark end. The STM's
+        # keys are the signatures: _update_skeleton adds and drops them.
         self._dark: Set[str] = set()
         self._wheel: Dict[int, List[Tuple]] = {}
         self._adj: Dict[str, Set[str]] = {}
         self._sig_of: Dict[str, Signature] = {}
-        self._patterns: Set[Signature] = set()
         self.stm: Dict[Signature, STMEntry] = {}
         self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
@@ -84,21 +83,17 @@ class Engine:
         self.mmap, events = ingest_transaction(self.mmap, txn, self.params)
         step = self.mmap.step
 
-        self._update_skeleton(txn, events)
-        current = self._patterns
-        lapsed = self.stm.keys() - current
-        self.stm, promotions = stm_tick(
-            self.stm, current, step, self.params.promote_after
-        )
+        lapsed = self._update_skeleton(txn, events)
+        _, promotions = stm_tick(self.stm, step, self.params.promote_after)
         ltm_update(self._ltm, promotions, lapsed, step)
 
         self._report(txn, events, promotions, lapsed)
         self._evaluate_queries(step)
         return events
 
-    def _update_skeleton(self, txn: Transaction, events: StepEvents) -> None:
+    def _update_skeleton(self, txn: Transaction, events: StepEvents) -> Set[Signature]:
         """Bring the kept skeleton and its signatures to the step that
-        ingested `txn`.
+        ingested `txn`; returns the signatures that lapsed in it.
 
         A step raises only what it touches and lowers only what it does not, so
         a touched pair can only become heavy and a touched cell can only leave
@@ -112,7 +107,9 @@ class Engine:
         change touches is reachable from one of them (a removal splits a
         component into pieces that each hold one), and every other component
         keeps its signature. A lit cell whose heavy pairs all have a dark end
-        is a singleton, not a pattern.
+        is a singleton, not a pattern. The STM gains the `found` patterns not
+        `gone` (the ends' old signatures) and loses the `gone` ones not found;
+        each found pattern holds an end, so one that did not change keeps its run.
         """
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
@@ -143,16 +140,22 @@ class Engine:
             self._shade(label, True, ends)
         dark.difference_update(events.cells_forgotten)
         if not ends:
-            return
+            return set()
 
-        adj, sig_of, patterns = self._adj, self._sig_of, self._patterns
-        for label in ends:
-            patterns.discard(sig_of.pop(label, None))
+        adj, sig_of, stm = self._adj, self._sig_of, self.stm
+        gone = {sig_of.pop(label) for label in ends if label in sig_of}
+        found: Set[Signature] = set()
         for sig in components(adj, [x for x in ends if x in adj and x not in dark], dark):
             if len(sig) > 1:
-                patterns.add(sig)
+                found.add(sig)
                 for label in sig:
                     sig_of[label] = sig
+        for sig in found - gone:
+            stm[sig] = STMEntry(step)
+        lapsed = gone - found
+        for sig in lapsed:
+            del stm[sig]
+        return lapsed
 
     def _shade(self, label: str, dark: bool, ends: Set[str]) -> None:
         """Put `label` in `_dark` or take it out; a cell that moves adds

@@ -43,29 +43,21 @@ def detect_patterns(s: Skeleton) -> Set[Signature]:
 
 
 def stm_tick(
-    stm: Dict[Signature, STMEntry],
-    current: Set[Signature],
-    step: int,
-    promote_after: int,
+    stm: Dict[Signature, STMEntry], step: int, promote_after: int
 ) -> Tuple[Dict[Signature, STMEntry], Set[Signature]]:
-    """Advance the short-term memory by one step.
+    """Advance the short-term memory to `step` in place; returns it.
 
-    Entries matching a current pattern gain a step; absent entries lapse
-    (one missed step resets survival). Signatures whose count reaches
-    exactly promote_after are returned for promotion.
+    `stm` holds exactly the current patterns: a lapsed one was dropped (one
+    missed step resets survival). Entries first seen before `step` gain a
+    step; signatures whose count is now exactly promote_after are promoted.
     """
-    stm_next: Dict[Signature, STMEntry] = {}
     promotions: Set[Signature] = set()
-    for sig in current:
-        prior = stm.get(sig)
-        if prior is None:
-            entry = STMEntry(first_seen_step=step)
-        else:
-            entry = STMEntry(prior.first_seen_step, prior.consecutive_steps + 1)
-        stm_next[sig] = entry
+    for sig, entry in stm.items():
+        if entry.first_seen_step < step:
+            entry.consecutive_steps += 1
         if entry.consecutive_steps == promote_after:
             promotions.add(sig)
-    return stm_next, promotions
+    return stm, promotions
 
 
 def ltm_update(

@@ -146,8 +146,8 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             kept = {(a, b) for a, ns in fast._adj.items() for b in ns if a < b}
             kept = {p for p in kept if p[0] not in fast._dark and p[1] not in fast._dark}
             assert kept == {p for p, _ in skel.edges} == {p for p, _ in ref_skel.edges}, where
-            assert fast._patterns == detect_patterns(skel), where
-            assert fast._sig_of == {n: sig for sig in fast._patterns for n in sig}, where
+            assert set(fast.stm) == detect_patterns(skel), where
+            assert fast._sig_of == {n: sig for sig in fast.stm for n in sig}, where
             ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
             assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where
             runs = {sig: (e.first_seen_step, e.consecutive_steps) for sig, e in fast.stm.items()}

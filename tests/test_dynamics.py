@@ -273,7 +273,7 @@ def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
     born_heavy = theta_w == 0.5
     joined = {("A", "B")} if born_heavy else set()
     assert heavy_pairs(engine) == joined and not engine._dark
-    assert engine._patterns == joined
+    assert set(engine.stm) == joined
     promoted = [line for line in engine.event_lines if " pattern-" in line]
     assert promoted == (["1 pattern-promoted A|B"] if born_heavy else [])
     # A reinforced pair is read from the step's list: A-B rises past either.
@@ -281,7 +281,7 @@ def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
     assert events.edges_created == [("A", "C"), ("B", "C")]
     assert events.edges_reinforced == [("A", "B")]
     assert heavy_pairs(engine) == {("A", "B")} and not engine._dark
-    assert engine._patterns == {("A", "B")}
+    assert set(engine.stm) == {("A", "B")}
     promoted = [line for line in engine.event_lines if " pattern-" in line]
     assert promoted == ["1 pattern-promoted A|B" if born_heavy else "2 pattern-promoted A|B"]
 
@@ -364,7 +364,7 @@ def test_step_never_walks_the_skeleton_sets(theta_a):
     engine = Engine(params)
     cells = {f"i{k}" for k in range(46)}
     engine.ingest(txn(sorted(cells)))  # every pair at 1/46
-    assert len(heavy_pairs(engine)) == 1035 and engine._patterns == {tuple(sorted(cells))}
+    assert len(heavy_pairs(engine)) == 1035 and set(engine.stm) == {tuple(sorted(cells))}
     engine._adj = NoWalkDict(engine._adj)
     for _ in range(6):  # with theta_a > 0, every i cell goes dark, and its pairs stay heavy
         engine.ingest(txn(["x", "y"]))
@@ -374,7 +374,7 @@ def test_step_never_walks_the_skeleton_sets(theta_a):
     assert len(heavy) == 1038
     kept = {p for p in heavy if p[0] not in engine._dark and p[1] not in engine._dark}
     assert kept == ({("x", "y"), ("i0", "i1"), ("i0", "x"), ("i1", "x")} if theta_a else heavy)
-    assert engine._patterns == {tuple(sorted({x for p in kept for x in p}))}
+    assert set(engine.stm) == {tuple(sorted({x for p in kept for x in p}))}
 
 
 def test_replay_is_deterministic():
@@ -561,6 +561,47 @@ def test_due_step_is_the_first_step_below_the_floor(beta, floor, share, since):
     assert abs(n - (int(math.log(floor / value) / log_keep) + 1)) <= 2
 
 
+def least_step_below(value, floor, keep):
+    n = 1
+    while value * keep**n >= floor:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "value, estimate, due",
+    [
+        (0.011062916170754488, 5, 6),  # value * 0.98**5 is exactly the floor: raised
+        (0.021117144872580772, 38, 37),  # lowered
+    ],
+)
+def test_due_step_corrects_a_log_estimate_on_a_knife_edge(value, estimate, due):
+    keep, floor = 0.98, 0.01
+    assert int(math.log(floor / value) / math.log(keep)) + 1 == estimate
+    n = due_step(0, value, floor, keep, math.log(keep))
+    assert n == due == least_step_below(value, floor, keep)
+
+
+def test_due_step_matches_a_search_at_every_power_of_keep():
+    # `value` in (floor, 1] at floor / keep**k and its two neighbouring
+    # floats, where the log estimate can be off by one either way; the sweep
+    # meets both corrections.
+    raised = lowered = 0
+    for keep in (0.98, 0.9, 0.5):
+        log_keep = math.log(keep)
+        for floor in (0.01, 0.1, 1e-6):
+            for k in range(1, 1000):
+                if (at := floor / keep**k) > 1.0:
+                    break
+                for value in (math.nextafter(at, 0.0), at, math.nextafter(at, 2.0)):
+                    n = due_step(0, value, floor, keep, log_keep)
+                    assert n == least_step_below(value, floor, keep), (keep, floor, value)
+                    estimate = int(math.log(floor / value) / log_keep) + 1
+                    raised += n > estimate
+                    lowered += n < estimate
+    assert raised > 0 and lowered > 0, (raised, lowered)
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_filing_a_step_off_fails_the_exactness_check(monkeypatch, shift):
     # The exactness check catches a schedule one step early (a record taken
@@ -677,7 +718,7 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
         # A-B stays heavy after its ends go dark, but leaves the skeleton then.
         assert heavy_pairs(engine) == ({("A", "B")} if step <= heavy_until else set()), step
         assert engine._dark == (set() if step <= light_until else {"A", "B"}), step
-        assert engine._patterns == ({("A", "B")} if step <= light_until else set()), step
+        assert set(engine.stm) == ({("A", "B")} if step <= light_until else set()), step
     assert not engine._wheel
 
 

@@ -443,6 +443,12 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["query", "--snapshot", "{snap}", "skeleton", "foo"], 2),
         (["query", "--snapshot", "{snap}", "ltm", "open", "extra"], 2),
         (["run", "--horizon", "0"], 2),
+        (["query", "--snapshot", "{snap}"], 2),
+        (["query", "--snapshot", "{snap}", "weight", "A", "A"], 2),
+        (["query", "--snapshot", "{snap}", "activation"], 2),
+        (["query", "--snapshot", "{snap}", "skeleton", "--top", "1"], 2),
+        (["query", "--snapshot", "{snap}", "skeleton", "--theta-w"], 2),
+        (["apriori"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):

@@ -1,7 +1,9 @@
 import pytest
 
+from mindstream.engine import Engine
 from mindstream.memory import (
     LTMRecord,
+    STMEntry,
     detect_patterns,
     ltm_update,
     query_ltm,
@@ -37,28 +39,72 @@ def test_detect_patterns_empty_and_disjoint():
 
 
 def test_stm_promotes_at_exactly_p():
-    stm, promos = stm_tick({}, {pattern("B", "C")}, step=1, promote_after=2)
-    assert promos == set()
-    stm, promos = stm_tick(stm, {pattern("B", "C")}, step=2, promote_after=2)
-    assert promos == {("B", "C")}
+    bc = pattern("B", "C")
+    stm = {bc: STMEntry(first_seen_step=1)}
+    # an entry first seen at the step does not gain it
+    assert stm_tick(stm, step=1, promote_after=2) == (stm, set())
+    assert stm == {bc: STMEntry(1, 1)}
+    stm, promos = stm_tick(stm, step=2, promote_after=2)
+    assert promos == {bc}
     # a third consecutive step does not re-promote
-    stm, promos = stm_tick(stm, {pattern("B", "C")}, step=3, promote_after=2)
-    assert promos == set()
+    stm, promos = stm_tick(stm, step=3, promote_after=2)
+    assert promos == set() and stm == {bc: STMEntry(1, 3)}
+
+
+def pattern_lines(engine):
+    return [line for line in engine.event_lines if " pattern-" in line]
 
 
 def test_stm_absence_resets_survival():
-    stm, _ = stm_tick({}, {pattern("B", "C")}, step=1, promote_after=2)
-    stm, promos = stm_tick(stm, set(), step=2, promote_after=2)
-    assert stm == {} and promos == set()
-    stm, promos = stm_tick(stm, {pattern("B", "C")}, step=3, promote_after=2)
-    assert promos == set()
-    assert stm[("B", "C")].consecutive_steps == 1
+    # A-B falls below theta_w for one step (0.69 * 0.5) and is reinforced back.
+    params = EngineParams(beta_w=0.5, beta_a=0.0, epsilon=0.01, theta_w=0.4, promote_after=2)
+    engine = Engine(params)
+    ab = pattern("A", "B")
+    for items in (["A", "B"], ["A", "B"]):
+        engine.ingest(txn(items))
+    assert engine.stm == {ab: STMEntry(1, 2)}
+    engine.ingest(txn(["C"]))
+    assert engine.stm == {} and engine.state.ltm[ab] == LTMRecord(ab, 2, 3)
+    engine.ingest(txn(["A", "B"]))
+    assert engine.stm == {ab: STMEntry(4, 1)}  # the run restarts
+    engine.ingest(txn(["A", "B"]))
+    assert engine.stm == {ab: STMEntry(4, 2)}
+    assert engine.state.ltm[ab] == LTMRecord(ab, appeared_at=5, recurrence_count=2)
+    assert pattern_lines(engine) == [
+        "2 pattern-promoted A|B",
+        "3 pattern-closed A|B",
+        "5 pattern-reopened A|B",
+    ]
 
 
 def test_stm_everything_lapses_on_empty_current():
-    stm, _ = stm_tick({}, {pattern("A", "B"), pattern("C", "D")}, 1, 3)
-    stm, promos = stm_tick(stm, set(), 2, 3)
-    assert stm == {} and promos == set()
+    # A and B are boosted twice in step 1, C and D once in step 2: all four
+    # are above theta_a after step 2, and all below it after step 3.
+    params = EngineParams(
+        beta_w=0.0, beta_a=0.1, epsilon=0.01, theta_w=0.4, theta_a=0.72, promote_after=3
+    )
+    engine = Engine(params)
+    for items in (["A", "A", "B", "B"], ["C", "D"]):
+        engine.ingest(txn(items))
+    assert engine.stm == {pattern("A", "B"): STMEntry(1, 2), pattern("C", "D"): STMEntry(2, 1)}
+    engine.ingest(txn([]))
+    assert engine.stm == {} and engine._dark == {"A", "B", "C", "D"}
+    assert not engine.state.ltm and pattern_lines(engine) == []
+
+
+def test_a_step_updates_the_stm_in_place():
+    engine = Engine(EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0, theta_w=0.4))
+    abc = pattern("A", "B", "C")
+    for items in (["A", "B"], ["B", "C"]):
+        engine.ingest(txn(items))
+    stm, entry = engine.stm, engine.stm[abc]
+    # A-C joins two nodes of one component: it is searched again, found
+    # unchanged, and keeps its run.
+    engine.ingest(txn(["A", "C"]))
+    engine.ingest(txn(["X", "Y"]))  # a new pattern beside it
+    engine.ingest(txn([]))  # nothing moves
+    assert engine.stm is stm and stm[abc] is entry
+    assert stm == {abc: STMEntry(2, 4), pattern("X", "Y"): STMEntry(4, 2)}
 
 
 def test_ltm_new_record_then_close_then_reopen():

@@ -150,14 +150,14 @@ def test_components_partition_the_skeleton():
 
 
 def step_patterns(engine, items):
-    """Ingest one transaction; return the engine's signatures after checking
-    them against a full extraction, the STM keys and each node's signature."""
+    """Ingest one transaction; return the engine's signatures, the STM keys,
+    after checking them against a full extraction and each node's signature."""
     engine.ingest(txn(items))
     p = engine.params
-    assert engine._patterns == detect_patterns(extract_skeleton(engine.mmap, p.theta_w, p.theta_a))
-    assert set(engine.stm) == engine._patterns
-    assert engine._sig_of == {n: sig for sig in engine._patterns for n in sig}
-    return engine._patterns
+    patterns = set(engine.stm)
+    assert patterns == detect_patterns(extract_skeleton(engine.mmap, p.theta_w, p.theta_a))
+    assert engine._sig_of == {n: sig for sig in patterns for n in sig}
+    return patterns
 
 
 def test_bridge_decaying_below_theta_w_splits_the_signature():

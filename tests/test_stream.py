@@ -214,3 +214,8 @@ def test_read_transactions_worked_example():
         {"A": 1, "B": 1, "C": 1, "E": 1},
         {"B": 1, "C": 1, "E": 1},
     ]
+
+
+def test_unknown_on_error_is_a_value_error():
+    with pytest.raises(ValueError, match="on_error must be stop or skip"):
+        list(read_transactions(["2004-03-01;1;A\n"], on_error="bogus"))
