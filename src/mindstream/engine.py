@@ -48,14 +48,12 @@ class Engine:
         self.params = params
         self.mmap = MindMap()
         # The kept skeleton, maintained by _update_skeleton: the cells below
-        # theta_a, the wheel of due threshold crossings, the adjacency of the
-        # heavy pairs (at or above theta_w), and each kept node's component
-        # signature. A kept pair is a heavy pair with no dark end. The STM's
-        # keys are the signatures: _update_skeleton adds and drops them.
+        # theta_a, the wheel of due threshold crossings, and the adjacency of
+        # the heavy pairs (at or above theta_w). A kept pair is a heavy pair
+        # with no dark end. The STM's keys are the skeleton's patterns.
         self._dark: Set[str] = set()
         self._wheel: Dict[int, List[Tuple]] = {}
         self._adj: Dict[str, Set[str]] = {}
-        self._sig_of: Dict[str, Signature] = {}
         self.stm: Dict[Signature, STMEntry] = {}
         self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
@@ -107,9 +105,10 @@ class Engine:
         change touches is reachable from one of them (a removal splits a
         component into pieces that each hold one), and every other component
         keeps its signature. A lit cell whose heavy pairs all have a dark end
-        is a singleton, not a pattern. The STM gains the `found` patterns not
-        `gone` (the ends' old signatures) and loses the `gone` ones not found;
-        each found pattern holds an end, so one that did not change keeps its run.
+        is a singleton, not a pattern. The STM holds exactly the patterns, and
+        no two share a node, so the step can change only those holding an end:
+        `gone`. The STM gains the `found` ones not gone and loses the gone ones
+        not found; a found one holds an end, so an unchanged one keeps its run.
         """
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
@@ -142,14 +141,10 @@ class Engine:
         if not ends:
             return set()
 
-        adj, sig_of, stm = self._adj, self._sig_of, self.stm
-        gone = {sig_of.pop(label) for label in ends if label in sig_of}
-        found: Set[Signature] = set()
-        for sig in components(adj, [x for x in ends if x in adj and x not in dark], dark):
-            if len(sig) > 1:
-                found.add(sig)
-                for label in sig:
-                    sig_of[label] = sig
+        adj, stm = self._adj, self.stm
+        gone = {sig for sig in stm if not ends.isdisjoint(sig)}
+        starts = [x for x in ends if x in adj and x not in dark]
+        found = {sig for sig in components(adj, starts, dark) if len(sig) > 1}
         for sig in found - gone:
             stm[sig] = STMEntry(step)
         lapsed = gone - found

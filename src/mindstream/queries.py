@@ -25,6 +25,12 @@ def _unit_interval(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def _take_options(args: List[str], allowed: Dict[str, Callable]) -> Dict:
     """The `--name value` options in `args`; any other argument is an error."""
     options: Dict = {}
@@ -109,12 +115,9 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         )
 
     if kind == "strongest":
-        opts = _take_options(rest, {"--theta-w": _unit_interval, "--top": int})
+        opts = _take_options(rest, {"--theta-w": _unit_interval, "--top": _positive_int})
         theta_w = opts.get("--theta-w", state.params.theta_w)
-        try:
-            comps = strongest_subgraphs(state.mmap, theta_w, opts.get("--top", 3))
-        except ValueError as exc:
-            raise QueryUsageError(str(exc)) from None
+        comps = strongest_subgraphs(state.mmap, theta_w, opts.get("--top", 3))
         return "\n".join(
             f"{rank} [{_fmt_signature(sig)}] mean-weight {_fmt(mean_w)}"
             for rank, (sig, mean_w) in enumerate(comps, start=1)

@@ -3,8 +3,8 @@
 Record syntax: `date;ref;name`, one per line, UTF-8, LF-terminated.
 Fields are trimmed; `date` is exactly YYYY-MM-DD, `ref` a non-negative
 integer in ASCII digits (no sign or `_`), `name` a non-empty item label (no
-`;` allowed). Blank lines and lines starting with `#` are skipped. Maximal
-runs of consecutive records with the same (date, ref) TID form one
+`;` or line break). Blank lines and lines starting with `#` are skipped.
+Maximal runs of consecutive records with the same (date, ref) TID form one
 transaction. Grouping keeps no TID history, so a TID reappearing after
 other TIDs starts a new transaction.
 """
@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .model import Transaction, distinct_items
+from .model import Transaction, distinct_items, validate_label
 
 
 class ParseError(ValueError):
@@ -51,8 +51,10 @@ def _parse(line: str, lineno: int, known: Optional[str]) -> Tuple[str, int, str]
         raise ParseError(f"negative reference number {ref}", lineno)
     if not (ref_s.isascii() and ref_s.isdigit()):  # int() reads "+1", "1_0", non-ASCII digits
         raise ParseError(f"bad reference number {ref_s!r}", lineno)
-    if not name:
-        raise ParseError("empty item name", lineno)
+    try:
+        validate_label(name)
+    except ValueError as exc:
+        raise ParseError("empty item name" if not name else str(exc), lineno) from None
     if day and day.isoformat() != date_s:  # Python 3.11+ reads other ISO 8601 forms too
         raise ParseError(f"date must be YYYY-MM-DD, got {date_s!r}", lineno)
     return date_s, ref, name

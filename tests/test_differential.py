@@ -147,7 +147,6 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             kept = {p for p in kept if p[0] not in fast._dark and p[1] not in fast._dark}
             assert kept == {p for p, _ in skel.edges} == {p for p, _ in ref_skel.edges}, where
             assert set(fast.stm) == detect_patterns(skel), where
-            assert fast._sig_of == {n: sig for sig in fast.stm for n in sig}, where
             ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
             assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where
             runs = {sig: (e.first_seen_step, e.consecutive_steps) for sig, e in fast.stm.items()}

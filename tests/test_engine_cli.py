@@ -1,10 +1,12 @@
 import hashlib
 import os
 import random
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +264,32 @@ def test_query_usage_errors(tmp_path, capsys):
     snap = tmp_path / "s.snap"
     snap.write_text(render_snapshot(engine.state), encoding="utf-8")
     assert run_cli("query", "--snapshot", snap, "weight", "A") == 2
+
+
+def test_query_strongest_top_below_one_names_the_option(tmp_path, capsys):
+    snap = tmp_path / "s.snap"
+    snap.write_text(render_snapshot(replay(worked_example_transactions()).state))
+    assert run_cli("query", "--snapshot", snap, "strongest", "--top", "0") == 2
+    assert capsys.readouterr().err == "usage error: bad value for --top: '0'\n"
+
+
+def readme_commands():
+    """The `mindstream ...` commands of README's CLI block, `\\`-continued
+    lines joined, each as an argument list without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.startswith("mindstream ")]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    (tmp_path / "stream.txt").write_text(worked_example_stream_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_query_answers_read_back_as_their_labels():

@@ -151,12 +151,12 @@ def test_components_partition_the_skeleton():
 
 def step_patterns(engine, items):
     """Ingest one transaction; return the engine's signatures, the STM keys,
-    after checking them against a full extraction and each node's signature."""
+    after checking them against a full extraction and that no two share a node."""
     engine.ingest(txn(items))
     p = engine.params
     patterns = set(engine.stm)
     assert patterns == detect_patterns(extract_skeleton(engine.mmap, p.theta_w, p.theta_a))
-    assert engine._sig_of == {n: sig for sig in patterns for n in sig}
+    assert len(set().union(*patterns)) == sum(map(len, patterns))
     return patterns
 
 
@@ -169,7 +169,11 @@ def test_bridge_decaying_below_theta_w_splits_the_signature():
     # and C-D decays from well above it.
     assert step_patterns(engine, ["A", "B"]) == {("A", "B"), ("C", "D")}
     assert engine.mmap.get_weight("B", "C") < 0.46
-    assert engine._sig_of == {"A": ("A", "B"), "B": ("A", "B"), "C": ("C", "D"), "D": ("C", "D")}
+    # Both pieces are new signatures: each starts a run at this step.
+    assert {sig: e.first_seen_step for sig, e in engine.stm.items()} == {
+        ("A", "B"): engine.step,
+        ("C", "D"): engine.step,
+    }
 
 
 def test_one_pair_joins_two_components():
@@ -178,7 +182,9 @@ def test_one_pair_joins_two_components():
     step_patterns(engine, ["X", "C"])
     assert step_patterns(engine, ["C", "D"]) == {("A", "B"), ("C", "D", "X")}
     assert step_patterns(engine, ["B", "C"]) == {("A", "B", "C", "D", "X")}
-    assert set(engine._sig_of) == {"A", "B", "C", "D", "X"}
+    assert {sig: e.first_seen_step for sig, e in engine.stm.items()} == {
+        ("A", "B", "C", "D", "X"): engine.step
+    }
 
 
 def test_edge_leaves_below_theta_a_and_returns_when_its_end_is_touched():
@@ -211,7 +217,7 @@ def test_a_dark_middle_cell_leaves_no_pattern_on_a_path_of_three():
         assert step_patterns(engine, items) == {("A", "B", "C")}
     # B goes dark: A and C are lit, but each is left with no kept pair.
     assert step_patterns(engine, ["C"]) == set()
-    assert engine._dark == {"B"} and engine._sig_of == {}
+    assert engine._dark == {"B"}
     assert engine._adj == {"A": {"B"}, "B": {"A", "C"}, "C": {"B"}}
     assert step_patterns(engine, ["B"]) == {("A", "B", "C")}
     assert not engine._dark
@@ -226,7 +232,7 @@ def test_a_dark_cell_splits_off_the_rest_of_its_path():
     # B goes dark: A is a singleton, and C-D is all that is kept.
     assert step_patterns(engine, ["D"]) == {("C", "D")}
     assert engine._dark == {"B"}
-    assert engine._sig_of == {"C": ("C", "D"), "D": ("C", "D")}
+    assert {sig: e.first_seen_step for sig, e in engine.stm.items()} == {("C", "D"): engine.step}
 
 
 def test_a_pair_born_heavy_between_dark_cells_joins_once_both_are_lit():
@@ -239,6 +245,6 @@ def test_a_pair_born_heavy_between_dark_cells_joins_once_both_are_lit():
     assert step_patterns(engine, ["A", "B"]) == set()  # born at theta_w
     assert engine._adj == {"A": {"B"}, "B": {"A"}} and engine._dark == {"A", "B"}
     assert step_patterns(engine, ["A"]) == set()  # A is lit, and its one pair has a dark end
-    assert engine._dark == {"B"} and engine._sig_of == {}
+    assert engine._dark == {"B"}
     assert step_patterns(engine, ["B"]) == {("A", "B")}
     assert not engine._dark

@@ -52,6 +52,7 @@ def test_parse_record_trims_whitespace():
         ("2004-03-01;+10;E", "bad reference"),
         ("2004-03-01;\u0661\u0660;E", "bad reference"),  # Arabic-Indic 10
         ("2004-03-01;-0;E", "bad reference"),
+        ("2004-03-01;42;a\nb", "single-line"),  # only an iterable, not a file, holds this
     ],
 )
 def test_parse_record_errors(line, fragment):
@@ -199,6 +200,16 @@ def test_read_records_stop_vs_skip():
     lines = text.splitlines(keepends=True)
     with pytest.raises(ParseError) as err:
         list(read_transactions(lines, on_error="stop"))
+    assert err.value.lineno == 2
+    txns = list(read_transactions(lines, on_error="skip"))
+    assert [list(t.items) for t in txns] == [["A", "B"]]
+
+
+def test_a_label_with_a_line_break_is_skipped_like_any_bad_record():
+    # The label rule is validate_label's, applied per line by the parser.
+    lines = ["2004-03-01;1;A\n", "2004-03-01;1;a\nb\n", "2004-03-01;1;B\n"]
+    with pytest.raises(ParseError) as err:
+        list(read_transactions(lines))
     assert err.value.lineno == 2
     txns = list(read_transactions(lines, on_error="skip"))
     assert [list(t.items) for t in txns] == [["A", "B"]]
