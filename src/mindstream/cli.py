@@ -16,12 +16,11 @@ import os
 import sys
 from typing import Callable, List, Optional
 
-from .apriori import apriori_levels, gen_rules, negative_border
-from .engine import ContinuousQuery, Engine
+# The engine, the stream parser and Apriori are imported by the commands that
+# run them, so that a one-shot `query` starts without loading them.
 from .model import PARAM_TYPES, EngineParams, Transaction
 from .queries import QueryUsageError, run_static_query
 from .snapshot import SnapshotError, _quote, load_snapshot, render_snapshot, save_snapshot
-from .stream import ParseError, read_transactions
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,6 +52,8 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
     Bytes that are not UTF-8 are decoded as lone surrogates, so the parser
     reports (or, under --on-parse-error skip, drops) the line that holds them.
     """
+    from .stream import ParseError, read_transactions
+
     stdin = args.input == "-"
     try:
         with open(
@@ -74,6 +75,8 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .engine import ContinuousQuery, Engine
+
     try:
         engine = Engine(_params_from(args))
         if args.horizon < 1:
@@ -121,6 +124,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .engine import ContinuousQuery, Engine
+
     try:
         engine = Engine(_params_from(args))
         query = ContinuousQuery((args.a, args.b), horizon=args.k)
@@ -148,6 +153,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_apriori(args: argparse.Namespace) -> int:
+    from .apriori import apriori_levels, gen_rules, negative_border
+
     frac = args.minsup_frac
     if frac is not None and not 0.0 < frac <= 1.0:  # also rejects nan
         return _usage_error(f"--minsup-frac must be in (0, 1], got {frac}")

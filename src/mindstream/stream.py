@@ -12,7 +12,6 @@ other TIDs starts a new transaction.
 from __future__ import annotations
 
 import datetime
-import logging
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
@@ -74,6 +73,8 @@ def _records(lines: Iterable[str], on_error: str) -> Iterator[Tuple[str, int, st
         except ParseError as exc:
             if on_error == "stop":
                 raise
+            import logging  # here, so that a clean stream never loads it
+
             logging.getLogger(__name__).warning("skipping bad record: %s", exc)
             continue
         known = record[0]

@@ -123,6 +123,8 @@ def test_invalid_utf8_on_stdin_is_a_parse_error():
     assert stop.stderr.decode().startswith("error: line 2: invalid UTF-8")
     skip = run("--on-parse-error", "skip")
     assert skip.returncode == 0
+    # In a subprocess, so that no log capture stands in for the handler.
+    assert skip.stderr.decode() == "skipping bad record: line 2: invalid UTF-8\n"
     cells = [l.split()[1] for l in skip.stdout.decode().splitlines() if l.startswith("cell ")]
     assert cells == ["A", "B", "C"]
 

@@ -9,9 +9,7 @@ import pytest
 
 import mindstream
 
-MODULES = sorted(
-    p for p in Path(mindstream.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(mindstream.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
