@@ -31,8 +31,8 @@ def main() -> None:
         engine.ingest(Transaction(None, distinct_items(items)))
 
     print("trace of connection B-C:")
-    for emission in engine.emissions:
-        print(f"  step {emission.step}: {emission.text}")
+    for step, _, text in engine.emissions:
+        print(f"  step {step}: {text}")
 
     triangle = {("B", "C"), ("B", "E"), ("C", "E")}
     weights = {p: engine.mmap.weight_of(c) for p, c in engine.mmap.edges.items()}

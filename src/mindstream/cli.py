@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 # The engine, the stream parser and Apriori are imported by the commands that
 # run them, so that a one-shot `query` starts without loading them.
@@ -100,9 +100,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
-    for emission in engine.emissions:
-        a, b = emission.query.target
-        print(f"{emission.step} trace {_quote(a)} {_quote(b)} {emission.text}")
+    for step, (a, b), text in engine.emissions:
+        print(f"{step} trace {_quote(a)} {_quote(b)} {text}")
     if not args.snapshot:
         sys.stdout.write(render_snapshot(engine.state))
     return 0
@@ -147,9 +146,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         late = f"the stream ends at step {engine.step}, so the trace never ran"
         print(f"error: --register-after {args.register_after}: {late}", file=sys.stderr)
         return 1
-    for emission in engine.emissions:
-        print(f"{emission.step} {emission.text}")
+    for step, _, text in engine.emissions:
+        print(f"{step} {text}")
     return 0
+
+
+def _itemset(items: Iterable[str]) -> str:
+    """`{a,b}`; a label is quoted as in a snapshot, or if it holds `,`, `{` or `}`."""
+    return "{" + ",".join(_quote(x, force=any(c in x for c in ",{}")) for x in items) + "}"
 
 
 def _cmd_apriori(args: argparse.Namespace) -> int:
@@ -176,15 +180,15 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
         return _usage_error(exc)
     frequent = [s for _, fk in levels for s in sorted(fk, key=lambda s: s.items)]
     for s in frequent:
-        print(f"frequent {{{','.join(s.items)}}} {s.support}")
+        print(f"frequent {_itemset(s.items)} {s.support}")
     if args.show_border:
         for cands, fk in levels:
             for s in negative_border(cands, fk):
-                print(f"border k={cands.level} {{{','.join(s.items)}}}")
+                print(f"border k={cands.level} {_itemset(s.items)}")
     if args.minconf is not None:
         for r in gen_rules(frequent, args.minconf):
             print(
-                f"rule {{{','.join(r.antecedent)}}} => {{{','.join(r.consequent)}}} "
+                f"rule {_itemset(r.antecedent)} => {_itemset(r.consequent)} "
                 f"supp {r.support} conf {r.confidence:.6f}"
             )
     return 0

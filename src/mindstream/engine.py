@@ -15,32 +15,24 @@ from typing import Dict, List, Set, Tuple, ValuesView
 
 from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
 from .memory import LTMRecord, Signature, STMEntry, ltm_update, stm_tick
-from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair
+from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair, validate_label
 from .skeleton import components
 from .snapshot import EngineState, _fmt_signature, _quote
 
 
 @dataclass
 class ContinuousQuery:
-    """A standing edge trace: after each of the next `horizon` steps it
-    emits the target pair's weight, or "absent" while the edge is not in
-    the map."""
+    """A standing edge trace: after each of the `horizon` steps that follow
+    its registration, the engine emits the target pair's weight, or "absent"
+    while the edge is not in the map."""
 
     target: Pair
     horizon: int = 1
-    emitted: int = 0
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.target = canonical_pair(*self.target)
-
-
-@dataclass
-class QueryEmission:
-    query: ContinuousQuery
-    step: int
-    text: str
+        self.target = canonical_pair(*map(validate_label, self.target))
 
 
 class Engine:
@@ -57,8 +49,9 @@ class Engine:
         self.stm: Dict[Signature, STMEntry] = {}
         self._ltm: Dict[Signature, LTMRecord] = {}
         self.event_lines: List[str] = []
-        self.queries: List[ContinuousQuery] = []
-        self.emissions: List[QueryEmission] = []
+        # (last step, query) per standing query; an emission is (step, pair, text).
+        self.queries: List[Tuple[int, ContinuousQuery]] = []
+        self.emissions: List[Tuple[int, Pair, str]] = []
 
     @property
     def step(self) -> int:
@@ -74,7 +67,7 @@ class Engine:
         return EngineState(self.mmap, self.params, self.stm, self._ltm)
 
     def register_query(self, query: ContinuousQuery) -> ContinuousQuery:
-        self.queries.append(query)
+        self.queries.append((self.step + query.horizon, query))
         return query
 
     def ingest(self, txn: Transaction) -> StepEvents:
@@ -86,7 +79,8 @@ class Engine:
         ltm_update(self._ltm, promotions, lapsed, step)
 
         self._report(txn, events, promotions, lapsed)
-        self._evaluate_queries(step)
+        if self.queries:
+            self._evaluate_queries(step)
         return events
 
     def _update_skeleton(self, txn: Transaction, events: StepEvents) -> Set[Signature]:
@@ -215,12 +209,9 @@ class Engine:
                 log(f"{step} pattern-closed {_fmt_signature(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
-        """Emit each query's next result; drop a query after its last one."""
-        live: List[ContinuousQuery] = []
-        for q in self.queries:
-            w = self.mmap.get_weight(*q.target)
-            self.emissions.append(QueryEmission(q, step, "absent" if w is None else repr(w)))
-            q.emitted += 1
-            if q.emitted < q.horizon:
-                live.append(q)
-        self.queries = live
+        """Emit each standing query's result; drop those whose last step this is."""
+        edges, weight, emit = self.mmap.edges, self.mmap.weight_of, self.emissions.append
+        for _, q in self.queries:
+            conn = edges.get(q.target)  # canonical since construction
+            emit((step, q.target, "absent" if conn is None else repr(weight(conn))))
+        self.queries = [entry for entry in self.queries if entry[0] > step]

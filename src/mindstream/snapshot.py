@@ -47,11 +47,11 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _quote(token: str) -> str:
+def _quote(token: str, force: bool = False) -> str:
     # An empty token, a leading quote or any whitespace (what str.split breaks
-    # on; `\s` and str.isspace agree) makes a token need quotes. Letters and
-    # digits alone, the common label, are checked first.
-    if token.isalnum() or (token.split() == [token] and token[0] != '"'):
+    # on; `\s` and str.isspace agree) makes a token need quotes, as does
+    # `force`. Letters and digits alone, the common label, are checked first.
+    if not force and (token.isalnum() or (token.split() == [token] and token[0] != '"')):
         return token
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -157,8 +157,8 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where
             fast_out, ref_out = fast.emissions[emitted:], ref.emissions[emitted:]
-            assert [e.step for e in fast_out] == [e.step for e in ref_out], where
-            assert all(same_trace(a.text, b.text) for a, b in zip(fast_out, ref_out)), where
+            assert [(s, p) for s, p, _ in fast_out] == [(s, p) for s, p, _ in ref_out], where
+            assert all(same_trace(a[2], b[2]) for a, b in zip(fast_out, ref_out)), where
         pattern_lines.update(
             line.split()[1] for line in fast.event_lines if " pattern-" in line
         )

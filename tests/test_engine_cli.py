@@ -357,10 +357,35 @@ def test_trace_horizon_one():
     engine.register_query(ContinuousQuery(("A", "C"), horizon=1))
     for t in worked_example_transactions():
         engine.ingest(t)
-    assert len(engine.emissions) == 1
-    assert engine.emissions[0].step == 1
-    assert engine.emissions[0].text == repr(1 / 3)
+    assert engine.emissions == [(1, ("A", "C"), repr(1 / 3))]
     assert engine.queries == []
+
+
+def test_each_registration_reports_over_its_own_window():
+    # The window belongs to the registration, not to the query object.
+    query = ContinuousQuery(("C", "A"), horizon=3)
+    first, second, twice = Engine(), Engine(), Engine()
+    for engine in (first, second, twice, twice):
+        engine.register_query(query)
+    for t in worked_example_transactions():
+        for engine in (first, second, twice):
+            engine.ingest(t)
+    for engine in (first, second):
+        assert [(s, p) for s, p, _ in engine.emissions] == [(s, ("A", "C")) for s in (1, 2, 3)]
+    assert [s for s, _, _ in twice.emissions] == [1, 1, 2, 2, 3, 3]
+    assert first.emissions == second.emissions == twice.emissions[::2]
+
+
+@pytest.mark.parametrize("after", [0, 1, 2])
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_a_late_registration_reports_the_next_horizon_steps(after, horizon):
+    transactions = worked_example_transactions()
+    engine = replay(transactions[:after])
+    engine.register_query(ContinuousQuery(("B", "C"), horizon=horizon))
+    for i, t in enumerate(transactions[after:], start=after + 1):
+        engine.ingest(t)
+        assert (engine.queries == []) == (i >= after + horizon)
+    assert [s for s, _, _ in engine.emissions] == list(range(after + 1, after + horizon + 1))
 
 
 def test_apriori_subcommand(stream_file, capsys):
@@ -371,6 +396,36 @@ def test_apriori_subcommand(stream_file, capsys):
     assert "border k=2 {A,B}" in out and "border k=2 {A,E}" in out
     assert "rule {B} => {C} supp 3 conf 1.000000" in out
     assert "rule {C} => {B}" not in out
+
+
+def test_apriori_quotes_a_label_that_would_read_as_two(tmp_path, capsys):
+    # Author names hold commas: unquoted, "Smith, J" would read as Smith and J.
+    stream = tmp_path / "authors.txt"
+    records = [(1, "Smith, J"), (1, "Lee"), (2, "Smith"), (2, " J"), (2, "Lee")]
+    stream.write_text("".join(f"2004-01-01;{ref};{name}\n" for ref, name in records))
+    assert run_cli("apriori", "--input", stream, "--minsup", "1") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "frequent {J} 1",
+        "frequent {Lee} 2",
+        "frequent {Smith} 1",
+        'frequent {"Smith, J"} 1',
+        "frequent {J,Lee} 1",
+        "frequent {J,Smith} 1",
+        "frequent {Lee,Smith} 1",
+        'frequent {Lee,"Smith, J"} 1',
+        "frequent {J,Lee,Smith} 1",
+    ]
+    # A label that a snapshot leaves bare is quoted if it holds , { or },
+    # and escaped as a snapshot escapes.
+    stream.write_text('2004-01-01;1;Lee,J\n2004-01-01;1;{"x"}\n')
+    assert run_cli("apriori", "--input", stream, "--minsup", "1", "--minconf", "1") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'frequent {"Lee,J"} 1',
+        r'frequent {"{\"x\"}"} 1',
+        r'frequent {"Lee,J","{\"x\"}"} 1',
+        r'rule {"Lee,J"} => {"{\"x\"}"} supp 1 conf 1.000000',
+        r'rule {"{\"x\"}"} => {"Lee,J"} supp 1 conf 1.000000',
+    ]
 
 
 def test_apriori_minsup_frac_rounds_up_within_bounds(stream_file, capsys):
@@ -479,6 +534,8 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["query", "--snapshot", "{snap}", "skeleton", "--top", "1"], 2),
         (["query", "--snapshot", "{snap}", "skeleton", "--theta-w"], 2),
         (["apriori"], 2),
+        (["run", "--trace", "x\ny", "A"], 2),
+        (["trace", " ", "A"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):
