@@ -50,11 +50,11 @@ def main() -> None:
     for pair, w in heaviest:
         print(f"  {pair[0]} -- {pair[1]}  weight {w:.4f}")
 
-    pairs = [s for s in apriori(txns, 1) if len(s.items) == 2]
-    pairs.sort(key=lambda s: -s.support)
+    pairs = [(s, supp) for s, supp in apriori(txns, 1).items() if len(s) == 2]
+    pairs.sort(key=lambda kv: -kv[1])
     print("\nmost frequent pairs (static Apriori):")
-    for s in pairs[:10]:
-        print(f"  {s.items[0]} -- {s.items[1]}  support {s.support}")
+    for (a, b), supp in pairs[:10]:
+        print(f"  {a} -- {b}  support {supp}")
 
 
 if __name__ == "__main__":

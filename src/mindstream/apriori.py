@@ -1,17 +1,18 @@
 """Static Apriori baseline: frequent itemsets, rules, negative border.
 
 This is the desk-scale oracle the dynamic mind-map is checked against.
-Support is an absolute transaction count; duplicate items within one
-transaction count once (set semantics). Levelwise candidate generation
-joins F_{k-1} with itself on the (k-2)-prefix and prunes candidates with
-any infrequent (k-1)-subset.
+An itemset is its sorted tuple of labels, and a set of frequent itemsets
+is a dict from itemset to support. Support is an absolute transaction
+count; duplicate items within one transaction count once (set semantics).
+Levelwise candidate generation joins F_{k-1} with itself on the
+(k-2)-prefix and prunes candidates with any infrequent (k-1)-subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .model import Transaction, distinct_items
 
@@ -20,31 +21,6 @@ Items = Tuple[str, ...]
 
 class InconsistentInputError(ValueError):
     """Rule generation needs every subset's support to be present."""
-
-
-@dataclass(frozen=True)
-class ItemSet:
-    items: Items  # sorted, unique, non-empty
-    support: int
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise ValueError("itemset must be non-empty")
-        if tuple(sorted(set(self.items))) != self.items:
-            raise ValueError(f"items must be sorted and unique: {self.items}")
-        if self.support < 0:
-            raise ValueError("support must be >= 0")
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    level: int
-    sets: Tuple[Items, ...]
-
-    def __post_init__(self) -> None:
-        for s in self.sets:
-            if len(s) != self.level:
-                raise ValueError(f"candidate {s} not at level {self.level}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +41,7 @@ def _support(itemset: Items, txn_sets: Sequence[frozenset]) -> int:
 
 
 def candidate_join(frequent_prev: Sequence[Items]) -> List[Items]:
-    """C_k from F_{k-1}: prefix join plus the subset prune."""
+    """C_k from F_{k-1}, sorted: prefix join plus the subset prune."""
     prev = sorted(frequent_prev)
     prev_set = set(prev)
     candidates: List[Items] = []
@@ -83,75 +59,47 @@ def candidate_join(frequent_prev: Sequence[Items]) -> List[Items]:
 
 def apriori_levels(
     txns: Sequence[Transaction], minsup: int
-) -> List[Tuple[CandidateSet, List[ItemSet]]]:
-    """Per-level (C_k, F_k) pairs, for negative-border inspection."""
+) -> List[Tuple[List[Items], Dict[Items, int]]]:
+    """Per-level (C_k, F_k) pairs: the sorted candidates, and the frequent
+    ones with their supports in candidate order."""
     if minsup < 1:
         raise ValueError("minsup must be >= 1")
     txn_sets = _txn_itemsets(txns)
     item_counts = distinct_items(item for t in txn_sets for item in t)
 
-    c1 = tuple((item,) for item in sorted(item_counts))
-    f1 = [
-        ItemSet((item,), count)
-        for item, count in sorted(item_counts.items())
-        if count >= minsup
-    ]
-    levels = [(CandidateSet(1, c1), f1)]
-    frequent_prev = [s.items for s in f1]
-    k = 2
-    while frequent_prev:
-        cands = candidate_join(frequent_prev)
-        if not cands:
-            break
-        fk = [
-            ItemSet(c, supp)
-            for c in cands
-            if (supp := _support(c, txn_sets)) >= minsup
-        ]
-        levels.append((CandidateSet(k, tuple(cands)), fk))
-        frequent_prev = [s.items for s in fk]
-        k += 1
+    cands = [(item,) for item in sorted(item_counts)]
+    fk = {c: item_counts[c[0]] for c in cands if item_counts[c[0]] >= minsup}
+    levels = [(cands, fk)]
+    while fk and (cands := candidate_join(list(fk))):
+        fk = {c: supp for c in cands if (supp := _support(c, txn_sets)) >= minsup}
+        levels.append((cands, fk))
     return levels
 
 
-def apriori(txns: Sequence[Transaction], minsup: int) -> List[ItemSet]:
-    """All frequent itemsets, sorted by (level, lexicographic items)."""
-    out: List[ItemSet] = []
-    for _, fk in apriori_levels(txns, minsup):
-        out.extend(sorted(fk, key=lambda s: s.items))
-    return out
+def apriori(txns: Sequence[Transaction], minsup: int) -> Dict[Items, int]:
+    """All frequent itemsets with their supports, by level and then by items."""
+    return {s: supp for _, fk in apriori_levels(txns, minsup) for s, supp in fk.items()}
 
 
-def negative_border(candidates: CandidateSet, frequent_k: Sequence[ItemSet]) -> List[ItemSet]:
-    """C_k - F_k: candidates that failed the support threshold. A border
-    set's support is not counted: it is given as 0."""
-    for s in frequent_k:
-        if len(s.items) != candidates.level:
-            raise ValueError(
-                f"level mismatch: frequent set {s.items} vs level {candidates.level}"
-            )
-    frequent_items = {s.items for s in frequent_k}
-    border = [c for c in candidates.sets if c not in frequent_items]
-    return [ItemSet(c, 0) for c in sorted(border)]
+def negative_border(candidates: Sequence[Items], frequent_k: Mapping[Items, int]) -> List[Items]:
+    """C_k - F_k: the candidates that failed the support threshold."""
+    return [c for c in candidates if c not in frequent_k]
 
 
-def gen_rules(frequent: Sequence[ItemSet], minconf: float) -> List[StaticRule]:
-    """Every antecedent => consequent split of every frequent set of size
-    >= 2 whose confidence clears minconf. The input must be downward
-    closed (all subsets present with supports)."""
-    support_of = {s.items: s.support for s in frequent}
+def gen_rules(frequent: Mapping[Items, int], minconf: float) -> List[StaticRule]:
+    """Every antecedent => consequent split of every frequent set, in the
+    order of `frequent`, whose confidence clears minconf. The input must be
+    downward closed (all subsets present with supports)."""
     rules: List[StaticRule] = []
-    for s in sorted(frequent, key=lambda s: (len(s.items), s.items)):
-        if len(s.items) < 2:
-            continue
-        for r in range(1, len(s.items)):
-            for ant in combinations(s.items, r):
-                if ant not in support_of:
+    for items, support in frequent.items():
+        for r in range(1, len(items)):
+            for ant in combinations(items, r):
+                if ant not in frequent:
                     raise InconsistentInputError(
-                        f"missing support for subset {ant} of {s.items}"
+                        f"missing support for subset {ant} of {items}"
                     )
-                confidence = s.support / support_of[ant]
+                confidence = support / frequent[ant]
                 if confidence >= minconf:
-                    cons = tuple(i for i in s.items if i not in ant)
-                    rules.append(StaticRule(ant, cons, s.support, confidence))
+                    cons = tuple(i for i in items if i not in ant)
+                    rules.append(StaticRule(ant, cons, support, confidence))
     return rules

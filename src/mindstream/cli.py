@@ -164,27 +164,24 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
         return _usage_error(f"--minsup-frac must be in (0, 1], got {frac}")
     if args.minconf is not None and not 0.0 <= args.minconf <= 1.0:  # also rejects nan
         return _usage_error(f"--minconf must be in [0, 1], got {args.minconf}")
+    if (args.minsup is None) == (frac is None):
+        return _usage_error("need one of --minsup and --minsup-frac")
     txns: List[Transaction] = []
     if not _consume_input(args, txns.append):
         return 1
 
-    minsup = args.minsup
-    if frac is not None:
-        minsup = max(1, math.ceil(frac * len(txns)))
-    if minsup is None:
-        return _usage_error("need --minsup or --minsup-frac")
-
+    minsup = args.minsup if frac is None else max(1, math.ceil(frac * len(txns)))
     try:
         levels = apriori_levels(txns, minsup)
     except ValueError as exc:
         return _usage_error(exc)
-    frequent = [s for _, fk in levels for s in sorted(fk, key=lambda s: s.items)]
-    for s in frequent:
-        print(f"frequent {_itemset(s.items)} {s.support}")
+    frequent = {s: supp for _, fk in levels for s, supp in fk.items()}
+    for s, supp in frequent.items():
+        print(f"frequent {_itemset(s)} {supp}")
     if args.show_border:
-        for cands, fk in levels:
+        for k, (cands, fk) in enumerate(levels, start=1):
             for s in negative_border(cands, fk):
-                print(f"border k={cands.level} {_itemset(s.items)}")
+                print(f"border k={k} {_itemset(s)}")
     if args.minconf is not None:
         for r in gen_rules(frequent, args.minconf):
             print(

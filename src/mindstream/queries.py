@@ -1,8 +1,8 @@
 """One-shot static queries over a loaded snapshot.
 
 All queries are pure reads; results are plain text, one fact per line,
-with labels and signatures written as in a snapshot. Unknown labels
-answer "absent" rather than erroring.
+with labels and signatures written as in a snapshot. A label no cell has
+answers "absent"; a string that cannot be a label is a usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from .memory import detect_patterns, query_ltm
+from .model import validate_label
 from .skeleton import derive_rules, extract_skeleton, strongest_subgraphs
 from .snapshot import EngineState, _fmt_signature, _quote
 
@@ -29,6 +30,14 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise ValueError(text)
     return int(text)
+
+
+def _check_labels(labels: List[str]) -> None:
+    for label in labels:
+        try:
+            validate_label(label)
+        except ValueError as exc:
+            raise QueryUsageError(exc) from None
 
 
 def _take_options(args: List[str], allowed: Dict[str, Callable]) -> Dict:
@@ -65,6 +74,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
     if kind == "weight":
         if len(rest) != 2:
             raise QueryUsageError("usage: weight A B")
+        _check_labels(rest)
         if rest[0] == rest[1]:
             raise QueryUsageError("weight needs two distinct labels")
         w = state.mmap.get_weight(rest[0], rest[1])
@@ -73,6 +83,7 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
     if kind == "activation":
         if len(rest) != 1:
             raise QueryUsageError("usage: activation A")
+        _check_labels(rest)
         a = state.mmap.get_activation(rest[0])
         return "absent" if a is None else _fmt(a)
 

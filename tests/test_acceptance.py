@@ -71,7 +71,7 @@ def test_acceptance_2_apriori_oracle():
         txn(["A", "B", "C", "E"]),
         txn(["B", "C", "E"]),
     ]
-    got = {s.items: s.support for s in apriori(txns, 2)}
+    got = apriori(txns, 2)
     assert got == {
         ("A",): 2, ("B",): 3, ("C",): 4, ("E",): 3,
         ("A", "C"): 2, ("B", "C"): 3, ("B", "E"): 3, ("C", "E"): 3,
@@ -79,7 +79,7 @@ def test_acceptance_2_apriori_oracle():
     }
     assert got == brute_force_frequent(txns, 2)
     c2, f2 = apriori_levels(txns, 2)[1]
-    assert [s.items for s in negative_border(c2, f2)] == [("A", "B"), ("A", "E")]
+    assert negative_border(c2, f2) == [("A", "B"), ("A", "E")]
 
     rng = random.Random(2024)
     for trial in range(200):
@@ -87,7 +87,7 @@ def test_acceptance_2_apriori_oracle():
         alphabet = [chr(ord("a") + k) for k in range(n_items)]
         db = random_transactions(rng, alphabet, rng.randint(1, 30), max_size=n_items)
         minsup = rng.randint(1, 5)
-        mine = {s.items: s.support for s in apriori(db, minsup)}
+        mine = apriori(db, minsup)
         assert mine == brute_force_frequent(db, minsup), f"trial {trial}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mindstream.apriori import (
-    CandidateSet,
     InconsistentInputError,
-    ItemSet,
     apriori,
     apriori_levels,
     candidate_join,
@@ -36,27 +34,23 @@ EXPECTED_MINSUP2 = {
 }
 
 
-def as_dict(itemsets):
-    return {s.items: s.support for s in itemsets}
-
-
 def test_four_transactions_minsup_2():
-    assert as_dict(apriori(FOUR_TXNS, 2)) == EXPECTED_MINSUP2
-    assert as_dict(apriori(FOUR_TXNS, 2)) == brute_force_frequent(FOUR_TXNS, 2)
+    assert apriori(FOUR_TXNS, 2) == EXPECTED_MINSUP2
+    assert apriori(FOUR_TXNS, 2) == brute_force_frequent(FOUR_TXNS, 2)
 
 
 def test_output_is_sorted_by_level_then_items():
-    out = [s.items for s in apriori(FOUR_TXNS, 2)]
+    out = list(apriori(FOUR_TXNS, 2))
     assert out == sorted(out, key=lambda i: (len(i), i))
 
 
 def test_minsup_above_max_support_is_empty():
-    assert apriori(FOUR_TXNS, 5) == []
+    assert apriori(FOUR_TXNS, 5) == {}
     assert brute_force_frequent(FOUR_TXNS, 5) == {}
 
 
 def test_empty_transaction_list():
-    assert apriori([], 1) == []
+    assert apriori([], 1) == {}
 
 
 def test_minsup_must_be_positive():
@@ -66,7 +60,7 @@ def test_minsup_must_be_positive():
 
 def test_duplicates_count_once_for_support():
     txns = [txn(["A", "A", "B"]), txn(["A", "B"])]
-    assert as_dict(apriori(txns, 2)) == {("A",): 2, ("B",): 2, ("A", "B"): 2}
+    assert apriori(txns, 2) == {("A",): 2, ("B",): 2, ("A", "B"): 2}
 
 
 def test_rule_confidences():
@@ -92,7 +86,7 @@ def test_rule_confidences_in_unit_interval():
 
 
 def test_gen_rules_rejects_missing_subset():
-    broken = [ItemSet(("A", "B"), 2)]  # singletons missing
+    broken = {("A", "B"): 2}  # singletons missing
     with pytest.raises(InconsistentInputError):
         gen_rules(broken, 0.0)
 
@@ -100,21 +94,18 @@ def test_gen_rules_rejects_missing_subset():
 def test_negative_border_at_k2():
     levels = apriori_levels(FOUR_TXNS, 2)
     c2, f2 = levels[1]
-    assert c2.level == 2
-    assert set(c2.sets) == {
+    assert c2 == [
         ("A", "B"), ("A", "C"), ("A", "E"), ("B", "C"), ("B", "E"), ("C", "E")
-    }
-    border = negative_border(c2, f2)
-    assert [s.items for s in border] == [("A", "B"), ("A", "E")]
+    ]
+    assert f2 == {("A", "C"): 2, ("B", "C"): 3, ("B", "E"): 3, ("C", "E"): 3}
+    assert negative_border(c2, f2) == [("A", "B"), ("A", "E")]
 
 
 def test_negative_border_edge_cases():
-    cands = CandidateSet(2, (("A", "B"),))
-    full = [ItemSet(("A", "B"), 3)]
-    assert negative_border(cands, full) == []
-    assert [s.items for s in negative_border(cands, [])] == [("A", "B")]
-    with pytest.raises(ValueError):
-        negative_border(cands, [ItemSet(("A",), 3)])
+    cands = [("A", "B")]
+    assert negative_border(cands, {("A", "B"): 3}) == []
+    assert negative_border(cands, {}) == [("A", "B")]
+    assert negative_border([], {}) == []
 
 
 def test_candidate_join_prunes_infrequent_subsets():
@@ -124,7 +115,7 @@ def test_candidate_join_prunes_infrequent_subsets():
 
 
 def test_downward_closure_and_antimonotone_support():
-    frequent = as_dict(apriori(FOUR_TXNS, 1))
+    frequent = apriori(FOUR_TXNS, 1)
     from itertools import combinations
 
     for items, support in frequent.items():
@@ -141,7 +132,7 @@ def test_randomized_cross_check_against_brute_force():
         alphabet = [chr(ord("a") + k) for k in range(n_items)]
         txns = random_transactions(rng, alphabet, rng.randint(1, 30), max_size=n_items)
         minsup = rng.randint(1, 5)
-        assert as_dict(apriori(txns, minsup)) == brute_force_frequent(txns, minsup), (
+        assert apriori(txns, minsup) == brute_force_frequent(txns, minsup), (
             f"mismatch in trial {trial}"
         )
 
@@ -157,4 +148,4 @@ def test_randomized_cross_check_against_brute_force():
 )
 def test_apriori_matches_oracle_property(baskets, minsup):
     txns = [txn(items) for items in baskets]
-    assert as_dict(apriori(txns, minsup)) == brute_force_frequent(txns, minsup)
+    assert apriori(txns, minsup) == brute_force_frequent(txns, minsup)

@@ -398,6 +398,39 @@ def test_apriori_subcommand(stream_file, capsys):
     assert "rule {C} => {B}" not in out
 
 
+def test_apriori_prints_the_worked_example_in_full(stream_file, capsys):
+    argv = ["--minsup", "2", "--show-border", "--minconf", "0"]
+    assert run_cli("apriori", "--input", stream_file, *argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "frequent {A} 2",
+        "frequent {B} 3",
+        "frequent {C} 4",
+        "frequent {E} 3",
+        "frequent {A,C} 2",
+        "frequent {B,C} 3",
+        "frequent {B,E} 3",
+        "frequent {C,E} 3",
+        "frequent {B,C,E} 3",
+        "border k=1 {D}",
+        "border k=2 {A,B}",
+        "border k=2 {A,E}",
+        "rule {A} => {C} supp 2 conf 1.000000",
+        "rule {C} => {A} supp 2 conf 0.500000",
+        "rule {B} => {C} supp 3 conf 1.000000",
+        "rule {C} => {B} supp 3 conf 0.750000",
+        "rule {B} => {E} supp 3 conf 1.000000",
+        "rule {E} => {B} supp 3 conf 1.000000",
+        "rule {C} => {E} supp 3 conf 0.750000",
+        "rule {E} => {C} supp 3 conf 1.000000",
+        "rule {B} => {C,E} supp 3 conf 1.000000",
+        "rule {C} => {B,E} supp 3 conf 0.750000",
+        "rule {E} => {B,C} supp 3 conf 1.000000",
+        "rule {B,C} => {E} supp 3 conf 1.000000",
+        "rule {B,E} => {C} supp 3 conf 1.000000",
+        "rule {C,E} => {B} supp 3 conf 1.000000",
+    ]
+
+
 def test_apriori_quotes_a_label_that_would_read_as_two(tmp_path, capsys):
     # Author names hold commas: unquoted, "Smith, J" would read as Smith and J.
     stream = tmp_path / "authors.txt"
@@ -536,6 +569,10 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
         (["apriori"], 2),
         (["run", "--trace", "x\ny", "A"], 2),
         (["trace", " ", "A"], 2),
+        (["query", "--snapshot", "{snap}", "weight", "", "A"], 2),
+        (["query", "--snapshot", "{snap}", "activation", " "], 2),
+        (["query", "--snapshot", "{snap}", "weight", "x\ny", "A"], 2),
+        (["apriori", "--minsup", "1", "--minsup-frac", "0.5"], 2),
     ],
 )
 def test_bad_arguments_are_a_clean_error(tmp_path, stream_file, capsys, argv, code):

@@ -181,3 +181,4 @@ def test_worked_example_promotion_with_p2():
     )
     open_records = query_ltm(engine.state.ltm, "open")
     assert [r.signature for r in open_records] == [("B", "C", "E")]
+    assert list(engine.ltm) == list(engine.state.ltm.values())

@@ -91,6 +91,8 @@ def test_strongest_subgraph_is_the_triangle(final_engine):
 
 def test_strongest_subgraphs_empty_map():
     assert strongest_subgraphs(MindMap(), 0.5, 3) == []
+    with pytest.raises(ValueError):
+        strongest_subgraphs(MindMap(), 0.5, 0)
 
 
 def test_strongest_subgraphs_orders_by_mean_weight():
