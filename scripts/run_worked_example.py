@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mindstream.cli import guard_stdout
 from mindstream.engine import ContinuousQuery, Engine
 from mindstream.model import EngineParams, Transaction, distinct_items
-from mindstream.skeleton import derive_rules, extract_skeleton
+from mindstream.skeleton import extract_skeleton
 from mindstream.snapshot import render_snapshot
 
 STREAMS = [
@@ -45,8 +45,9 @@ def main() -> None:
     for (a, b), w in skel.edges:
         print(f"  {a} -- {b}  ({w:.4f})")
     print("rules:")
-    for r in sorted(derive_rules(skel), key=lambda r: (r.antecedent, r.consequent)):
-        print(f"  {r.antecedent} => {r.consequent}")
+    # Each kept edge is a rule both ways.
+    for a, b in sorted([pair for pair, _ in skel.edges] + [pair[::-1] for pair, _ in skel.edges]):
+        print(f"  {a} => {b}")
 
     print("\nfinal snapshot:")
     print(render_snapshot(engine.state), end="")

@@ -10,7 +10,7 @@ _HOMES = {
     "dynamics": "StepEvents activate_cell hebbian_update ingest_transaction initial_weight",
     "engine": "ContinuousQuery Engine",
     "model": "Connection EngineParams ItemCell MindMap Transaction distinct_items",
-    "skeleton": "AssociationRule Skeleton derive_rules extract_skeleton",
+    "skeleton": "Skeleton extract_skeleton",
     "snapshot": "EngineState load_snapshot parse_snapshot render_snapshot save_snapshot",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -13,7 +13,7 @@ record and bumps its recurrence count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .skeleton import Signature, Skeleton, adjacency, components
 
@@ -89,15 +89,3 @@ def ltm_update(
             record.disappeared_at = step
     return ltm
 
-
-def query_ltm(ltm: Dict[Signature, LTMRecord], which: str = "all") -> List[LTMRecord]:
-    """Filter records; `which` is one of all/open/closed."""
-    if which == "all":
-        picked = list(ltm.values())
-    elif which == "open":
-        picked = [r for r in ltm.values() if r.is_open]
-    elif which == "closed":
-        picked = [r for r in ltm.values() if not r.is_open]
-    else:
-        raise ValueError(f"unknown filter {which!r}")
-    return sorted(picked, key=lambda r: (r.appeared_at, r.signature))

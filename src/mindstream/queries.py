@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .memory import detect_patterns, query_ltm
+from .memory import detect_patterns
 from .model import validate_label
-from .skeleton import derive_rules, extract_skeleton, strongest_subgraphs
+from .skeleton import extract_skeleton, strongest_subgraphs
 from .snapshot import EngineState, _fmt_signature, _quote
 
 
@@ -101,11 +101,9 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         opts = _take_options(rest, _THETAS)
         theta_w = opts.get("--theta-w", state.params.theta_w)
         theta_a = opts.get("--theta-a", state.params.theta_a)
-        rules = derive_rules(extract_skeleton(state.mmap, theta_w, theta_a))
-        rules.sort(key=lambda r: (r.antecedent, r.consequent))
-        return "\n".join(
-            f"{_quote(r.antecedent)} => {_quote(r.consequent)} {_fmt(r.weight)}" for r in rules
-        )
+        edges = extract_skeleton(state.mmap, theta_w, theta_a).edges
+        rules = sorted([(a, b, w) for (a, b), w in edges] + [(b, a, w) for (a, b), w in edges])
+        return "\n".join(f"{_quote(a)} => {_quote(b)} {_fmt(w)}" for a, b, w in rules)
 
     if kind == "patterns":
         _take_options(rest, {})
@@ -118,7 +116,9 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         which = rest[0] if rest else "all"
         if len(rest) > 1 or which not in ("all", "open", "closed"):
             raise QueryUsageError("usage: ltm [open|closed|all]")
-        records = query_ltm(state.ltm, which)
+        records = sorted(state.ltm.values(), key=lambda r: (r.appeared_at, r.signature))
+        if which != "all":
+            records = [r for r in records if r.is_open == (which == "open")]
         return "\n".join(
             f"{_fmt_signature(r.signature)} {r.appeared_at} "
             f"{'open' if r.is_open else r.disappeared_at} {r.recurrence_count}"

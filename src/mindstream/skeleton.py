@@ -1,4 +1,4 @@
-"""Thresholded skeletons, their components, pairwise rules, strongest subgraphs.
+"""Thresholded skeletons, their components and strongest subgraphs.
 
 All functions here are pure reads: none of them changes the mind-map.
 """
@@ -21,13 +21,6 @@ class Skeleton:
     edges: Tuple[Tuple[Pair, float], ...]
 
 
-@dataclass(frozen=True)
-class AssociationRule:
-    antecedent: str
-    consequent: str
-    weight: float
-
-
 def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Skeleton:
     """Keep edges with weight >= theta_w whose both endpoints have
     activation >= theta_a, sorted."""
@@ -44,15 +37,6 @@ def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Ske
     # Pairs are unique, so the faster pair key gives the order of the tuples.
     kept.sort(key=itemgetter(0))
     return Skeleton(edges=tuple(kept))
-
-
-def derive_rules(s: Skeleton) -> List[AssociationRule]:
-    """Each undirected skeleton edge yields both rule directions."""
-    rules: List[AssociationRule] = []
-    for (a, b), w in s.edges:
-        rules.append(AssociationRule(a, b, w))
-        rules.append(AssociationRule(b, a, w))
-    return rules
 
 
 def adjacency(pairs: Iterable[Pair]) -> Dict[str, Set[str]]:

@@ -12,9 +12,9 @@ import pytest
 from mindstream.apriori import apriori, apriori_levels, negative_border
 from mindstream.dynamics import ingest_transaction
 from mindstream.engine import Engine
-from mindstream.memory import query_ltm
 from mindstream.model import EngineParams, MindMap
-from mindstream.skeleton import derive_rules, extract_skeleton
+from mindstream.queries import run_static_query
+from mindstream.skeleton import extract_skeleton
 from mindstream.snapshot import load_snapshot, render_snapshot, save_snapshot
 from mindstream.stream import read_transactions
 
@@ -54,7 +54,8 @@ def test_acceptance_1_worked_example_replay():
     theta = (lo + hi) / 2
     skel = extract_skeleton(engine.mmap, theta)
     assert skeleton_nodes(skel) == {"B", "C", "E"}
-    rules = {(r.antecedent, r.consequent) for r in derive_rules(skel)}
+    answer = run_static_query(engine.state, ["rules", "--theta-w", repr(theta)])
+    rules = {tuple(line.split()[0:3:2]) for line in answer.splitlines()}
     assert rules == {
         ("E", "B"), ("B", "E"), ("E", "C"), ("C", "E"), ("C", "B"), ("B", "C")
     }
@@ -193,7 +194,7 @@ def test_acceptance_7_memory_lifecycle():
     # one decay-only step keeps the triangle above theta: second consecutive
     # step, so the pattern is promoted
     engine.ingest(txn([]))
-    opens = query_ltm(engine.state.ltm, "open")
+    opens = [r for r in engine.state.ltm.values() if r.is_open]
     assert [r.signature for r in opens] == [("B", "C", "E")]
     record = opens[0]
     assert record.recurrence_count == 1

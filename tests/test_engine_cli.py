@@ -181,6 +181,17 @@ def test_scripts_exit_cleanly_on_a_closed_stdout(script):
     run_with_closed_stdout([sys.executable, os.path.join(scripts, script)], unbuffered=True)
 
 
+def test_worked_example_script_prints_the_six_rules():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_worked_example.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    rules = ["rules:", "  B => C", "  B => E", "  C => B", "  C => E", "  E => B", "  E => C", ""]
+    assert "\n".join(rules) in done.stdout.decode()
+    assert len(done.stdout.splitlines()) == 45
+    digest = "de20f2bea83da8c2e9a8d3d258097bc6c9d16fe4125349ca20f58d58ddf4be8c"
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]])
 def test_missing_input_is_a_clean_error(tmp_path, capsys, argv):
     missing = tmp_path / "missing.txt"
@@ -239,19 +250,20 @@ def test_query_rules_on_final_snapshot(tmp_path, capsys):
     assert run_cli("query", "--snapshot", snap, "rules", "--theta-w", theta) == 0
     out = capsys.readouterr().out.strip().splitlines()
     heads = [tuple(l.split()[:3]) for l in out]
-    assert set(heads) == {
-        ("B", "=>", "C"), ("C", "=>", "B"),
-        ("B", "=>", "E"), ("E", "=>", "B"),
-        ("C", "=>", "E"), ("E", "=>", "C"),
-    }
+    assert heads == [
+        ("B", "=>", "C"), ("B", "=>", "E"),
+        ("C", "=>", "B"), ("C", "=>", "E"),
+        ("E", "=>", "B"), ("E", "=>", "C"),
+    ]
 
 
 def test_query_static_is_pure(tmp_path):
     engine = replay(worked_example_transactions())
     state = engine.state
     before = hashlib.sha256(render_snapshot(state).encode()).hexdigest()
-    for q in (["skeleton"], ["patterns"], ["ltm", "all"], ["strongest", "--top", "2"],
-              ["activation", "C"], ["weight", "B", "C"]):
+    for q in (["skeleton"], ["rules"], ["patterns"], ["ltm", "all"], ["ltm", "open"],
+              ["ltm", "closed"], ["strongest", "--top", "2"], ["activation", "C"],
+              ["weight", "B", "C"]):
         run_static_query(state, q)
     after = hashlib.sha256(render_snapshot(state).encode()).hexdigest()
     assert before == after
@@ -312,7 +324,7 @@ def test_query_answers_read_back_as_their_labels():
     skeleton = tokens("skeleton")
     assert skeleton[0] == ["nodes", *labels]
     assert [t[1:3] for t in skeleton[1:]] == pairs
-    rules = sorted([t[0], t[2]] for t in tokens("rules"))
+    rules = [[t[0], t[2]] for t in tokens("rules")]
     assert rules == sorted(pairs + [pair[::-1] for pair in pairs])
     assert [_parse_signature(t[1]) for t in tokens("patterns")] == [tuple(labels)]
     assert [_parse_signature(t[0]) for t in tokens("ltm")] == [tuple(labels)]

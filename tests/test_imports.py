@@ -16,11 +16,11 @@ from helpers import worked_example_stream_text
 SRC = os.path.dirname(os.path.dirname(mindstream.__file__))
 
 PUBLIC = [
-    "AssociationRule", "Connection", "ContinuousQuery", "Engine", "EngineParams",
-    "EngineState", "ItemCell", "MindMap", "Skeleton", "StepEvents", "Transaction",
-    "activate_cell", "derive_rules", "distinct_items", "extract_skeleton",
-    "hebbian_update", "ingest_transaction", "initial_weight", "load_snapshot",
-    "parse_snapshot", "render_snapshot", "save_snapshot",
+    "Connection", "ContinuousQuery", "Engine", "EngineParams", "EngineState",
+    "ItemCell", "MindMap", "Skeleton", "StepEvents", "Transaction", "activate_cell",
+    "distinct_items", "extract_skeleton", "hebbian_update", "ingest_transaction",
+    "initial_weight", "load_snapshot", "parse_snapshot", "render_snapshot",
+    "save_snapshot",
 ]
 
 # Prints, as its last line, the modules that `import mindstream.cli` and one

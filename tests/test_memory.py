@@ -6,12 +6,13 @@ from mindstream.memory import (
     STMEntry,
     detect_patterns,
     ltm_update,
-    query_ltm,
     stm_tick,
 )
 from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
+from mindstream.queries import QueryUsageError, run_static_query
 from mindstream.skeleton import extract_skeleton
+from mindstream.snapshot import EngineState
 
 from helpers import replay, triangle_gap_threshold, txn, worked_example_transactions
 
@@ -150,16 +151,23 @@ def test_ltm_no_two_open_records_share_signature():
 
 
 def test_query_ltm_filters():
-    assert query_ltm({}, "all") == []
-    records = {
+    state = EngineState(MindMap(), EngineParams())
+    assert run_static_query(state, ["ltm", "all"]) == ""
+    state.ltm.update({
         ("B", "C"): LTMRecord(("B", "C"), 5, None, 2),
+        ("A", "D"): LTMRecord(("A", "D"), 3, None, 1),
         ("A", "B"): LTMRecord(("A", "B"), 3, 7, 1),
-    }
-    assert [r.signature for r in query_ltm(records, "open")] == [("B", "C")]
-    assert [r.signature for r in query_ltm(records, "closed")] == [("A", "B")]
-    assert [r.signature for r in query_ltm(records, "all")] == [("A", "B"), ("B", "C")]
-    with pytest.raises(ValueError):
-        query_ltm(records, "bogus")
+    })
+
+    def signatures(which):
+        return [line.split()[0] for line in run_static_query(state, ["ltm", which]).splitlines()]
+
+    # Records that appeared at the same step are ordered by signature.
+    assert signatures("open") == ["A|D", "B|C"]
+    assert signatures("closed") == ["A|B"]
+    assert signatures("all") == ["A|B", "A|D", "B|C"]
+    with pytest.raises(QueryUsageError):
+        run_static_query(state, ["ltm", "bogus"])
 
 
 def test_closed_record_stamps_are_ordered():
@@ -179,6 +187,6 @@ def test_worked_example_promotion_with_p2():
         worked_example_transactions() + [txn([])],
         EngineParams(theta_w=theta, promote_after=2),
     )
-    open_records = query_ltm(engine.state.ltm, "open")
+    open_records = [r for r in engine.state.ltm.values() if r.is_open]
     assert [r.signature for r in open_records] == [("B", "C", "E")]
     assert list(engine.ltm) == list(engine.state.ltm.values())

@@ -7,10 +7,10 @@ from mindstream.engine import Engine
 from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
 from mindstream.dynamics import ingest_transaction
+from mindstream.queries import run_static_query
 from mindstream.skeleton import (
     adjacency,
     components,
-    derive_rules,
     extract_skeleton,
     strongest_subgraphs,
 )
@@ -55,30 +55,33 @@ def test_activation_threshold_is_anded(final_engine):
     assert "D" not in skeleton_nodes(skel)
 
 
+def rules(engine, theta_w):
+    """The (antecedent, consequent) of each line of the `rules` answer."""
+    answer = run_static_query(engine.state, ["rules", "--theta-w", repr(theta_w)])
+    return [tuple(line.split()[0:3:2]) for line in answer.splitlines()]
+
+
 def test_six_rules_from_the_triangle(final_engine):
     theta = triangle_gap_threshold(final_engine)
-    rules = derive_rules(extract_skeleton(final_engine.mmap, theta))
-    got = {(r.antecedent, r.consequent) for r in rules}
-    assert got == {
+    got = rules(final_engine, theta)
+    assert set(got) == {
         ("E", "B"), ("B", "E"),
         ("E", "C"), ("C", "E"),
         ("C", "B"), ("B", "C"),
     }
-    assert len(rules) == 6
+    assert len(got) == 6
 
 
 def test_rules_empty_and_single_edge():
-    assert derive_rules(extract_skeleton(MindMap(), 0.0)) == []
+    assert rules(Engine(), 0.0) == []
     engine = replay([txn(["X", "Y"])])
-    rules = derive_rules(extract_skeleton(engine.mmap, 0.0))
-    assert {(r.antecedent, r.consequent) for r in rules} == {("X", "Y"), ("Y", "X")}
+    assert rules(engine, 0.0) == [("X", "Y"), ("Y", "X")]
 
 
 def test_rule_symmetry_closure(final_engine):
-    rules = derive_rules(extract_skeleton(final_engine.mmap, 0.0))
-    got = {(r.antecedent, r.consequent) for r in rules}
-    assert got == {(c, a) for a, c in got}
-    assert all(r.antecedent != r.consequent for r in rules)
+    got = rules(final_engine, 0.0)
+    assert set(got) == {(c, a) for a, c in got}
+    assert all(a != c for a, c in got)
 
 
 def test_strongest_subgraph_is_the_triangle(final_engine):
