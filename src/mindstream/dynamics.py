@@ -13,18 +13,11 @@ by step files each record at the first step it reads below the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import log
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .model import (
-    Connection,
-    EngineParams,
-    ItemCell,
-    MindMap,
-    Pair,
-    Transaction,
-)
+from .model import EngineParams, MindMap, Pair, Transaction
 
 INITIAL_ACTIVATION = 0.5
 
@@ -104,16 +97,18 @@ def pop_due(
             record = mmap.edges.get(key)
             if record is None:
                 continue
-            now, crossed = record.last_reinforced_at, crossed_edges
+            value, now = record
+            crossed = crossed_edges
             if now > since:
-                value, floor, keep, log_keep = record.weight, floor_w, keep_w, log_w
+                floor, keep, log_keep = floor_w, keep_w, log_w
         else:
             record = mmap.cells.get(key)
-            if record is None or record.created_at > since:
+            if record is None or record[1] > since:
                 continue
-            now, crossed = record.last_activated_at, crossed_cells
+            value, _, now = record
+            crossed = crossed_cells
             if now > since:
-                value, floor, keep, log_keep = record.activation, floor_a, keep_a, log_a
+                floor, keep, log_keep = floor_a, keep_a, log_a
         if now <= since or value * keep ** (step - now) < floor:  # unread if not stamped since
             crossed.append(key)
         else:
@@ -181,56 +176,56 @@ def ingest_transaction(
     if eps == 0.0:  # nothing reads below a floor of 0, so nothing is filed
         log_w = log_a = 0.0
     if before == origin:  # the first step on given values: file them as of `origin`
-        for key, conn in edges.items():
-            if log_w and conn.weight >= eps:
-                file_due(wheel, (key,), origin, conn.weight, eps, keep_w, log_w)
-        for label, cell in cells.items():
-            if log_a and cell.activation >= eps:
-                file_due(wheel, (label,), origin, cell.activation, eps, keep_a, log_a)
+        for key, (w, _) in edges.items():
+            if log_w and w >= eps:
+                file_due(wheel, (key,), origin, w, eps, keep_w, log_w)
+        for label, (a, _, _) in cells.items():
+            if log_a and a >= eps:
+                file_due(wheel, (label,), origin, a, eps, keep_a, log_a)
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
-    # activation (a new cell's as stored), so each cell is written at once.
+    # activation (a new cell's initial one), so each cell is written at once.
     # A cell is filed when it rises to the floor: born there, or boosted from below it.
     labels = sorted(txn.items)
     low_cells: List[str] = []
     for label in labels:
         cell = cells.get(label)
         if cell is None:
-            cells[label] = cell = ItemCell(INITIAL_ACTIVATION, step, step)
+            a, born = INITIAL_ACTIVATION, step
             events.cells_created.append(label)
-        a = cell.activation
-        if keep_a != 1.0 and (stamp := cell.last_activated_at) < before:
-            a *= keep_a ** (before - (stamp if stamp > origin else origin))
+        else:
+            a, born, stamp = cell
+            if keep_a != 1.0 and stamp < before:
+                a *= keep_a ** (before - (stamp if stamp > origin else origin))
         a_pre = a
         for _ in range(txn.items[label]):
             a = activate_cell(a, params.lam)
-        cell.activation = a
-        cell.last_activated_at = step
+        cells[label] = (a, born, step)
         if a < eps:
             low_cells.append(label)
-        elif log_a and (a_pre < eps or cell.created_at == step):
+        elif log_a and (a_pre < eps or born == step):
             file_due(wheel, (label,), step, a, eps, keep_a, log_a)
 
     # Reinforce each existing edge's pre-step weight with the post-boost
     # activations of its cells, then create, count and file the new edges as one
-    # batch: all are born at one weight. Sorted distinct labels give canonical pairs.
+    # batch: all are born at one weight, and share one record. Sorted distinct
+    # labels give canonical pairs.
     low_edges: List[Pair] = []
     if len(labels) >= 2:
         created, reinforced = events.edges_created, events.edges_reinforced
         for pair in combinations(labels, 2):
-            conn = edges.get(pair)
-            if conn is None:
+            edge = edges.get(pair)
+            if edge is None:
                 created.append(pair)
                 continue
-            w = conn.weight
-            if keep_w != 1.0 and (stamp := conn.last_reinforced_at) < before:
+            w, stamp = edge
+            if keep_w != 1.0 and stamp < before:
                 w *= keep_w ** (before - (stamp if stamp > origin else origin))
-            a_i, a_j = cells[pair[0]].activation, cells[pair[1]].activation
-            conn.weight = hebbian_update(w, a_i, a_j, params.eta)
-            conn.last_reinforced_at = step
+            a_i, a_j = cells[pair[0]][0], cells[pair[1]][0]
+            edges[pair] = (hebbian_update(w, a_i, a_j, params.eta), step)
             reinforced.append(pair)
         w0 = initial_weight(len(labels))
-        edges.update(zip(created, map(Connection, repeat(w0), repeat(step))))
+        edges.update(dict.fromkeys(created, (w0, step)))
         mmap.degree.update(chain.from_iterable(created))
         if w0 < eps:
             low_edges = created

@@ -113,18 +113,18 @@ class Engine:
         for label in txn.items:
             if (cell := cells.get(label)) is None:  # forgotten in this step
                 continue
-            if (a := cell.activation) < theta_a:
+            if (a := cell[0]) < theta_a:
                 self._shade(label, True, ends)
-            elif label in dark or cell.created_at == step:
+            elif label in dark or cell[1] == step:
                 self._shade(label, False, ends)
                 if log_a:
                     file_due(wheel, (label,), step, a, theta_a, keep_a, log_a)
         # New edges share one stored birth weight, so one compare decides all.
         created = events.edges_created
         born = edges.get(created[0]) if created else None  # gone if born below epsilon
-        rising = created if born is not None and born.weight >= theta_w else []
+        rising = created if born is not None and born[0] >= theta_w else []
         for pair in chain(rising, events.edges_reinforced):
-            if (w := edges[pair].weight) >= theta_w and link(pair, True, ends) and log_w:
+            if (w := edges[pair][0]) >= theta_w and link(pair, True, ends) and log_w:
                 file_due(wheel, (pair,), step, w, theta_w, keep_w, log_w)
         crossed_pairs, crossed_cells = pop_due(mmap, wheel, theta_w, theta_a)
         for pair in chain(events.edges_forgotten, crossed_pairs):
@@ -212,6 +212,6 @@ class Engine:
         """Emit each standing query's result; drop those whose last step this is."""
         edges, weight, emit = self.mmap.edges, self.mmap.weight_of, self.emissions.append
         for _, q in self.queries:
-            conn = edges.get(q.target)  # canonical since construction
-            emit((step, q.target, "absent" if conn is None else repr(weight(conn))))
+            edge = edges.get(q.target)  # canonical since construction
+            emit((step, q.target, "absent" if edge is None else repr(weight(edge))))
         self.queries = [entry for entry in self.queries if entry[0] > step]

@@ -2,8 +2,11 @@
 
 The mind-map is a sparse undirected weighted graph over item labels. Cells
 are keyed by label and edges by their unordered pair, stored once in
-lexicographic order; the key is the record's identity, so a record holds
-only its values and step stamps. The base model is cooperative only:
+lexicographic order; the key is the record's identity, so a record is a
+plain tuple of its value and step stamps: an `Edge` is (weight,
+last_reinforced_at) and a `Cell` is (activation, created_at,
+last_activated_at). A step replaces each record it touches, and the edges
+it creates share one tuple. The base model is cooperative only:
 activations and weights live in [0, 1]. Records are built unchecked: input
 from outside is validated once at the boundary (`Transaction` for stream
 items, `parse_snapshot` for a snapshot).
@@ -18,6 +21,8 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 Pair = Tuple[str, str]
+Edge = Tuple[float, int]  # (weight, last_reinforced_at)
+Cell = Tuple[float, int, int]  # (activation, created_at, last_activated_at)
 
 
 class SelfPairError(ValueError):
@@ -36,19 +41,6 @@ def canonical_pair(a: str, b: str) -> Pair:
     if a == b:
         raise SelfPairError(f"self-pair ({a!r}, {a!r})")
     return (a, b) if a < b else (b, a)
-
-
-@dataclass(slots=True)
-class ItemCell:
-    activation: float
-    created_at: int
-    last_activated_at: int
-
-
-@dataclass(slots=True)
-class Connection:
-    weight: float
-    last_reinforced_at: int
 
 
 @dataclass
@@ -85,8 +77,8 @@ class MindMap:
     through the constructor or the step, which keep `degree`: an edge
     written into `edges` directly leaves it stale."""
 
-    cells: Dict[str, ItemCell] = field(default_factory=dict)
-    edges: Dict[Pair, Connection] = field(default_factory=dict)
+    cells: Dict[str, Cell] = field(default_factory=dict)
+    edges: Dict[Pair, Edge] = field(default_factory=dict)
     step: int = 0
     origin: int = field(init=False, repr=False, compare=False)
     keep_w: float = field(init=False, repr=False, compare=False)
@@ -102,18 +94,20 @@ class MindMap:
         self.log_w = self.log_a = 0.0
         self.degree = Counter(chain.from_iterable(self.edges))
 
-    def weight_of(self, conn: Connection) -> float:
-        n = self.step - max(conn.last_reinforced_at, self.origin)
-        return conn.weight * self.keep_w**n if n else conn.weight
+    def weight_of(self, edge: Edge) -> float:
+        w, stamp = edge
+        n = self.step - max(stamp, self.origin)
+        return w * self.keep_w**n if n else w
 
-    def activation_of(self, cell: ItemCell) -> float:
-        n = self.step - max(cell.last_activated_at, self.origin)
-        return cell.activation * self.keep_a**n if n else cell.activation
+    def activation_of(self, cell: Cell) -> float:
+        a, _, stamp = cell
+        n = self.step - max(stamp, self.origin)
+        return a * self.keep_a**n if n else a
 
     def get_weight(self, a: str, b: str) -> Optional[float]:
         """Weight of the unordered pair (a, b), or None if no edge exists."""
-        conn = self.edges.get(canonical_pair(a, b))
-        return None if conn is None else self.weight_of(conn)
+        edge = self.edges.get(canonical_pair(a, b))
+        return None if edge is None else self.weight_of(edge)
 
     def get_activation(self, label: str) -> Optional[float]:
         cell = self.cells.get(label)

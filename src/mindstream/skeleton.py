@@ -28,9 +28,9 @@ def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Ske
     # A stored weight bounds the one read now, so most edges need no read.
     kept = [
         (pair, w)
-        for pair, c in mmap.edges.items()
-        if c.weight >= theta_w
-        and (w := mmap.weight_of(c)) >= theta_w
+        for pair, edge in mmap.edges.items()
+        if edge[0] >= theta_w
+        and (w := mmap.weight_of(edge)) >= theta_w
         and activation(cells[pair[0]]) >= theta_a
         and activation(cells[pair[1]]) >= theta_a
     ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .memory import LTMRecord, Signature, STMEntry
-from .model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Pair, validate_label
+from .model import PARAM_TYPES, Cell, Edge, EngineParams, MindMap, Pair, validate_label
 
 HEADER = "MINDMAP v1"
 
@@ -111,16 +111,16 @@ def render_snapshot(state: EngineState) -> str:
     cells, edges, stored_a, stored_w = mmap.cells, mmap.edges, mmap.keep_a == 1, mmap.keep_w == 1
     quoted: Dict[str, str] = {}  # each label quoted once, for its edges too
     for label in sorted(cells):
-        c = cells[label]
-        a = c.activation if stored_a else mmap.activation_of(c)
+        a, born, stamp = cell = cells[label]
+        if not stored_a:
+            a = mmap.activation_of(cell)
         quoted[label] = q = _quote(label)
-        lines.append(f"cell {q} {_fmt_num(a)} {c.created_at} {c.last_activated_at}")
+        lines.append(f"cell {q} {_fmt_num(a)} {born} {stamp}")
     for pair in sorted(edges):
-        e = edges[pair]
-        w = e.weight if stored_w else mmap.weight_of(e)
-        lines.append(
-            f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {e.last_reinforced_at}"
-        )
+        w, stamp = edge = edges[pair]
+        if not stored_w:
+            w = mmap.weight_of(edge)
+        lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {stamp}")
     for sig in sorted(state.stm):
         entry = state.stm[sig]
         lines.append(
@@ -142,6 +142,8 @@ def parse_snapshot(text: str) -> EngineState:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != HEADER:
+        if lines and lines[0].endswith("\r"):
+            raise SnapshotError("the file has CRLF line endings; snapshots use LF", 1)
         raise SnapshotError("missing header", 1)
     if len(lines) < 2 or not lines[1].startswith("step "):
         raise SnapshotError("missing step line", 2)
@@ -153,8 +155,8 @@ def parse_snapshot(text: str) -> EngineState:
         raise SnapshotError(f"negative step {step}", 2)
 
     params: Dict[str, object] = {}
-    cells: Dict[str, ItemCell] = {}
-    edges: Dict[Pair, Connection] = {}
+    cells: Dict[str, Cell] = {}
+    edges: Dict[Pair, Edge] = {}
     stm: Dict[Signature, STMEntry] = {}
     ltm: Dict[Signature, LTMRecord] = {}
     stm_lines: Dict[Signature, int] = {}
@@ -180,7 +182,7 @@ def parse_snapshot(text: str) -> EngineState:
                     raise ValueError(f"weight out of range on {key}")
                 if not 0 <= stamp <= step:
                     raise ValueError(f"last_reinforced_at outside [0, step] on {key}")
-                table, value = edges, Connection(weight, stamp)
+                table, value = edges, (weight, stamp)
             elif kind == "cell" and arity == 4:
                 key = validate_label(tokens[1])
                 activation, created, last = float(tokens[2]), int(tokens[3]), int(tokens[4])
@@ -189,7 +191,7 @@ def parse_snapshot(text: str) -> EngineState:
                 if not 0 <= created <= last <= step:
                     order = "0 <= created_at <= last_activated_at <= step"
                     raise ValueError(f"a stamp on {key!r} precedes the one before it in {order}")
-                table, value = cells, ItemCell(activation, created, last)
+                table, value = cells, (activation, created, last)
             elif kind == "param" and arity == 2:
                 table, key, convert = params, tokens[1], PARAM_TYPES.get(tokens[1])
                 if convert is None:

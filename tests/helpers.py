@@ -9,14 +9,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from mindstream.engine import Engine
 from mindstream.memory import LTMRecord, STMEntry
-from mindstream.model import (
-    Connection,
-    EngineParams,
-    ItemCell,
-    MindMap,
-    Transaction,
-    distinct_items,
-)
+from mindstream.model import EngineParams, MindMap, Transaction, distinct_items
 from mindstream.skeleton import Skeleton
 from mindstream.snapshot import EngineState
 
@@ -59,8 +52,8 @@ def skeleton_nodes(skel: Skeleton) -> Set[str]:
 def triangle_gap_threshold(engine: Engine) -> float:
     """Midpoint of the gap between the B-C-E triangle and everything else."""
     triangle = {("B", "C"), ("B", "E"), ("C", "E")}
-    lo = min(c.weight for p, c in engine.mmap.edges.items() if p in triangle)
-    hi = max(c.weight for p, c in engine.mmap.edges.items() if p not in triangle)
+    lo = min(w for p, (w, _) in engine.mmap.edges.items() if p in triangle)
+    hi = max(w for p, (w, _) in engine.mmap.edges.items() if p not in triangle)
     assert hi < lo, "no weight gap around the triangle"
     return (lo + hi) / 2.0
 
@@ -106,13 +99,11 @@ def random_engine_state(rng: random.Random) -> EngineState:
     cells = {}
     for label in labels:
         created = rng.randint(0, step) if step else 0
-        cells[label] = ItemCell(
-            rng.random(), created, rng.randint(created, step) if step else 0
-        )
+        cells[label] = (rng.random(), created, rng.randint(created, step) if step else 0)
     edges = {}
     for a, b in combinations(labels, 2):
         if rng.random() < 0.5:
-            edges[(a, b)] = Connection(rng.random(), rng.randint(0, step))
+            edges[(a, b)] = (rng.random(), rng.randint(0, step))
     mmap = MindMap(cells=cells, edges=edges, step=step)
     params = EngineParams(
         eta=rng.uniform(0.1, 1.0),

@@ -19,15 +19,7 @@ from mindstream.dynamics import (
     hebbian_update,
     initial_weight,
 )
-from mindstream.model import (
-    Connection,
-    EngineParams,
-    ItemCell,
-    MindMap,
-    Pair,
-    Transaction,
-    canonical_pair,
-)
+from mindstream.model import EngineParams, MindMap, Pair, Transaction, canonical_pair
 
 
 def decay_pass(
@@ -39,13 +31,13 @@ def decay_pass(
     """Multiplicative decay on everything outside the touched sets."""
     out = mmap.copy()
     if params.beta_w > 0.0:
-        for pair, conn in out.edges.items():
+        for pair, (w, stamp) in out.edges.items():
             if pair not in reinforced:
-                conn.weight = conn.weight * (1.0 - params.beta_w)
+                out.edges[pair] = (w * (1.0 - params.beta_w), stamp)
     if params.beta_a > 0.0:
-        for label, cell in out.cells.items():
+        for label, (a, born, stamp) in out.cells.items():
             if label not in activated:
-                cell.activation = cell.activation * (1.0 - params.beta_a)
+                out.cells[label] = (a * (1.0 - params.beta_a), born, stamp)
     return out
 
 
@@ -58,14 +50,14 @@ def prune_forgotten(
     activation: edges pin their endpoints.
     """
     out = mmap.copy()
-    dead_edges = sorted(p for p, c in out.edges.items() if c.weight < epsilon)
+    dead_edges = sorted(p for p, (w, _) in out.edges.items() if w < epsilon)
     for pair in dead_edges:
         del out.edges[pair]
     pinned = {label for pair in out.edges for label in pair}
     dead_cells = sorted(
         label
-        for label, cell in out.cells.items()
-        if label not in pinned and cell.activation < epsilon
+        for label, (a, _, _) in out.cells.items()
+        if label not in pinned and a < epsilon
     )
     for label in dead_cells:
         del out.cells[label]
@@ -93,7 +85,7 @@ def ingest_transaction(
             a = INITIAL_ACTIVATION
             events.cells_created.append(label)
         else:
-            a = cell.activation
+            a = cell[0]
         for _ in range(count):
             a = activate_cell(a, params.lam)
         boosted[label] = a
@@ -113,25 +105,16 @@ def ingest_transaction(
                 events.edges_created.append(pair)
             else:
                 new_weights[pair] = hebbian_update(
-                    conn.weight, boosted[a], boosted[b], params.eta
+                    conn[0], boosted[a], boosted[b], params.eta
                 )
                 events.edges_reinforced.append(pair)
 
     # Commit.
     for label, a in boosted.items():
         cell = out.cells.get(label)
-        if cell is None:
-            out.cells[label] = ItemCell(a, step, step)
-        else:
-            cell.activation = a
-            cell.last_activated_at = step
+        out.cells[label] = (a, step if cell is None else cell[1], step)
     for pair, w in new_weights.items():
-        conn = out.edges.get(pair)
-        if conn is None:
-            out.edges[pair] = Connection(w, step)
-        else:
-            conn.weight = w
-            conn.last_reinforced_at = step
+        out.edges[pair] = (w, step)
 
     # Phase 4: decay of the untouched complement.
     out = decay_pass(out, set(new_weights), set(boosted), params)

@@ -13,14 +13,12 @@ check of a map the step has built.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from mindstream.memory import LTMRecord, Signature, STMEntry
 from mindstream.model import (
     PARAM_TYPES,
-    Connection,
     EngineParams,
-    ItemCell,
     MindMap,
     Pair,
     canonical_pair,
@@ -64,24 +62,24 @@ def check_invariants(mmap: MindMap) -> None:
     step = mmap.step
     if step < 0:
         raise ValueError(f"negative step {step}")
-    for label, cell in mmap.cells.items():
+    for label, (activation, created_at, last_activated_at) in mmap.cells.items():
         validate_label(label)
-        if not 0.0 <= cell.activation <= 1.0:
+        if not 0.0 <= activation <= 1.0:
             raise ValueError(f"activation out of range on {label!r}")
-        if not 0 <= cell.created_at <= cell.last_activated_at <= step:
+        if not 0 <= created_at <= last_activated_at <= step:
             raise ValueError(
                 f"a stamp on {label!r} precedes the one before it in "
                 "0 <= created_at <= last_activated_at <= step"
             )
-    for pair, conn in mmap.edges.items():
+    for pair, (weight, last_reinforced_at) in mmap.edges.items():
         if pair != canonical_pair(*pair):
             raise ValueError(f"non-canonical edge key {pair}")
         for endpoint in pair:
             if endpoint not in mmap.cells:
                 raise ValueError(f"dangling edge endpoint {endpoint!r}")
-        if not 0.0 <= conn.weight <= 1.0:
+        if not 0.0 <= weight <= 1.0:
             raise ValueError(f"weight out of range on {pair}")
-        if not 0 <= conn.last_reinforced_at <= step:
+        if not 0 <= last_reinforced_at <= step:
             raise ValueError(f"last_reinforced_at outside [0, step] on {pair}")
 
 
@@ -99,8 +97,8 @@ def parse_snapshot(text: str) -> EngineState:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
 
     params_raw: Dict[str, str] = {}
-    cells: Dict[str, ItemCell] = {}
-    edges: Dict[Pair, Connection] = {}
+    cells: Dict[str, Tuple[float, int, int]] = {}
+    edges: Dict[Pair, Tuple[float, int]] = {}
     stm: Dict[Signature, STMEntry] = {}
     ltm: Dict[Signature, LTMRecord] = {}
     stm_lines: Dict[Signature, int] = {}
@@ -115,10 +113,10 @@ def parse_snapshot(text: str) -> EngineState:
                 table, key, value = params_raw, args[0], args[1]
             elif kind == "cell" and len(args) == 4:
                 table, key = cells, args[0]
-                value = ItemCell(float(args[1]), int(args[2]), int(args[3]))
+                value = (float(args[1]), int(args[2]), int(args[3]))
             elif kind == "edge" and len(args) == 4:
                 table, key = edges, canonical_pair(args[0], args[1])
-                value = Connection(float(args[2]), int(args[3]))
+                value = (float(args[2]), int(args[3]))
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, parse_signature(args[0])
                 value = STMEntry(int(args[1]), int(args[2]))

@@ -47,8 +47,8 @@ def test_acceptance_1_worked_example_replay():
         engine.ingest(t)
 
     triangle = {("B", "C"), ("B", "E"), ("C", "E")}
-    lo = min(c.weight for p, c in engine.mmap.edges.items() if p in triangle)
-    hi = max(c.weight for p, c in engine.mmap.edges.items() if p not in triangle)
+    lo = min(w for p, (w, _) in engine.mmap.edges.items() if p in triangle)
+    hi = max(w for p, (w, _) in engine.mmap.edges.items() if p not in triangle)
     assert lo > hi, "no strict weight gap below the B-C-E triangle"
 
     theta = (lo + hi) / 2
@@ -160,7 +160,7 @@ def test_acceptance_5_permutation_invariance():
         shuffled = stream[:]
         random.Random(perm_i).shuffle(shuffled)
         final = replay(shuffled, decayed).mmap
-        weights.append({p: c.weight for p, c in final.edges.items()})
+        weights.append({p: w for p, (w, _) in final.edges.items()})
     assert any(weights[0] != w for w in weights[1:]), (
         "decay-enabled replay unexpectedly order-independent"
     )
@@ -174,13 +174,13 @@ def test_acceptance_6_monotonicity_without_decay():
     previous = {}
     for t in random_transactions(rng, alphabet, 1000):
         m, _ = ingest_transaction(m, t, NO_DECAY)
-        for pair, conn in m.edges.items():
-            assert 0.0 <= conn.weight <= 1.0
+        for pair, (w, _) in m.edges.items():
+            assert 0.0 <= w <= 1.0
             if pair in previous:
-                assert conn.weight >= previous[pair]
-        for cell in m.cells.values():
-            assert 0.0 <= cell.activation <= 1.0
-        previous = {p: c.weight for p, c in m.edges.items()}
+                assert w >= previous[pair]
+        for a, _, _ in m.cells.values():
+            assert 0.0 <= a <= 1.0
+        previous = {p: w for p, (w, _) in m.edges.items()}
     ok(6, "weights non-decreasing and all ranges closed over 1,000 steps at beta=0")
 
 

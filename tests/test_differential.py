@@ -91,15 +91,12 @@ def assert_same_map(fast: MindMap, ref: MindMap, where: str) -> None:
     assert fast.edges.keys() == ref.edges.keys(), where
     for label, cell in fast.cells.items():
         other = ref.cells[label]
-        assert (cell.created_at, cell.last_activated_at) == (
-            other.created_at,
-            other.last_activated_at,
-        ), where
-        assert close(fast.activation_of(cell), other.activation), (where, label)
-    for pair, conn in fast.edges.items():
+        assert cell[1:] == other[1:], where
+        assert close(fast.activation_of(cell), other[0]), (where, label)
+    for pair, edge in fast.edges.items():
         other = ref.edges[pair]
-        assert conn.last_reinforced_at == other.last_reinforced_at, where
-        assert close(fast.weight_of(conn), other.weight), (where, pair)
+        assert edge[1] == other[1], where
+        assert close(fast.weight_of(edge), other[0]), (where, pair)
 
 
 def same_trace(a: str, b: str) -> bool:
@@ -132,7 +129,7 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert dict(fast.mmap.degree) == dict(recount), where
             weight = fast.mmap.weight_of
             heavy = {p for p, c in edges.items() if weight(c) >= params.theta_w}
-            assert heavy == {p for p, c in ref.mmap.edges.items() if c.weight >= params.theta_w}, where
+            assert heavy == {p for p, (w, _) in ref.mmap.edges.items() if w >= params.theta_w}, where
             adjacency = {}
             for a, b in heavy:
                 adjacency.setdefault(a, set()).add(b)

@@ -20,7 +20,7 @@ from mindstream.dynamics import (
     prune_forgotten,
 )
 from mindstream.engine import Engine
-from mindstream.model import Connection, EngineParams, ItemCell, MindMap
+from mindstream.model import Cell, EngineParams, MindMap
 from mindstream.snapshot import render_snapshot
 
 from helpers import random_transactions, replay, txn, worked_example_transactions
@@ -74,9 +74,9 @@ def test_first_transaction_creates_triangle():
     for pair in [("A", "C"), ("A", "D"), ("C", "D")]:
         assert m.get_weight(*pair) == pytest.approx(1 / 3, abs=1e-15)
     # A was boosted twice from 0.5 (duplicate merge), C and D once
-    assert m.cells["A"].activation == pytest.approx(0.875)
-    assert m.cells["C"].activation == pytest.approx(0.75)
-    assert m.cells["D"].activation == pytest.approx(0.75)
+    assert m.cells["A"][0] == pytest.approx(0.875)
+    assert m.cells["C"][0] == pytest.approx(0.75)
+    assert m.cells["D"][0] == pytest.approx(0.75)
     assert m.step == 1
     assert events.cells_created == ["A", "C", "D"]
     assert len(events.edges_created) == 3
@@ -84,10 +84,10 @@ def test_first_transaction_creates_triangle():
 
 def test_second_transaction_joins_components():
     m1, _ = ingest_transaction(MindMap(), txn(["A", "A", "C", "D"]), EngineParams())
-    c_before = m1.cells["C"].activation
+    c_before = m1.cells["C"][0]
     m2, _ = ingest_transaction(m1, txn(["B", "C", "E"]), EngineParams())
     assert sorted(m2.cells) == ["A", "B", "C", "D", "E"]
-    assert m2.cells["C"].activation > c_before
+    assert m2.cells["C"][0] > c_before
     # one connected component through the shared cell C
     reach = {"C"}
     frontier = ["C"]
@@ -106,13 +106,13 @@ def test_empty_transaction_only_decays():
     m1, _ = ingest_transaction(MindMap(), txn(["A", "C", "D"]), params)
     # the step updates the map in place: capture the pre-step values
     step_before = m1.step
-    weights_before = {pair: conn.weight for pair, conn in m1.edges.items()}
-    activations_before = {label: cell.activation for label, cell in m1.cells.items()}
+    weights_before = {pair: w for pair, (w, _) in m1.edges.items()}
+    activations_before = {label: a for label, (a, _, _) in m1.cells.items()}
     m2, _ = ingest_transaction(m1, txn([]), params)
     assert m2.step == step_before + 1
     assert sorted(m2.edges) == sorted(weights_before)
-    for pair, conn in m2.edges.items():
-        assert m2.weight_of(conn) == pytest.approx(weights_before[pair] * (1 - params.beta_w))
+    for pair, edge in m2.edges.items():
+        assert m2.weight_of(edge) == pytest.approx(weights_before[pair] * (1 - params.beta_w))
     for label, cell in m2.cells.items():
         assert m2.activation_of(cell) == pytest.approx(
             activations_before[label] * (1 - params.beta_a)
@@ -137,21 +137,21 @@ def test_decay_pass_examples():
         assert decay_pass(m, params) == ([], [])
         return m, m.edges[("A", "B")]
 
-    same, conn = next_step(EngineParams(beta_w=0.0, beta_a=0.0))
-    assert same.weight_of(conn) == conn.weight == 0.5
+    same, edge = next_step(EngineParams(beta_w=0.0, beta_a=0.0))
+    assert same.weight_of(edge) == edge[0] == 0.5
     assert not same.wheel  # nothing decays, so nothing is filed
 
-    decayed, conn = next_step(EngineParams(beta_w=0.02))
-    assert decayed.weight_of(conn) == pytest.approx(0.5 * 0.98)
-    assert conn.weight == 0.5  # stored as of its stamp
+    decayed, edge = next_step(EngineParams(beta_w=0.02))
+    assert decayed.weight_of(edge) == pytest.approx(0.5 * 0.98)
+    assert edge[0] == 0.5  # stored as of its stamp
 
-    skipped, conn = next_step(EngineParams(beta_w=0.02))
-    conn.last_reinforced_at = skipped.step
-    assert skipped.weight_of(conn) == conn.weight == 0.5
+    skipped, edge = next_step(EngineParams(beta_w=0.02))
+    skipped.edges[("A", "B")] = edge = (edge[0], skipped.step)
+    assert skipped.weight_of(edge) == edge[0] == 0.5
 
     quiet, _ = next_step(EngineParams(beta_a=0.05))
-    a, b = quiet.cells["A"].activation, quiet.cells["B"].activation
-    quiet.cells["A"].last_activated_at = quiet.step
+    (a, born, _), b = quiet.cells["A"], quiet.cells["B"][0]
+    quiet.cells["A"] = (a, born, quiet.step)
     assert quiet.activation_of(quiet.cells["A"]) == a
     assert quiet.activation_of(quiet.cells["B"]) == pytest.approx(b * 0.95)
 
@@ -162,11 +162,29 @@ def test_decay_pass_examples():
     assert decay_pass(due, params) == ([("A", "B")], [])
 
 
+def test_a_steps_new_edges_share_one_record_and_each_is_replaced_or_dropped_alone():
+    m, events = ingest_transaction(MindMap(), txn(["A", "B", "C", "D"]), NO_DECAY)
+    born = m.edges[("A", "B")]
+    assert born == (0.25, 1) and all(m.edges[pair] is born for pair in events.edges_created)
+    others = [pair for pair in events.edges_created if pair != ("A", "B")]
+    # Reinforcing one shared pair replaces its record alone.
+    m, events = ingest_transaction(m, txn(["A", "B"]), NO_DECAY)
+    assert events.edges_reinforced == [("A", "B")]
+    w, stamp = m.edges[("A", "B")]
+    assert w > 0.25 and stamp == 2
+    assert born == (0.25, 1) and all(m.edges[pair] is born for pair in others)
+    # Forgetting one drops its key alone.
+    others.remove(("C", "D"))
+    assert prune_forgotten(m, [("C", "D")], [], 0.0) == ([("C", "D")], [])
+    assert ("C", "D") not in m.edges and m.degree == Counter(A=3, B=3, C=2, D=2)
+    assert born == (0.25, 1) and all(m.edges[pair] is born for pair in others)
+
+
 def reads_of(m: MindMap) -> list:
     """Make `m` log the label of each cell whose activation is read."""
     read, label_of = [], {id(cell): label for label, cell in m.cells.items()}
 
-    def activation_of(cell: ItemCell) -> float:
+    def activation_of(cell: Cell) -> float:
         read.append(label_of[id(cell)])
         return MindMap.activation_of(m, cell)
 
@@ -182,7 +200,7 @@ def test_prune_forgotten():
     read = reads_of(m)
     assert prune_forgotten(m, [], [], 0.01) == ([], [])
 
-    m.edges[pair].weight = 0.005
+    m.edges[pair] = (0.005, m.edges[pair][1])
     dead_edges, dead_cells = prune_forgotten(m, [pair], [], 0.01)
     assert dead_edges == [pair] and not dead_cells
     # activations are still high, so the now-isolated cells survive
@@ -191,14 +209,15 @@ def test_prune_forgotten():
     assert sorted(read) == ["A", "B"]
 
     m2, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
-    m2.cells["A"].activation = 0.001
+    m2.cells["A"] = (0.001, *m2.cells["A"][1:])
     _, dead = prune_forgotten(m2, [], ["A"], 0.01)
     assert "A" in m2.cells and not dead  # the surviving edge pins the cell
 
     # A quiet end of a dropped edge goes with it; a given cell is not read.
     m3, _ = ingest_transaction(MindMap(), txn(["A", "B"]), NO_DECAY)
     m3, _ = ingest_transaction(m3, txn(["B", "C"]), NO_DECAY)
-    m3.cells["A"].activation = m3.cells["C"].activation = 0.001
+    for label in "AC":
+        m3.cells[label] = (0.001, *m3.cells[label][1:])
     read = reads_of(m3)
     dead = prune_forgotten(m3, [("B", "C"), ("A", "B")], ["C"], 0.01)
     assert dead == ([("A", "B"), ("B", "C")], ["A", "C"])
@@ -223,7 +242,7 @@ def test_quiet_pinned_cell_goes_in_the_step_its_last_edge_goes():
     params = EngineParams(beta_w=0.3, beta_a=0.0, epsilon=0.3, theta_w=0.5)
     m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
     m, _ = ingest_transaction(m, txn(["A", "C"]), params)  # A-B decays to 0.35
-    m.cells["A"].activation = 0.1  # quiet, pinned by A-B and A-C; never decays
+    m.cells["A"] = (0.1, *m.cells["A"][1:])  # quiet, pinned by A-B and A-C; never decays
     m, events = ingest_transaction(m, txn(["C", "E"]), params)
     assert events.edges_forgotten == [("A", "B")]  # 0.245; A-C is 0.35
     assert events.cells_forgotten == [] and "A" in m.cells
@@ -244,8 +263,8 @@ def test_touched_cell_still_below_epsilon_is_forgotten():
 def test_edge_given_to_the_constructor_pins_its_cells():
     # The first step files the given records in the wheel: A and Q both
     # decay below the floor in it, and only the isolated Q goes.
-    cells = {"A": ItemCell(0.0101, 0, 0), "B": ItemCell(0.5, 0, 0), "Q": ItemCell(0.0101, 0, 0)}
-    m = MindMap(cells, {("A", "B"): Connection(0.5, 0)})
+    cells = {"A": (0.0101, 0, 0), "B": (0.5, 0, 0), "Q": (0.0101, 0, 0)}
+    m = MindMap(cells, {("A", "B"): (0.5, 0)})
     m, events = ingest_transaction(m, txn(["C"]), EngineParams())
     assert m.get_activation("A") < 0.01  # decayed below the floor
     assert events.cells_forgotten == ["Q"] and "A" in m.cells
@@ -269,7 +288,7 @@ def test_an_edge_born_at_theta_w_joins_the_skeleton_in_its_birth_step(theta_w):
     engine = Engine(EngineParams(theta_w=theta_w, promote_after=1))
     events = engine.ingest(txn(["A", "B"]))
     assert events.edges_created == [("A", "B")] and events.edges_reinforced == []
-    assert engine.mmap.edges[("A", "B")].weight == 0.5
+    assert engine.mmap.edges[("A", "B")][0] == 0.5
     born_heavy = theta_w == 0.5
     joined = {("A", "B")} if born_heavy else set()
     assert heavy_pairs(engine) == joined and not engine._dark
@@ -409,13 +428,13 @@ def test_weights_nondecreasing_without_decay():
     previous = {}
     for t in random_transactions(rng, alphabet, 300):
         m, _ = ingest_transaction(m, t, NO_DECAY)
-        for pair, conn in m.edges.items():
-            assert 0.0 <= conn.weight <= 1.0
+        for pair, (w, _) in m.edges.items():
+            assert 0.0 <= w <= 1.0
             if pair in previous:
-                assert conn.weight >= previous[pair]
-        for cell in m.cells.values():
-            assert 0.0 <= cell.activation <= 1.0
-        previous = {p: c.weight for p, c in m.edges.items()}
+                assert w >= previous[pair]
+        for a, _, _ in m.cells.values():
+            assert 0.0 <= a <= 1.0
+        previous = {p: w for p, (w, _) in m.edges.items()}
 
 
 def test_more_cooccurrence_means_heavier_edge():
@@ -447,8 +466,8 @@ def test_a_touch_reads_the_value_before_this_steps_decay():
     m, _ = ingest_transaction(m, txn([]), params)
     m, _ = ingest_transaction(m, txn(["A"]), params)
     # Decayed in step 2 only; step 3's own decay skips what it touches.
-    assert m.cells["A"].activation == activate_cell(0.75 * 0.95, 0.5)
-    assert m.get_activation("A") == m.cells["A"].activation
+    assert m.cells["A"][0] == activate_cell(0.75 * 0.95, 0.5)
+    assert m.get_activation("A") == m.cells["A"][0]
 
 
 def is_live(mmap: MindMap, key, stamp: int) -> bool:
@@ -457,7 +476,7 @@ def is_live(mmap: MindMap, key, stamp: int) -> bool:
     if isinstance(key, tuple):
         return key in mmap.edges
     cell = mmap.cells.get(key)
-    return cell is not None and cell.created_at <= stamp
+    return cell is not None and cell[1] <= stamp
 
 
 def entries(wheel) -> dict:
@@ -468,10 +487,10 @@ def entries(wheel) -> dict:
 def read_at(mmap: MindMap, record, step: int) -> float:
     """The value of `record` read at `step`, with the expression that
     `weight_of` / `activation_of` evaluate at the map's step."""
-    if isinstance(record, Connection):
-        value, stamp, keep = record.weight, record.last_reinforced_at, mmap.keep_w
+    if len(record) == 2:  # an edge: (weight, last_reinforced_at)
+        (value, stamp), keep = record, mmap.keep_w
     else:
-        value, stamp, keep = record.activation, record.last_activated_at, mmap.keep_a
+        (value, _, stamp), keep = record, mmap.keep_a
     return value * keep ** (step - max(stamp, mmap.origin))
 
 
@@ -495,10 +514,9 @@ class Checks(dict):
                 continue
             if isinstance(key, tuple):
                 kind, record = "edge", self.mmap.edges[key]
-                now = record.last_reinforced_at
             else:
                 kind, record = "cell", self.mmap.cells[key]
-                now = record.last_activated_at
+            now = record[-1]
             self.checks[key, now] += 1
             if now <= since:
                 reads = read_at(self.mmap, record, step), read_at(self.mmap, record, step - 1)
@@ -620,7 +638,7 @@ def test_an_untouched_due_entry_is_not_read():
     (due,) = m.wheel
     while m.step < due - 1:
         m, _ = ingest_transaction(m, txn([]), params)
-    m.edges[("A", "B")].weight = math.nan
+    m.edges[("A", "B")] = (math.nan, m.edges[("A", "B")][1])
     m, events = ingest_transaction(m, txn([]), params)
     assert m.step == due and events.edges_forgotten == [("A", "B")] and not m.wheel
 
@@ -640,7 +658,7 @@ def test_a_restamped_entry_is_filed_again_at_its_new_estimate():
     for _ in range(9):  # a touch files nothing: the entry stays as filed
         m, _ = ingest_transaction(m, txn(["A", "B"]), params)
         assert entries(m.wheel) == {(("A", "B"), 1): first_due}
-    w = m.edges[("A", "B")].weight
+    w, _ = m.edges[("A", "B")]
     crossing = 10 + first_below(w, 0.01, keep)
     assert due_step(10, w, 0.01, keep, math.log(keep)) == crossing
     assert first_due < crossing
@@ -692,8 +710,8 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
         in_wheel = [key for bucket in engine._wheel.values() for key, _ in bucket]
         assert Counter(in_wheel) == Counter(keys), engine.step
         filed = entries(engine._wheel)
-    w, a = engine.mmap.edges[("A", "B")].weight, engine.mmap.cells["A"].activation
-    assert engine.mmap.cells["B"].activation == a
+    w, a = engine.mmap.edges[("A", "B")][0], engine.mmap.cells["A"][0]
+    assert engine.mmap.cells["B"][0] == a
     heavy_until = 10 + first_below(w, 0.4, keep) - 1
     light_until = 10 + first_below(a, 0.6, keep) - 1
     assert light_until < heavy_until
@@ -788,7 +806,7 @@ def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():
         engine.ingest(txn(["A"]))
         assert a_entries() == {("A", 1): 8, ("A", 4): 11}
     engine.ingest(txn([]))
-    assert engine.step == 8 and engine.mmap.cells["A"].created_at == 4
+    assert engine.step == 8 and engine.mmap.cells["A"][1] == 4
     assert a_entries() == {("A", 4): 11}
     assert_one_entry_per_scheduled_record(engine)
     while a_entries():

@@ -545,6 +545,16 @@ def test_query_on_bad_snapshot_is_a_clean_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_query_on_a_crlf_snapshot_names_the_line_endings(tmp_path, capsys):
+    # The header is there, but ends in "\r": the error says why it is not read.
+    text = render_snapshot(replay(worked_example_transactions()).state)
+    snap = tmp_path / "s.snap"
+    snap.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert run_cli("query", "--snapshot", snap, "weight", "A", "B") == 1
+    expected = "line 1: the file has CRLF line endings; snapshots use LF"
+    assert capsys.readouterr().err == f"error: {snap}: {expected}\n"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -16,9 +16,8 @@ from helpers import worked_example_stream_text
 SRC = os.path.dirname(os.path.dirname(mindstream.__file__))
 
 PUBLIC = [
-    "Connection", "ContinuousQuery", "Engine", "EngineParams", "EngineState",
-    "ItemCell", "MindMap", "Skeleton", "StepEvents", "Transaction", "activate_cell",
-    "distinct_items", "extract_skeleton", "hebbian_update", "ingest_transaction",
+    "ContinuousQuery", "Engine", "EngineParams", "EngineState", "MindMap", "Skeleton",
+    "StepEvents", "Transaction", "activate_cell", "distinct_items", "extract_skeleton", "hebbian_update", "ingest_transaction",
     "initial_weight", "load_snapshot", "parse_snapshot", "render_snapshot",
     "save_snapshot",
 ]

@@ -1,4 +1,6 @@
+import gc
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,6 +114,18 @@ def test_invariants_hold_along_random_stream():
         assert len(m.cells) <= len(seen)
         n = len(m.cells)
         assert len(m.edges) <= n * (n - 1) // 2
+
+
+def test_map_records_are_left_untracked_by_the_cyclic_gc():
+    # A record is a tuple of a float and ints, which a collection stops
+    # tracking; a record class would keep every edge and cell tracked.
+    parsed = parse_snapshot(render_snapshot(replay(worked_example_transactions()).state)).mmap
+    stream = random_transactions(random.Random(3), [f"i{k}" for k in range(10)], 200)
+    stepped = replay(stream, EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)).mmap
+    gc.collect()
+    for mmap in (parsed, stepped):
+        assert mmap.edges and mmap.cells
+        assert not any(map(gc.is_tracked, chain(mmap.edges.values(), mmap.cells.values())))
 
 
 def test_edge_enumeration_is_canonical():

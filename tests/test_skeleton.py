@@ -50,7 +50,7 @@ def test_threshold_above_one_empties_skeleton(final_engine):
 
 def test_activation_threshold_is_anded(final_engine):
     # D's activation decayed well below the others
-    theta_a = final_engine.mmap.cells["D"].activation + 1e-9
+    theta_a = final_engine.mmap.cells["D"][0] + 1e-9
     skel = extract_skeleton(final_engine.mmap, 0.0, theta_a)
     assert "D" not in skeleton_nodes(skel)
 
@@ -88,7 +88,7 @@ def test_strongest_subgraph_is_the_triangle(final_engine):
     theta = triangle_gap_threshold(final_engine)
     top = strongest_subgraphs(final_engine.mmap, theta, 1)
     assert [sig for sig, _ in top] == [("B", "C", "E")]
-    triangle = [final_engine.mmap.edges[p].weight for p in [("B", "C"), ("B", "E"), ("C", "E")]]
+    triangle = [final_engine.mmap.edges[p][0] for p in [("B", "C"), ("B", "E"), ("C", "E")]]
     assert top[0][1] == sum(triangle) / 3
 
 

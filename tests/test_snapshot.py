@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mindstream.memory import LTMRecord, STMEntry
 from mindstream.dynamics import ingest_transaction
-from mindstream.model import PARAM_TYPES, Connection, EngineParams, ItemCell, MindMap, Transaction
+from mindstream.model import PARAM_TYPES, EngineParams, MindMap, Transaction
 from mindstream.snapshot import (
     EngineState,
     SnapshotError,
@@ -48,10 +48,10 @@ def test_round_trip_preserves_exact_floats():
     engine = replay(worked_example_transactions())
     loaded = parse_snapshot(render_snapshot(engine.state))
     # The snapshot holds each value as read at its step, to the last bit.
-    for pair, conn in engine.mmap.edges.items():
-        assert loaded.mmap.edges[pair].weight == engine.mmap.weight_of(conn)
+    for pair, edge in engine.mmap.edges.items():
+        assert loaded.mmap.edges[pair][0] == engine.mmap.weight_of(edge)
     for label, cell in engine.mmap.cells.items():
-        assert loaded.mmap.cells[label].activation == engine.mmap.activation_of(cell)
+        assert loaded.mmap.cells[label][0] == engine.mmap.activation_of(cell)
 
 
 def test_parsed_values_are_those_of_the_snapshot_step():
@@ -60,10 +60,10 @@ def test_parsed_values_are_those_of_the_snapshot_step():
     engine = replay(worked_example_transactions())
     loaded = parse_snapshot(render_snapshot(engine.state)).mmap
     assert loaded.origin == loaded.step == 4
-    conn = loaded.edges[("A", "D")]  # stamped at step 1
-    assert loaded.weight_of(conn) == conn.weight
+    edge = loaded.edges[("A", "D")]  # stamped at step 1
+    assert loaded.weight_of(edge) == edge[0]
     ingest_transaction(loaded, Transaction(None, {}), engine.params)
-    assert loaded.weight_of(conn) == conn.weight * (1 - engine.params.beta_w)
+    assert loaded.weight_of(edge) == edge[0] * (1 - engine.params.beta_w)
     assert loaded.get_weight("A", "D") == pytest.approx(engine.mmap.get_weight("A", "D") * 0.98)
 
 
@@ -82,24 +82,22 @@ def test_a_stepped_parsed_map_forgets_as_its_engine_does():
         _, parsed_events = ingest_transaction(parsed, t, params)
         assert parsed_events == events
         forgotten += len(events.edges_forgotten) + len(events.cells_forgotten)
-        for pair, conn in parsed.edges.items():
-            assert parsed.weight_of(conn) == pytest.approx(original.get_weight(*pair), rel=1e-12)
+        for pair, edge in parsed.edges.items():
+            assert parsed.weight_of(edge) == pytest.approx(original.get_weight(*pair), rel=1e-12)
     assert forgotten > 20 and parsed.edges.keys() == original.edges.keys()
 
 
 def test_awkward_labels_round_trip():
     weird = ['with space', 'tab\there', '"quoted"', "back\\slash", "pi|pe"]
     a, b = sorted(weird)[:2]
-    mmap = MindMap(
-        {label: ItemCell(0.5, 0, 0) for label in weird}, {(a, b): Connection(0.25, 0)}
-    )
+    mmap = MindMap({label: (0.5, 0, 0) for label in weird}, {(a, b): (0.25, 0)})
     sig = tuple(sorted(weird[:3]))
     stm = {sig: STMEntry(0, 1)}
     ltm = [LTMRecord(sig, 0, None, 1)]
     text = render_snapshot(state_of(mmap, stm=stm, ltm=ltm))
     loaded = parse_snapshot(text)
     assert set(loaded.mmap.cells) == set(weird)
-    assert loaded.mmap.edges[(a, b)].weight == 0.25
+    assert loaded.mmap.edges[(a, b)][0] == 0.25
     assert list(loaded.stm) == [sig]
     assert list(loaded.ltm) == [sig] and loaded.ltm[sig].signature == sig
     assert render_snapshot(loaded) == text
@@ -150,9 +148,9 @@ def test_random_states_round_trip():
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_float_serialization_is_lossless(x):
     mmap = MindMap()
-    mmap.cells["A"] = ItemCell(x, 0, 0)
+    mmap.cells["A"] = (x, 0, 0)
     loaded = parse_snapshot(render_snapshot(state_of(mmap)))
-    assert loaded.mmap.cells["A"].activation == x
+    assert loaded.mmap.cells["A"][0] == x
 
 
 def reference_tokenize(line: str, lineno: int) -> List[str]:
@@ -242,8 +240,8 @@ def test_parse_signature_matches_reference(token):
 
 @pytest.mark.parametrize("kind", ["param", "cell", "edge", "stm", "ltm"])
 def test_duplicate_lines_are_rejected(kind):
-    cells = {"A": ItemCell(0.5, 1, 3), "B": ItemCell(0.5, 1, 3)}
-    mmap = MindMap(cells, {("A", "B"): Connection(0.75, 3)}, step=3)
+    cells = {"A": (0.5, 1, 3), "B": (0.5, 1, 3)}
+    mmap = MindMap(cells, {("A", "B"): (0.75, 3)}, step=3)
     sig = ("A", "B")
     state = state_of(mmap, stm={sig: STMEntry(2, 2)}, ltm=[LTMRecord(sig, 3, None, 1)])
     lines = render_snapshot(state).splitlines()
@@ -329,7 +327,7 @@ def test_bad_records_are_rejected(record, error):
 def test_edge_key_is_canonicalized():
     state = parse_snapshot("\n".join(snapshot_with("edge b a 0.25 2")) + "\n")
     assert list(state.mmap.edges) == [("a", "b")]
-    assert state.mmap.edges[("a", "b")].weight == 0.25
+    assert state.mmap.edges[("a", "b")][0] == 0.25
 
 
 # The differential fuzz starts from one small valid snapshot (a quoted label,
@@ -339,15 +337,15 @@ FUZZ_BASE = render_snapshot(
     state_of(
         MindMap(
             {
-                "a": ItemCell(0.5, 1, 3),
-                "b": ItemCell(0.75, 0, 4),
-                "c": ItemCell(0.25, 2, 2),
-                "x y": ItemCell(1.0, 4, 4),
+                "a": (0.5, 1, 3),
+                "b": (0.75, 0, 4),
+                "c": (0.25, 2, 2),
+                "x y": (1.0, 4, 4),
             },
             {
-                ("a", "b"): Connection(0.5, 3),
-                ("a", "c"): Connection(0.125, 2),
-                ("b", "x y"): Connection(1.0, 4),
+                ("a", "b"): (0.5, 3),
+                ("a", "c"): (0.125, 2),
+                ("b", "x y"): (1.0, 4),
             },
             step=4,
         ),
