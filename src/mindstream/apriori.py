@@ -10,9 +10,8 @@ Levelwise candidate generation joins F_{k-1} with itself on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .model import Transaction, distinct_items
 
@@ -23,8 +22,7 @@ class InconsistentInputError(ValueError):
     """Rule generation needs every subset's support to be present."""
 
 
-@dataclass(frozen=True)
-class StaticRule:
+class StaticRule(NamedTuple):
     antecedent: Items
     consequent: Items
     support: int

@@ -12,10 +12,9 @@ by step files each record at the first step it reads below the floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import log
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .model import EngineParams, MindMap, Pair, Transaction
 
@@ -26,16 +25,16 @@ class NoPairsError(ValueError):
     """A single-item transaction has no pairs to weight."""
 
 
-@dataclass
-class StepEvents:
-    """What happened during one synchronization step; pairs in `combinations` order."""
+class StepEvents(NamedTuple):
+    """What happened during one synchronization step; pairs in `combinations`
+    order, forgotten ones sorted. Each list is the step's own."""
 
-    step: int = 0
-    cells_created: List[str] = field(default_factory=list)
-    edges_created: List[Pair] = field(default_factory=list)
-    edges_reinforced: List[Pair] = field(default_factory=list)
-    cells_forgotten: List[str] = field(default_factory=list)
-    edges_forgotten: List[Pair] = field(default_factory=list)
+    step: int
+    cells_created: List[str]
+    edges_created: List[Pair]
+    edges_reinforced: List[Pair]
+    cells_forgotten: List[str]
+    edges_forgotten: List[Pair]
 
 
 def initial_weight(m: int) -> float:
@@ -170,7 +169,6 @@ def ingest_transaction(
     mmap.step = step = mmap.step + 1
     mmap.keep_w, mmap.keep_a = keep_w, keep_a = 1.0 - params.beta_w, 1.0 - params.beta_a
     mmap.log_w, mmap.log_a = log_w, log_a = log(keep_w), log(keep_a)  # 0.0 without decay
-    events = StepEvents(step=step)
     cells, edges, eps, origin = mmap.cells, mmap.edges, params.epsilon, mmap.origin
     before, wheel = step - 1, mmap.wheel  # a read before decay is of the value at `before`
     if eps == 0.0:  # nothing reads below a floor of 0, so nothing is filed
@@ -187,19 +185,21 @@ def ingest_transaction(
     # activation (a new cell's initial one), so each cell is written at once.
     # A cell is filed when it rises to the floor: born there, or boosted from below it.
     labels = sorted(txn.items)
+    lam, eta = params.lam, params.eta
+    cells_created: List[str] = []
     low_cells: List[str] = []
     for label in labels:
         cell = cells.get(label)
         if cell is None:
             a, born = INITIAL_ACTIVATION, step
-            events.cells_created.append(label)
+            cells_created.append(label)
         else:
             a, born, stamp = cell
             if keep_a != 1.0 and stamp < before:
                 a *= keep_a ** (before - (stamp if stamp > origin else origin))
         a_pre = a
         for _ in range(txn.items[label]):
-            a = activate_cell(a, params.lam)
+            a = activate_cell(a, lam)
         cells[label] = (a, born, step)
         if a < eps:
             low_cells.append(label)
@@ -210,9 +210,10 @@ def ingest_transaction(
     # activations of its cells, then create, count and file the new edges as one
     # batch: all are born at one weight, and share one record. Sorted distinct
     # labels give canonical pairs.
+    created: List[Pair] = []
+    reinforced: List[Pair] = []
     low_edges: List[Pair] = []
     if len(labels) >= 2:
-        created, reinforced = events.edges_created, events.edges_reinforced
         for pair in combinations(labels, 2):
             edge = edges.get(pair)
             if edge is None:
@@ -222,7 +223,7 @@ def ingest_transaction(
             if keep_w != 1.0 and stamp < before:
                 w *= keep_w ** (before - (stamp if stamp > origin else origin))
             a_i, a_j = cells[pair[0]][0], cells[pair[1]][0]
-            edges[pair] = (hebbian_update(w, a_i, a_j, params.eta), step)
+            edges[pair] = (hebbian_update(w, a_i, a_j, eta), step)
             reinforced.append(pair)
         w0 = initial_weight(len(labels))
         edges.update(dict.fromkeys(created, (w0, step)))
@@ -235,7 +236,9 @@ def ingest_transaction(
     # Forgetting decides only what can have crossed the floor this step:
     # what decay took below it, and new edges and touched cells below it.
     faded_edges, faded_cells = decay_pass(mmap, params)
-    events.edges_forgotten, events.cells_forgotten = prune_forgotten(
+    edges_forgotten, cells_forgotten = prune_forgotten(
         mmap, faded_edges + low_edges, faded_cells + low_cells, eps
     )
-    return mmap, events
+    return mmap, StepEvents(
+        step, cells_created, created, reinforced, cells_forgotten, edges_forgotten
+    )

@@ -9,30 +9,26 @@ after the step has committed, so evaluation order never affects the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Set, Tuple, ValuesView
 
 from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
-from .memory import LTMRecord, Signature, STMEntry, ltm_update, stm_tick
+from .memory import Record, Run, Signature, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair, validate_label
 from .skeleton import components
 from .snapshot import EngineState, _fmt_signature, _quote
 
 
-@dataclass
 class ContinuousQuery:
     """A standing edge trace: after each of the `horizon` steps that follow
     its registration, the engine emits the target pair's weight, or "absent"
     while the edge is not in the map."""
 
-    target: Pair
-    horizon: int = 1
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+    def __init__(self, target: Pair, horizon: int = 1) -> None:
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.target = canonical_pair(*map(validate_label, self.target))
+        self.target = canonical_pair(*map(validate_label, target))
+        self.horizon = horizon
 
 
 class Engine:
@@ -46,8 +42,8 @@ class Engine:
         self._dark: Set[str] = set()
         self._wheel: Dict[int, List[Tuple]] = {}
         self._adj: Dict[str, Set[str]] = {}
-        self.stm: Dict[Signature, STMEntry] = {}
-        self._ltm: Dict[Signature, LTMRecord] = {}
+        self.stm: Dict[Signature, Run] = {}
+        self._ltm: Dict[Signature, Record] = {}
         self.event_lines: List[str] = []
         # (last step, query) per standing query; an emission is (step, pair, text).
         self.queries: List[Tuple[int, ContinuousQuery]] = []
@@ -58,7 +54,7 @@ class Engine:
         return self.mmap.step
 
     @property
-    def ltm(self) -> ValuesView[LTMRecord]:
+    def ltm(self) -> ValuesView[Record]:
         """The long-term records; `state.ltm` holds them keyed by signature."""
         return self._ltm.values()
 
@@ -140,7 +136,7 @@ class Engine:
         starts = [x for x in ends if x in adj and x not in dark]
         found = {sig for sig in components(adj, starts, dark) if len(sig) > 1}
         for sig in found - gone:
-            stm[sig] = STMEntry(step)
+            stm[sig] = (step, 1)
         lapsed = gone - found
         for sig in lapsed:
             del stm[sig]

@@ -2,34 +2,30 @@
 
 A pattern is a connected component (>= 2 cells) of the thresholded
 skeleton, and it is identified by its signature: the sorted tuple of its
-node labels. Both memories are dicts keyed by signature. The short-term
-memory counts how many consecutive steps each pattern has survived; once
-the count reaches the promotion horizon the pattern gets a long-term
-record with appearance / disappearance step stamps, which is then updated
-in place. A signature promoted again after its record closed reopens that
-record and bumps its recurrence count.
+node labels. Both memories are dicts keyed by signature, whose values are
+tuples, as map records are. The short-term memory holds each current
+pattern's run, a plain `(first_seen_step, consecutive_steps)`; once the
+count reaches the promotion horizon the pattern gets a long-term `Record`,
+`(appeared_at, disappeared_at, recurrence_count)`. A step replaces the
+tuples it changes and never writes one in place. A signature promoted again
+after its record closed reopens that record and bumps its recurrence count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .skeleton import Signature, Skeleton, adjacency, components
 
-
-@dataclass
-class STMEntry:
-    first_seen_step: int
-    consecutive_steps: int = 1
+Run = Tuple[int, int]  # (first_seen_step, consecutive_steps)
 
 
-@dataclass
-class LTMRecord:
-    signature: Signature
+class Record(NamedTuple):
+    """A long-term record of the signature it is keyed by."""
+
     appeared_at: int
-    disappeared_at: Optional[int] = None  # None while still present
-    recurrence_count: int = 1
+    disappeared_at: Optional[int]  # None while still present
+    recurrence_count: int
 
     @property
     def is_open(self) -> bool:
@@ -43,8 +39,8 @@ def detect_patterns(s: Skeleton) -> Set[Signature]:
 
 
 def stm_tick(
-    stm: Dict[Signature, STMEntry], step: int, promote_after: int
-) -> Tuple[Dict[Signature, STMEntry], Set[Signature]]:
+    stm: Dict[Signature, Run], step: int, promote_after: int
+) -> Tuple[Dict[Signature, Run], Set[Signature]]:
     """Advance the short-term memory to `step` in place; returns it.
 
     `stm` holds exactly the current patterns: a lapsed one was dropped (one
@@ -52,20 +48,21 @@ def stm_tick(
     step; signatures whose count is now exactly promote_after are promoted.
     """
     promotions: Set[Signature] = set()
-    for sig, entry in stm.items():
-        if entry.first_seen_step < step:
-            entry.consecutive_steps += 1
-        if entry.consecutive_steps == promote_after:
+    for sig, (first, run) in stm.items():
+        if first < step:
+            run += 1
+            stm[sig] = (first, run)  # a present key, so the iteration stays valid
+        if run == promote_after:
             promotions.add(sig)
     return stm, promotions
 
 
 def ltm_update(
-    ltm: Dict[Signature, LTMRecord],
+    ltm: Dict[Signature, Record],
     promotions: Set[Signature],
     lapsed: Set[Signature],
     step: int,
-) -> Dict[Signature, LTMRecord]:
+) -> Dict[Signature, Record]:
     """Apply one step's promotions and closures to `ltm` in place; returns it.
 
     A promoted signature whose record is closed reopens it (appeared_at is
@@ -78,14 +75,12 @@ def ltm_update(
     for sig in promotions:
         record = ltm.get(sig)
         if record is None:
-            ltm[sig] = LTMRecord(sig, appeared_at=step)
+            ltm[sig] = Record(step, None, 1)
         elif not record.is_open:
-            record.recurrence_count += 1
-            record.appeared_at = step
-            record.disappeared_at = None
+            ltm[sig] = Record(step, None, record.recurrence_count + 1)
     for sig in lapsed:
         record = ltm.get(sig)
         if record is not None and record.is_open:
-            record.disappeared_at = step
+            ltm[sig] = record._replace(disappeared_at=step)
     return ltm
 

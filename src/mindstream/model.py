@@ -15,10 +15,8 @@ items, `parse_snapshot` for a snapshot).
 from __future__ import annotations
 
 from collections import Counter
-from copy import deepcopy
-from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Pair = Tuple[str, str]
 Edge = Tuple[float, int]  # (weight, last_reinforced_at)
@@ -43,18 +41,23 @@ def canonical_pair(a: str, b: str) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass
-class Transaction:
-    """One TID-grouped read from the stream; duplicates merged with counts."""
-
+class _Transaction(NamedTuple):
     tid: Optional[Tuple[str, int]]
     items: Dict[str, int]
 
-    def __post_init__(self) -> None:
-        for label, count in self.items.items():
+
+class Transaction(_Transaction):
+    """One TID-grouped read from the stream; duplicates merged with counts."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that `_replace` checks too
+
+    def __new__(cls, tid: Optional[Tuple[str, int]], items: Dict[str, int]) -> "Transaction":
+        for label, count in items.items():
             validate_label(label)
             if count < 1:
                 raise ValueError(f"count for {label!r} must be >= 1, got {count}")
+        return super().__new__(cls, tid, items)
 
 
 def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
@@ -66,7 +69,6 @@ def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
     return counts
 
 
-@dataclass
 class MindMap:
     """Cells, edges and the step counter that stamps them. Decay is forward:
     a record stores its value as of its stamp, or of `origin` (the step the
@@ -77,21 +79,17 @@ class MindMap:
     through the constructor or the step, which keep `degree`: an edge
     written into `edges` directly leaves it stale."""
 
-    cells: Dict[str, Cell] = field(default_factory=dict)
-    edges: Dict[Pair, Edge] = field(default_factory=dict)
-    step: int = 0
-    origin: int = field(init=False, repr=False, compare=False)
-    keep_w: float = field(init=False, repr=False, compare=False)
-    keep_a: float = field(init=False, repr=False, compare=False)
-    log_w: float = field(init=False, repr=False, compare=False)
-    log_a: float = field(init=False, repr=False, compare=False)
-    wheel: Dict[int, List[Tuple]] = field(init=False, repr=False, compare=False)
-    # Edges per cell, with no entry for a cell that has none.
-    degree: Counter = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.origin, self.keep_w, self.keep_a, self.wheel = self.step, 1.0, 1.0, {}
+    def __init__(
+        self, cells: Optional[Dict[str, Cell]] = None, edges: Optional[Dict[Pair, Edge]] = None,
+        step: int = 0,
+    ) -> None:
+        self.cells = {} if cells is None else cells
+        self.edges = {} if edges is None else edges
+        self.step = self.origin = step
+        self.keep_w = self.keep_a = 1.0
         self.log_w = self.log_a = 0.0
+        self.wheel: Dict[int, List[Tuple]] = {}
+        # Edges per cell, with no entry for a cell that has none.
         self.degree = Counter(chain.from_iterable(self.edges))
 
     def weight_of(self, edge: Edge) -> float:
@@ -115,11 +113,23 @@ class MindMap:
 
     def copy(self) -> "MindMap":
         """Independent copy; safe to mutate without touching the original."""
+        from copy import deepcopy  # here, so that a query never loads `copy`
+
         return deepcopy(self)
 
 
-@dataclass(frozen=True)
-class EngineParams:
+class _Params(NamedTuple):
+    eta: float = 0.5
+    lam: float = 0.5
+    beta_w: float = 0.02
+    beta_a: float = 0.05
+    epsilon: float = 0.01
+    theta_w: float = 0.5
+    theta_a: float = 0.0
+    promote_after: int = 2
+
+
+class EngineParams(_Params):
     """Tunable update-rule parameters.
 
     eta: Hebbian learning rate, (0, 1].
@@ -133,16 +143,11 @@ class EngineParams:
         to long-term memory, >= 1.
     """
 
-    eta: float = 0.5
-    lam: float = 0.5
-    beta_w: float = 0.02
-    beta_a: float = 0.05
-    epsilon: float = 0.01
-    theta_w: float = 0.5
-    theta_a: float = 0.0
-    promote_after: int = 2
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "EngineParams":
+        self = super().__new__(cls, *args, **kwargs)
         # `parse_snapshot` names the `param` line of a message's first word.
         for ok, message in (
             (0.0 < self.eta <= 1.0, "eta must be in (0, 1]"),
@@ -157,8 +162,11 @@ class EngineParams:
         ):
             if not ok:
                 raise ValueError(message)
+        return self
 
 
 # Each parameter's name and value type (int or float), in declaration order:
 # the one list that the CLI flags and the snapshot `param` lines derive from.
-PARAM_TYPES: Dict[str, type] = {f.name: type(f.default) for f in fields(EngineParams)}
+PARAM_TYPES: Dict[str, type] = {
+    name: type(default) for name, default in _Params._field_defaults.items()
+}

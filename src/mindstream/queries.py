@@ -12,7 +12,7 @@ from typing import Callable, Dict, List
 from .memory import detect_patterns
 from .model import validate_label
 from .skeleton import extract_skeleton, strongest_subgraphs
-from .snapshot import EngineState, _fmt_signature, _quote
+from .snapshot import EngineState, _fmt_signature, _quote, ltm_rows
 
 
 class QueryUsageError(ValueError):
@@ -116,13 +116,10 @@ def run_static_query(state: EngineState, args: List[str]) -> str:
         which = rest[0] if rest else "all"
         if len(rest) > 1 or which not in ("all", "open", "closed"):
             raise QueryUsageError("usage: ltm [open|closed|all]")
-        records = sorted(state.ltm.values(), key=lambda r: (r.appeared_at, r.signature))
-        if which != "all":
-            records = [r for r in records if r.is_open == (which == "open")]
         return "\n".join(
-            f"{_fmt_signature(r.signature)} {r.appeared_at} "
-            f"{'open' if r.is_open else r.disappeared_at} {r.recurrence_count}"
-            for r in records
+            f"{_fmt_signature(sig)} {appeared} {gone} {recurrence}"
+            for appeared, sig, gone, recurrence in ltm_rows(state.ltm)
+            if which == "all" or (gone == "open") == (which == "open")
         )
 
     if kind == "strongest":

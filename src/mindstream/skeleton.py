@@ -5,17 +5,15 @@ All functions here are pure reads: none of them changes the mind-map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 from .model import MindMap, Pair
 
 Signature = Tuple[str, ...]  # a component's labels, sorted
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """The edges surviving the weight and activation thresholds."""
 
     edges: Tuple[Tuple[Pair, float], ...]
@@ -36,7 +34,7 @@ def extract_skeleton(mmap: MindMap, theta_w: float, theta_a: float = 0.0) -> Ske
     ]
     # Pairs are unique, so the faster pair key gives the order of the tuples.
     kept.sort(key=itemgetter(0))
-    return Skeleton(edges=tuple(kept))
+    return Skeleton(tuple(kept))
 
 
 def adjacency(pairs: Iterable[Pair]) -> Dict[str, Set[str]]:

@@ -19,10 +19,9 @@ Labels containing whitespace (or starting with a quote) are quoted with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .memory import LTMRecord, Signature, STMEntry
+from .memory import Record, Run, Signature
 from .model import PARAM_TYPES, Cell, Edge, EngineParams, MindMap, Pair, validate_label
 
 HEADER = "MINDMAP v1"
@@ -35,12 +34,14 @@ class SnapshotError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
 class EngineState:
-    mmap: MindMap
-    params: EngineParams
-    stm: Dict[Signature, STMEntry] = field(default_factory=dict)
-    ltm: Dict[Signature, LTMRecord] = field(default_factory=dict)
+    """A map, its parameters, and its two memories, each a new dict if not
+    given: the STM's runs and the LTM's `Record`s, keyed by signature."""
+
+    def __init__(self, mmap: MindMap, params: EngineParams, stm=None, ltm=None) -> None:
+        self.mmap, self.params = mmap, params
+        self.stm = {} if stm is None else stm
+        self.ltm = {} if ltm is None else ltm
 
 
 def _fmt_num(x: float) -> str:
@@ -58,21 +59,23 @@ def _quote(token: str, force: bool = False) -> str:
 
 # A quoted token (a backslash escapes only `\\` and `"`; any other backslash
 # is literal), a bare token, or a lone `"` that starts an unterminated quote.
-# Whitespace is what none of them matches; `\s` and str.isspace agree.
-_TOKEN = re.compile(r'"((?:[^"\\]|\\[\\"]|\\(?![\\"]))*)"|([^\s"]\S*)|"')
-_ESCAPE = re.compile(r'\\([\\"])')
+# Whitespace is what none of them matches; `\s` and str.isspace agree. The
+# patterns here are strings, which `re` compiles on first use and caches, so
+# that a start that reads no quoted token or escaped signature compiles none.
+_TOKEN = r'"((?:[^"\\]|\\[\\"]|\\(?![\\"]))*)"|([^\s"]\S*)|"'
+_ESCAPE = r'\\([\\"])'
 
 
 def _tokenize(line: str, lineno: int) -> List[str]:
     if '"' not in line:  # no quoted token: str.split breaks on the same spaces
         return line.split()
     tokens: List[str] = []
-    for match in _TOKEN.finditer(line):
+    for match in re.finditer(_TOKEN, line):
         quoted, bare = match.groups()
         if bare is not None:
             tokens.append(bare)
         elif quoted is not None:
-            tokens.append(_ESCAPE.sub(r"\1", quoted))
+            tokens.append(re.sub(_ESCAPE, r"\1", quoted))
         else:
             raise SnapshotError("unterminated quoted token", lineno)
     return tokens
@@ -87,18 +90,25 @@ def _fmt_signature(sig: Signature) -> str:
 
 # A signature's label: up to an unescaped `|` or the end. A backslash
 # escapes the character after it; one that ends the token is literal.
-_LABEL = re.compile(r"(?:^|\|)((?:[^\\|]|\\.|\\\Z)*)", re.S)
-_UNESCAPE = re.compile(r"\\(.)", re.S)
+_LABEL = r"(?s)(?:^|\|)((?:[^\\|]|\\.|\\\Z)*)"
+_UNESCAPE = r"(?s)\\(.)"
 
 
 def _parse_signature(token: str) -> Signature:
     """The labels of a signature token: two or more, strictly increasing."""
     labels = token.split("|")  # exact, and far cheaper, when no label holds an escape
     if "\\" in token:
-        labels = [_UNESCAPE.sub(r"\1", label) for label in _LABEL.findall(token)]
+        labels = [re.sub(_UNESCAPE, r"\1", label) for label in re.findall(_LABEL, token)]
     if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
         raise ValueError(f"signature {token!r} is not two or more increasing labels")
     return tuple(labels)
+
+
+def ltm_rows(ltm: Dict[Signature, Record]) -> List[tuple]:
+    """(appeared_at, signature, disappeared_at or "open", recurrence_count)
+    per record, in the order a snapshot writes them."""
+    rows = [(a, sig, "open" if g is None else g, n) for sig, (a, g, n) in ltm.items()]
+    return sorted(rows, key=lambda row: row[:2])
 
 
 def render_snapshot(state: EngineState) -> str:
@@ -122,17 +132,10 @@ def render_snapshot(state: EngineState) -> str:
             w = mmap.weight_of(edge)
         lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {stamp}")
     for sig in sorted(state.stm):
-        entry = state.stm[sig]
-        lines.append(
-            f"stm {_fmt_signature(sig)} {entry.first_seen_step} "
-            f"{entry.consecutive_steps}"
-        )
-    for record in sorted(state.ltm.values(), key=lambda r: (r.appeared_at, r.signature)):
-        gone = "open" if record.disappeared_at is None else str(record.disappeared_at)
-        lines.append(
-            f"ltm {_fmt_signature(record.signature)} {record.appeared_at} "
-            f"{gone} {record.recurrence_count}"
-        )
+        first, run = state.stm[sig]
+        lines.append(f"stm {_fmt_signature(sig)} {first} {run}")
+    for appeared, sig, gone, recurrence in ltm_rows(state.ltm):
+        lines.append(f"ltm {_fmt_signature(sig)} {appeared} {gone} {recurrence}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,8 +160,8 @@ def parse_snapshot(text: str) -> EngineState:
     params: Dict[str, object] = {}
     cells: Dict[str, Cell] = {}
     edges: Dict[Pair, Edge] = {}
-    stm: Dict[Signature, STMEntry] = {}
-    ltm: Dict[Signature, LTMRecord] = {}
+    stm: Dict[Signature, Run] = {}
+    ltm: Dict[Signature, Record] = {}
     stm_lines: Dict[Signature, int] = {}
     param_lines: Dict[str, int] = {}
 
@@ -203,17 +206,19 @@ def parse_snapshot(text: str) -> EngineState:
                 param_lines[key] = lineno
             elif kind == "stm" and arity == 3:
                 table, key = stm, _parse_signature(tokens[1])
-                value = STMEntry(int(tokens[2]), int(tokens[3]))
-                if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
+                first, run = int(tokens[2]), int(tokens[3])
+                if not (0 <= first <= step and run >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
+                value = (first, run)
                 stm_lines[key] = lineno
             elif kind == "ltm" and arity == 4:
                 table, key = ltm, _parse_signature(tokens[1])
                 gone = None if tokens[3] == "open" else int(tokens[3])
-                value = LTMRecord(key, int(tokens[2]), gone, int(tokens[4]))
+                appeared, recurrence = int(tokens[2]), int(tokens[4])
                 last = step if gone is None else gone
-                if not (0 <= value.appeared_at <= last <= step and value.recurrence_count >= 1):
+                if not (0 <= appeared <= last <= step and recurrence >= 1):
                     raise ValueError(f"ltm stamps out of range on {key!r}")
+                value = Record(appeared, gone, recurrence)
             else:
                 raise ValueError(f"malformed {kind!r} line")
         except ValueError as exc:

@@ -8,7 +8,6 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from mindstream.engine import Engine
-from mindstream.memory import LTMRecord, STMEntry
 from mindstream.model import EngineParams, MindMap, Transaction, distinct_items
 from mindstream.skeleton import Skeleton
 from mindstream.snapshot import EngineState
@@ -122,9 +121,9 @@ def random_engine_state(rng: random.Random) -> EngineState:
             sig = tuple(sorted(rng.sample(labels, rng.randint(2, len(labels)))))
             if sig not in stm:
                 first = rng.randint(0, step) if step else 0
-                stm[sig] = STMEntry(first, rng.randint(1, 5))
+                stm[sig] = (first, rng.randint(1, 5))
             appeared = rng.randint(0, step) if step else 0
             gone = None if rng.random() < 0.5 else rng.randint(appeared, step)
             if sig not in ltm:
-                ltm[sig] = LTMRecord(sig, appeared, gone, rng.randint(1, 4))
+                ltm[sig] = (appeared, gone, rng.randint(1, 4))
     return EngineState(mmap, params, stm, ltm)

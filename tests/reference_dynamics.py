@@ -73,7 +73,9 @@ def ingest_transaction(
     step counter.
     """
     step = mmap.step + 1
-    events = StepEvents(step=step)
+    cells_created: List[str] = []
+    edges_created: List[Pair] = []
+    edges_reinforced: List[Pair] = []
     out = mmap.copy()
 
     # Phase 1+2: boosts per occurrence, against pre-step activations.
@@ -83,7 +85,7 @@ def ingest_transaction(
         cell = out.cells.get(label)
         if cell is None:
             a = INITIAL_ACTIVATION
-            events.cells_created.append(label)
+            cells_created.append(label)
         else:
             a = cell[0]
         for _ in range(count):
@@ -102,12 +104,12 @@ def ingest_transaction(
             conn = out.edges.get(pair)
             if conn is None:
                 new_weights[pair] = w0
-                events.edges_created.append(pair)
+                edges_created.append(pair)
             else:
                 new_weights[pair] = hebbian_update(
                     conn[0], boosted[a], boosted[b], params.eta
                 )
-                events.edges_reinforced.append(pair)
+                edges_reinforced.append(pair)
 
     # Commit.
     for label, a in boosted.items():
@@ -120,9 +122,9 @@ def ingest_transaction(
     out = decay_pass(out, set(new_weights), set(boosted), params)
 
     # Phase 5: forgetting.
-    out, events.edges_forgotten, events.cells_forgotten = prune_forgotten(
-        out, params.epsilon
-    )
+    out, edges_forgotten, cells_forgotten = prune_forgotten(out, params.epsilon)
 
     out.step = step
-    return out, events
+    return out, StepEvents(
+        step, cells_created, edges_created, edges_reinforced, cells_forgotten, edges_forgotten
+    )

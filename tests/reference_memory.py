@@ -1,10 +1,11 @@
 """Reference pattern memory: the list-based STM/LTM, kept for tests only.
 
 This is the pattern memory as it was before it became two signature-keyed
-dicts updated in place: `Pattern` objects, an `ltm_update` that rebuilds
-every record into a new list, and an engine step that works out which
-records were promoted, reopened or closed by diffing sets built over the
-whole LTM before and after the update. `ReferenceEngine` runs it on top of
+dicts of tuples: `Pattern` objects, mutable `STMEntry` and `LTMRecord`
+objects, an `ltm_update` that rebuilds every record into a new list, and
+an engine step that works out which records were promoted, reopened or
+closed by diffing sets built over the whole LTM before and after the
+update. `ReferenceEngine` runs it on top of
 the reference dynamics step, so the differential test can compare the
 shipped engine with both references at once. Components are found by the
 whole-skeleton search `_components`, not by `skeleton.components`, and
@@ -15,10 +16,10 @@ used that helper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from mindstream.engine import Engine
-from mindstream.memory import LTMRecord, Signature
+from mindstream.memory import Signature
 from mindstream.model import MindMap
 from mindstream.skeleton import Skeleton, extract_skeleton
 from mindstream.snapshot import EngineState, _fmt_signature, _quote
@@ -37,6 +38,18 @@ class STMEntry:
     pattern: Pattern
     first_seen_step: int
     consecutive_steps: int = 1
+
+
+@dataclass
+class LTMRecord:
+    signature: Signature
+    appeared_at: int
+    disappeared_at: Optional[int] = None  # None while still present
+    recurrence_count: int = 1
+
+    @property
+    def is_open(self) -> bool:
+        return self.disappeared_at is None
 
 
 def _components(s: Skeleton) -> List[Tuple[FrozenSet[str], Tuple]]:
@@ -161,7 +174,8 @@ class ReferenceEngine(Engine):
     """The engine step on the reference dynamics and the reference memory.
 
     Queries and their emissions are the shipped engine's. The LTM is the
-    list `ltm_list`, since `Engine.ltm` is a read-only view.
+    list `ltm_list`; `state` gives both memories as the shipped engine
+    keeps them, dicts from signature to tuple.
     """
 
     def __init__(self, params):
@@ -170,9 +184,13 @@ class ReferenceEngine(Engine):
 
     @property
     def state(self) -> EngineState:
-        ltm = {r.signature: r for r in self.ltm_list}
+        ltm = {
+            r.signature: (r.appeared_at, r.disappeared_at, r.recurrence_count)
+            for r in self.ltm_list
+        }
         assert len(ltm) == len(self.ltm_list), "two LTM records share a signature"
-        return EngineState(self.mmap, self.params, self.stm, ltm)
+        stm = {sig: (e.first_seen_step, e.consecutive_steps) for sig, e in self.stm.items()}
+        return EngineState(self.mmap, self.params, stm, ltm)
 
     def ingest(self, txn):
         self.mmap, events = reference_dynamics.ingest_transaction(

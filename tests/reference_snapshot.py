@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from mindstream.memory import LTMRecord, Signature, STMEntry
+from mindstream.memory import Record, Run, Signature
 from mindstream.model import (
     PARAM_TYPES,
     EngineParams,
@@ -99,8 +99,8 @@ def parse_snapshot(text: str) -> EngineState:
     params_raw: Dict[str, str] = {}
     cells: Dict[str, Tuple[float, int, int]] = {}
     edges: Dict[Pair, Tuple[float, int]] = {}
-    stm: Dict[Signature, STMEntry] = {}
-    ltm: Dict[Signature, LTMRecord] = {}
+    stm: Dict[Signature, Run] = {}
+    ltm: Dict[Signature, Record] = {}
     stm_lines: Dict[Signature, int] = {}
 
     for lineno, line in enumerate(lines[2:], start=3):
@@ -119,16 +119,16 @@ def parse_snapshot(text: str) -> EngineState:
                 value = (float(args[2]), int(args[3]))
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, parse_signature(args[0])
-                value = STMEntry(int(args[1]), int(args[2]))
-                if not (0 <= value.first_seen_step <= step and value.consecutive_steps >= 1):
+                value = (int(args[1]), int(args[2]))
+                if not (0 <= value[0] <= step and value[1] >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
                 stm_lines[key] = lineno
             elif kind == "ltm" and len(args) == 4:
                 table, key = ltm, parse_signature(args[0])
                 gone = None if args[2] == "open" else int(args[2])
-                value = LTMRecord(key, int(args[1]), gone, int(args[3]))
+                value = (int(args[1]), gone, int(args[3]))
                 last = step if gone is None else gone
-                if not (0 <= value.appeared_at <= last <= step and value.recurrence_count >= 1):
+                if not (0 <= value[0] <= last <= step and value[2] >= 1):
                     raise ValueError(f"ltm stamps out of range on {key!r}")
             else:
                 raise SnapshotError(f"malformed {kind!r} line", lineno)

@@ -194,23 +194,21 @@ def test_acceptance_7_memory_lifecycle():
     # one decay-only step keeps the triangle above theta: second consecutive
     # step, so the pattern is promoted
     engine.ingest(txn([]))
-    opens = [r for r in engine.state.ltm.values() if r.is_open]
-    assert [r.signature for r in opens] == [("B", "C", "E")]
-    record = opens[0]
-    assert record.recurrence_count == 1
+    opens = [sig for sig, (_, gone, _) in engine.state.ltm.items() if gone is None]
+    assert opens == [("B", "C", "E")]
+    assert engine.state.ltm[("B", "C", "E")][2] == 1  # recurrence_count
 
     for _ in range(199):
         engine.ingest(txn([]))
-    closed = engine.state.ltm[("B", "C", "E")]
-    assert not closed.is_open
-    assert closed.appeared_at <= closed.disappeared_at
+    appeared, gone, _ = engine.state.ltm[("B", "C", "E")]
+    assert gone is not None and appeared <= gone
 
     for _ in range(50):
         engine.ingest(txn(["B", "C", "E"]))
-        if engine.state.ltm[("B", "C", "E")].recurrence_count == 2:
+        if engine.state.ltm[("B", "C", "E")][2] == 2:
             break
-    record = engine.state.ltm[("B", "C", "E")]
-    assert record.is_open and record.recurrence_count == 2
+    _, gone, recurrence = engine.state.ltm[("B", "C", "E")]
+    assert gone is None and recurrence == 2
     ok(7, "B|C|E record opened, closed under decay, reopened with recurrence 2")
 
 

@@ -4,7 +4,6 @@ import random
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import mindstream
 from mindstream import cli
 from mindstream.cli import build_parser, main
 from mindstream.engine import ContinuousQuery, Engine
-from mindstream.model import EngineParams
+from mindstream.model import PARAM_TYPES, EngineParams
 from mindstream.queries import QueryUsageError, run_static_query
 from mindstream.snapshot import (
     _parse_signature,
@@ -214,7 +213,7 @@ PARAM_FLAGS = [
 
 
 def test_every_param_round_trips_through_flags_and_snapshot(tmp_path, capsys):
-    assert [name for name, _, _ in PARAM_FLAGS] == [f.name for f in fields(EngineParams)]
+    assert [name for name, _, _ in PARAM_FLAGS] == list(PARAM_TYPES)
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
     snap = tmp_path / "params.snap"

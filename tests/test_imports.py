@@ -15,6 +15,10 @@ from helpers import worked_example_stream_text
 
 SRC = os.path.dirname(os.path.dirname(mindstream.__file__))
 
+# No subcommand loads these: records are tuples, and `MindMap.copy` imports
+# `copy` only when it is called. `dataclasses` alone took ~40% of a cold start.
+SLOW_IMPORTS = {"dataclasses", "inspect", "copy"}
+
 PUBLIC = [
     "ContinuousQuery", "Engine", "EngineParams", "EngineState", "MindMap", "Skeleton",
     "StepEvents", "Transaction", "activate_cell", "distinct_items", "extract_skeleton", "hebbian_update", "ingest_transaction",
@@ -64,18 +68,26 @@ def test_query_loads_neither_the_engine_nor_the_parser(tmp_path, stream_file, ca
     assert "mindstream.queries" in added
     assert not added & {
         "mindstream.engine", "mindstream.dynamics", "mindstream.stream",
-        "mindstream.apriori", "logging", "datetime",
+        "mindstream.apriori", "logging", "datetime", *SLOW_IMPORTS,
     }
 
 
 def test_run_on_clean_input_loads_neither_apriori_nor_logging(tmp_path, stream_file):
     added = added_by("run", "--input", stream_file, "--snapshot", tmp_path / "s")
     assert {"mindstream.engine", "mindstream.stream"} <= added
-    assert not added & {"mindstream.apriori", "logging"}
+    assert not added & {"mindstream.apriori", "logging", *SLOW_IMPORTS}
+
+
+def test_trace_loads_neither_apriori_nor_dataclasses(stream_file):
+    added = added_by("trace", "--input", stream_file, "B", "C", "-k", 2)
+    assert {"mindstream.engine", "mindstream.stream"} <= added
+    assert not added & {"mindstream.apriori", *SLOW_IMPORTS}
 
 
 def test_apriori_loads_apriori(stream_file):
-    assert "mindstream.apriori" in added_by("apriori", "--input", stream_file, "--minsup", 2)
+    added = added_by("apriori", "--input", stream_file, "--minsup", 2, "--minconf", 0.5)
+    assert "mindstream.apriori" in added
+    assert not added & SLOW_IMPORTS
 
 
 @pytest.mark.parametrize("name", PUBLIC)

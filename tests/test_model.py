@@ -56,6 +56,8 @@ def test_transaction_rejects_bad_counts():
         Transaction(None, {"A": 0})
     with pytest.raises(ValueError):
         Transaction(None, {"  ": 1})
+    with pytest.raises(ValueError):
+        Transaction(None, {"A": 1})._replace(items={"A": 0})
 
 
 def test_get_weight_after_first_transaction():
@@ -97,6 +99,8 @@ def test_canonical_pair_symmetric(a, b):
 def test_engine_params_validation(kwargs):
     with pytest.raises(ValueError):
         EngineParams(**kwargs)
+    with pytest.raises(ValueError):
+        EngineParams()._replace(**kwargs)
 
 
 def test_invariants_hold_along_random_stream():

@@ -5,7 +5,6 @@ from typing import List
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mindstream.memory import LTMRecord, STMEntry
 from mindstream.dynamics import ingest_transaction
 from mindstream.model import PARAM_TYPES, EngineParams, MindMap, Transaction
 from mindstream.snapshot import (
@@ -26,8 +25,7 @@ from reference_snapshot import parse_snapshot as reference_parse_snapshot
 
 
 def state_of(mmap, params=EngineParams(), stm=None, ltm=None):
-    ltm = {r.signature: r for r in ltm or []}
-    return EngineState(mmap, params, stm or {}, ltm)
+    return EngineState(mmap, params, stm or {}, ltm or {})
 
 
 def test_empty_map_snapshot():
@@ -92,14 +90,14 @@ def test_awkward_labels_round_trip():
     a, b = sorted(weird)[:2]
     mmap = MindMap({label: (0.5, 0, 0) for label in weird}, {(a, b): (0.25, 0)})
     sig = tuple(sorted(weird[:3]))
-    stm = {sig: STMEntry(0, 1)}
-    ltm = [LTMRecord(sig, 0, None, 1)]
+    stm = {sig: (0, 1)}
+    ltm = {sig: (0, None, 1)}
     text = render_snapshot(state_of(mmap, stm=stm, ltm=ltm))
     loaded = parse_snapshot(text)
     assert set(loaded.mmap.cells) == set(weird)
     assert loaded.mmap.edges[(a, b)][0] == 0.25
-    assert list(loaded.stm) == [sig]
-    assert list(loaded.ltm) == [sig] and loaded.ltm[sig].signature == sig
+    assert loaded.stm == {sig: (0, 1)}
+    assert loaded.ltm == {sig: (0, None, 1)}
     assert render_snapshot(loaded) == text
 
 
@@ -118,13 +116,11 @@ def test_load_errors():
 
 
 def test_ltm_open_marker():
-    ltm = [LTMRecord(("A", "B"), 3, None, 1), LTMRecord(("C", "D"), 1, 5, 2)]
+    ltm = {("A", "B"): (3, None, 1), ("C", "D"): (1, 5, 2)}
     text = render_snapshot(state_of(MindMap(step=5), ltm=ltm))
     assert "ltm C|D 1 5 2" in text
     assert "ltm A|B 3 open 1" in text
-    loaded = parse_snapshot(text)
-    assert loaded.ltm[("A", "B")].is_open
-    assert loaded.ltm[("C", "D")].disappeared_at == 5
+    assert parse_snapshot(text).ltm == ltm
 
 
 def test_file_round_trip(tmp_path):
@@ -243,7 +239,7 @@ def test_duplicate_lines_are_rejected(kind):
     cells = {"A": (0.5, 1, 3), "B": (0.5, 1, 3)}
     mmap = MindMap(cells, {("A", "B"): (0.75, 3)}, step=3)
     sig = ("A", "B")
-    state = state_of(mmap, stm={sig: STMEntry(2, 2)}, ltm=[LTMRecord(sig, 3, None, 1)])
+    state = state_of(mmap, stm={sig: (2, 2)}, ltm={sig: (3, None, 1)})
     lines = render_snapshot(state).splitlines()
     repeated = next(line for line in lines if line.startswith(kind + " "))
     with pytest.raises(SnapshotError, match=f"line {len(lines) + 1}: duplicate {kind}"):
@@ -349,8 +345,8 @@ FUZZ_BASE = render_snapshot(
             },
             step=4,
         ),
-        stm={("a", "b"): STMEntry(3, 2)},
-        ltm=[LTMRecord(("a", "b"), 4, None, 1), LTMRecord(("b", "c"), 1, 3, 2)],
+        stm={("a", "b"): (3, 2)},
+        ltm={("a", "b"): (4, None, 1), ("b", "c"): (1, 3, 2)},
     )
 ).splitlines()
 FUZZ_TOKENS = [
