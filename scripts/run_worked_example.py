@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mindstream.cli import guard_stdout
-from mindstream.engine import ContinuousQuery, Engine
+from mindstream.engine import Engine
 from mindstream.model import EngineParams, Transaction, distinct_items
 from mindstream.skeleton import extract_skeleton
 from mindstream.snapshot import render_snapshot
@@ -26,7 +26,7 @@ STREAMS = [
 
 def main() -> None:
     engine = Engine(EngineParams())
-    engine.register_query(ContinuousQuery(("B", "C"), horizon=4))
+    engine.register_query("B", "C", horizon=4)
     for items in STREAMS:
         engine.ingest(Transaction(None, distinct_items(items)))
 

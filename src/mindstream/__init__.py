@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "dynamics": "StepEvents activate_cell hebbian_update ingest_transaction initial_weight",
-    "engine": "ContinuousQuery Engine",
+    "engine": "Engine",
     "model": "EngineParams MindMap Transaction distinct_items",
     "skeleton": "Skeleton extract_skeleton",
     "snapshot": "EngineState load_snapshot parse_snapshot render_snapshot save_snapshot",

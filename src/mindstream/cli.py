@@ -75,14 +75,14 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .engine import ContinuousQuery, Engine
+    from .engine import Engine
 
     try:
         engine = Engine(_params_from(args))
-        if args.horizon < 1:
+        if args.horizon < 1:  # also without a trace
             raise ValueError("horizon must be >= 1")
         for a, b in args.trace or []:
-            engine.register_query(ContinuousQuery((a, b), horizon=args.horizon))
+            engine.register_query(a, b, args.horizon)
     except ValueError as exc:
         return _usage_error(exc)
     if not _consume_input(args, engine.ingest):
@@ -123,24 +123,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .engine import ContinuousQuery, Engine
+    from .engine import Engine
 
     try:
         engine = Engine(_params_from(args))
-        query = ContinuousQuery((args.a, args.b), horizon=args.k)
+        engine.register_query(args.a, args.b, args.k, after=args.register_after)
     except ValueError as exc:
         return _usage_error(exc)
-    if args.register_after < 0:
-        return _usage_error("--register-after must be >= 0")
-    if args.register_after == 0:
-        engine.register_query(query)
-
-    def ingest(txn: Transaction) -> None:
-        engine.ingest(txn)
-        if engine.step == args.register_after:
-            engine.register_query(query)
-
-    if not _consume_input(args, ingest):
+    if not _consume_input(args, engine.ingest):
         return 1
     if args.register_after >= engine.step:
         late = f"the stream ends at step {engine.step}, so the trace never ran"

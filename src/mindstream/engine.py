@@ -10,25 +10,13 @@ after the step has committed, so evaluation order never affects the state.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Set, Tuple, ValuesView
+from typing import Dict, List, Optional, Set, Tuple, ValuesView
 
 from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
 from .memory import Record, Run, Signature, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair, validate_label
 from .skeleton import components
 from .snapshot import EngineState, _fmt_signature, _quote
-
-
-class ContinuousQuery:
-    """A standing edge trace: after each of the `horizon` steps that follow
-    its registration, the engine emits the target pair's weight, or "absent"
-    while the edge is not in the map."""
-
-    def __init__(self, target: Pair, horizon: int = 1) -> None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.target = canonical_pair(*map(validate_label, target))
-        self.horizon = horizon
 
 
 class Engine:
@@ -45,8 +33,8 @@ class Engine:
         self.stm: Dict[Signature, Run] = {}
         self._ltm: Dict[Signature, Record] = {}
         self.event_lines: List[str] = []
-        # (last step, query) per standing query; an emission is (step, pair, text).
-        self.queries: List[Tuple[int, ContinuousQuery]] = []
+        # (after, last step, pair) per standing trace; an emission is (step, pair, text).
+        self.queries: List[Tuple[int, int, Pair]] = []
         self.emissions: List[Tuple[int, Pair, str]] = []
 
     @property
@@ -62,9 +50,18 @@ class Engine:
     def state(self) -> EngineState:
         return EngineState(self.mmap, self.params, self.stm, self._ltm)
 
-    def register_query(self, query: ContinuousQuery) -> ContinuousQuery:
-        self.queries.append((self.step + query.horizon, query))
-        return query
+    def register_query(self, a: str, b: str, horizon: int = 1, after: Optional[int] = None):
+        """Trace the edge (a, b): after each of the `horizon` steps that follow
+        step `after` (by default the current one), emit its weight, or "absent"
+        while the edge is not in the map."""
+        pair = canonical_pair(validate_label(a), validate_label(b))
+        now = self.step
+        after = now if after is None else after
+        if type(horizon) is not int or horizon < 1:  # a bool is not a step count
+            raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
+        if type(after) is not int or after < now:
+            raise ValueError(f"after must be an int >= the current step {now}, got {after!r}")
+        self.queries.append((after, after + horizon, pair))
 
     def ingest(self, txn: Transaction) -> StepEvents:
         self.mmap, events = ingest_transaction(self.mmap, txn, self.params)
@@ -205,9 +202,10 @@ class Engine:
                 log(f"{step} pattern-closed {_fmt_signature(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
-        """Emit each standing query's result; drop those whose last step this is."""
+        """Emit each started trace's result; drop those whose last step this is."""
         edges, weight, emit = self.mmap.edges, self.mmap.weight_of, self.emissions.append
-        for _, q in self.queries:
-            edge = edges.get(q.target)  # canonical since construction
-            emit((step, q.target, "absent" if edge is None else repr(weight(edge))))
-        self.queries = [entry for entry in self.queries if entry[0] > step]
+        for after, _, pair in self.queries:
+            if after < step:
+                edge = edges.get(pair)
+                emit((step, pair, "absent" if edge is None else repr(weight(edge))))
+        self.queries = [entry for entry in self.queries if entry[1] > step]

@@ -8,8 +8,9 @@ last_reinforced_at) and a `Cell` is (activation, created_at,
 last_activated_at). A step replaces each record it touches, and the edges
 it creates share one tuple. The base model is cooperative only:
 activations and weights live in [0, 1]. Records are built unchecked: input
-from outside is validated once at the boundary (`Transaction` for stream
-items, `parse_snapshot` for a snapshot).
+from outside is validated once at the boundary (the stream parser for each
+record it reads, `Transaction` for one built elsewhere, `parse_snapshot`
+for a snapshot).
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ class Transaction(_Transaction):
     def __new__(cls, tid: Optional[Tuple[str, int]], items: Dict[str, int]) -> "Transaction":
         for label, count in items.items():
             validate_label(label)
-            if count < 1:
-                raise ValueError(f"count for {label!r} must be >= 1, got {count}")
+            if type(count) is not int or count < 1:  # a bool is not a count
+                raise ValueError(f"count for {label!r} must be an int >= 1, got {count!r}")
         return super().__new__(cls, tid, items)
 
 
 def distinct_items(raw_items: Iterable[str]) -> Dict[str, int]:
     """Merge a raw item sequence into a label -> occurrence-count map. The
-    labels are checked when the map becomes a `Transaction`."""
+    labels are checked by `Transaction`, or by the parser as it reads them."""
     counts: Dict[str, int] = {}
     for label in raw_items:
         counts[label] = counts.get(label, 0) + 1
@@ -158,6 +159,7 @@ class EngineParams(_Params):
             (0.0 <= self.theta_w <= 1.0, "theta_w must be in [0, 1]"),
             (0.0 <= self.theta_a <= 1.0, "theta_a must be in [0, 1]"),
             (self.epsilon < self.theta_w, "epsilon must be < theta_w"),
+            (type(self.promote_after) is int, "promote_after must be an int, not a float or bool"),
             (self.promote_after >= 1, "promote_after must be >= 1"),
         ):
             if not ok:

@@ -16,7 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .model import Transaction, distinct_items, validate_label
+from .model import Transaction, _Transaction, distinct_items, validate_label
 
 
 class ParseError(ValueError):
@@ -85,4 +85,5 @@ def read_transactions(lines: Iterable[str], on_error: str = "stop") -> Iterator[
     """Group records into transactions lazily: each is yielded once the first
     record of the next TID, or the end of the stream, has been read."""
     for tid, run in groupby(_records(lines, on_error), key=itemgetter(0, 1)):
-        yield Transaction(tid, distinct_items(map(itemgetter(2), run)))
+        # `_parse` checked each name, so the base constructor skips a second pass.
+        yield _Transaction.__new__(Transaction, tid, distinct_items(map(itemgetter(2), run)))

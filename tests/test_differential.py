@@ -29,7 +29,7 @@ from unittest import mock
 
 import pytest
 
-from mindstream.engine import ContinuousQuery, Engine
+from mindstream.engine import Engine
 from mindstream.memory import detect_patterns
 from mindstream.model import EngineParams, MindMap
 from mindstream.skeleton import extract_skeleton, strongest_subgraphs
@@ -72,7 +72,7 @@ KNIFE_EDGES: dict = {}  # (decay, epsilon_near, seed) -> why; none so far
 
 
 def with_queries(engine: Engine, alphabet) -> Engine:
-    engine.register_query(ContinuousQuery((alphabet[0], alphabet[1]), horizon=10**6))
+    engine.register_query(alphabet[0], alphabet[1], horizon=10**6)
     return engine
 
 

@@ -12,7 +12,7 @@ import pytest
 import mindstream
 from mindstream import cli
 from mindstream.cli import build_parser, main
-from mindstream.engine import ContinuousQuery, Engine
+from mindstream.engine import Engine
 from mindstream.model import PARAM_TYPES, EngineParams
 from mindstream.queries import QueryUsageError, run_static_query
 from mindstream.snapshot import (
@@ -365,7 +365,7 @@ def test_trace_never_created_pair(stream_file, capsys):
 
 def test_trace_horizon_one():
     engine = Engine()
-    engine.register_query(ContinuousQuery(("A", "C"), horizon=1))
+    engine.register_query("A", "C", horizon=1)
     for t in worked_example_transactions():
         engine.ingest(t)
     assert engine.emissions == [(1, ("A", "C"), repr(1 / 3))]
@@ -373,11 +373,10 @@ def test_trace_horizon_one():
 
 
 def test_each_registration_reports_over_its_own_window():
-    # The window belongs to the registration, not to the query object.
-    query = ContinuousQuery(("C", "A"), horizon=3)
+    # Each registration keeps its own window, also of a pair registered twice.
     first, second, twice = Engine(), Engine(), Engine()
     for engine in (first, second, twice, twice):
-        engine.register_query(query)
+        engine.register_query("C", "A", horizon=3)
     for t in worked_example_transactions():
         for engine in (first, second, twice):
             engine.ingest(t)
@@ -392,11 +391,47 @@ def test_each_registration_reports_over_its_own_window():
 def test_a_late_registration_reports_the_next_horizon_steps(after, horizon):
     transactions = worked_example_transactions()
     engine = replay(transactions[:after])
-    engine.register_query(ContinuousQuery(("B", "C"), horizon=horizon))
+    engine.register_query("B", "C", horizon=horizon)
     for i, t in enumerate(transactions[after:], start=after + 1):
         engine.ingest(t)
         assert (engine.queries == []) == (i >= after + horizon)
     assert [s for s, _, _ in engine.emissions] == list(range(after + 1, after + horizon + 1))
+
+
+def test_a_registration_for_a_later_step_starts_after_it():
+    transactions = worked_example_transactions()
+    ahead = Engine()
+    ahead.register_query("B", "C", horizon=2, after=2)
+    late = replay(transactions[:2])
+    late.register_query("B", "C", horizon=2)
+    for t in transactions[2:]:
+        late.ingest(t)
+    for i, t in enumerate(transactions, start=1):
+        ahead.ingest(t)
+        assert ahead.emissions == late.emissions[: max(0, i - 2)]
+    assert [s for s, _, _ in ahead.emissions] == [3, 4]
+    assert ahead.queries == []
+
+
+@pytest.mark.parametrize(
+    "a, b, horizon, after",
+    [
+        ("B", "C", 1, 1),  # before the current step
+        ("B", "C", 1, -1),
+        ("x\ny", "C", 1, None),
+        (" ", "C", 1, None),
+        ("C", "C", 1, None),
+        ("B", "C", 0, None),
+        ("B", "C", 2.5, None),
+        ("B", "C", True, None),
+        ("B", "C", 1, 2.5),
+    ],
+)
+def test_a_bad_registration_is_rejected(a, b, horizon, after):
+    engine = replay(worked_example_transactions()[:2])
+    with pytest.raises(ValueError):
+        engine.register_query(a, b, horizon, after)
+    assert engine.queries == []
 
 
 def test_apriori_subcommand(stream_file, capsys):

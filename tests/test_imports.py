@@ -20,7 +20,7 @@ SRC = os.path.dirname(os.path.dirname(mindstream.__file__))
 SLOW_IMPORTS = {"dataclasses", "inspect", "copy"}
 
 PUBLIC = [
-    "ContinuousQuery", "Engine", "EngineParams", "EngineState", "MindMap", "Skeleton",
+    "Engine", "EngineParams", "EngineState", "MindMap", "Skeleton",
     "StepEvents", "Transaction", "activate_cell", "distinct_items", "extract_skeleton", "hebbian_update", "ingest_transaction",
     "initial_weight", "load_snapshot", "parse_snapshot", "render_snapshot",
     "save_snapshot",

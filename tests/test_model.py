@@ -60,6 +60,20 @@ def test_transaction_rejects_bad_counts():
         Transaction(None, {"A": 1})._replace(items={"A": 0})
 
 
+@pytest.mark.parametrize("count", [1.5, 1.0, True])
+def test_a_count_that_is_not_an_int_leaves_the_engine_unchanged(count):
+    # `Transaction` must reject it: inside the step it would fail only after
+    # the map's step counter had moved on.
+    engine = replay(worked_example_transactions()[:1])
+    before = render_snapshot(engine.state)
+    with pytest.raises(ValueError):
+        engine.ingest(Transaction(None, {"a": count, "b": 1}))
+    assert engine.step == 1
+    assert render_snapshot(engine.state) == before
+    engine.ingest(worked_example_transactions()[1])
+    assert engine.step == 2
+
+
 def test_get_weight_after_first_transaction():
     engine = replay(worked_example_transactions()[:1])
     assert engine.mmap.get_weight("A", "C") == pytest.approx(1 / 3, abs=1e-15)
@@ -94,6 +108,8 @@ def test_canonical_pair_symmetric(a, b):
         {"epsilon": 0.6, "theta_w": 0.5},
         {"theta_w": 1.1},
         {"promote_after": 0},
+        {"promote_after": 2.5},
+        {"promote_after": True},
     ],
 )
 def test_engine_params_validation(kwargs):

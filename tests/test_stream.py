@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from mindstream.model import Transaction
 from mindstream.stream import ParseError, read_transactions
 
 names = st.text(
@@ -225,6 +226,15 @@ def test_read_transactions_worked_example():
         {"A": 1, "B": 1, "C": 1, "E": 1},
         {"B": 1, "C": 1, "E": 1},
     ]
+
+
+def test_a_parsed_transaction_equals_a_checked_one():
+    # The parser builds its transactions without the constructor's checks,
+    # which its own per-record checks make a second pass.
+    lines = ["2004-03-01;7;B\n", "2004-03-01;7;A\n", "2004-03-01;7;B\n"]
+    (t,) = read_transactions(lines)
+    assert type(t) is Transaction
+    assert t == Transaction(("2004-03-01", 7), {"B": 2, "A": 1})
 
 
 def test_unknown_on_error_is_a_value_error():
