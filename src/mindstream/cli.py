@@ -56,6 +56,8 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 
     stdin = args.input == "-"
     try:
+        if stdin and sys.stdin is None:  # fd 0 was closed when Python started
+            raise OSError("standard input is closed")
         with open(
             sys.stdin.fileno() if stdin else args.input,
             "r",

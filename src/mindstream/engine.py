@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple, ValuesView
 
 from .dynamics import StepEvents, file_due, ingest_transaction, pop_due
-from .memory import Record, Run, Signature, ltm_update, stm_tick
+from .memory import Record, Signature, ltm_update, stm_tick
 from .model import EngineParams, MindMap, Pair, Transaction, canonical_pair, validate_label
 from .skeleton import components
 from .snapshot import EngineState, _fmt_signature, _quote
@@ -26,11 +26,12 @@ class Engine:
         # The kept skeleton, maintained by _update_skeleton: the cells below
         # theta_a, the wheel of due threshold crossings, and the adjacency of
         # the heavy pairs (at or above theta_w). A kept pair is a heavy pair
-        # with no dark end. The STM's keys are the skeleton's patterns.
+        # with no dark end. The STM maps the skeleton's patterns to their
+        # first-seen steps; `state` derives each one's run.
         self._dark: Set[str] = set()
         self._wheel: Dict[int, List[Tuple]] = {}
         self._adj: Dict[str, Set[str]] = {}
-        self.stm: Dict[Signature, Run] = {}
+        self.stm: Dict[Signature, int] = {}
         self._ltm: Dict[Signature, Record] = {}
         self.event_lines: List[str] = []
         # (after, last step, pair) per standing trace; an emission is (step, pair, text).
@@ -48,7 +49,8 @@ class Engine:
 
     @property
     def state(self) -> EngineState:
-        return EngineState(self.mmap, self.params, self.stm, self._ltm)
+        stm = {sig: (first, self.step - first + 1) for sig, first in self.stm.items()}
+        return EngineState(self.mmap, self.params, stm, self._ltm)
 
     def register_query(self, a: str, b: str, horizon: int = 1, after: Optional[int] = None):
         """Trace the edge (a, b): after each of the `horizon` steps that follow
@@ -133,7 +135,7 @@ class Engine:
         starts = [x for x in ends if x in adj and x not in dark]
         found = {sig for sig in components(adj, starts, dark) if len(sig) > 1}
         for sig in found - gone:
-            stm[sig] = (step, 1)
+            stm[sig] = step
         lapsed = gone - found
         for sig in lapsed:
             del stm[sig]

@@ -2,13 +2,13 @@
 
 A pattern is a connected component (>= 2 cells) of the thresholded
 skeleton, and it is identified by its signature: the sorted tuple of its
-node labels. Both memories are dicts keyed by signature, whose values are
-tuples, as map records are. The short-term memory holds each current
-pattern's run, a plain `(first_seen_step, consecutive_steps)`; once the
-count reaches the promotion horizon the pattern gets a long-term `Record`,
-`(appeared_at, disappeared_at, recurrence_count)`. A step replaces the
-tuples it changes and never writes one in place. A signature promoted again
-after its record closed reopens that record and bumps its recurrence count.
+node labels. Both memories are dicts keyed by signature. The short-term
+memory maps each current pattern to its first-seen step, from which its run
+is derived when read; once the run reaches the promotion horizon the pattern
+gets a long-term `Record`, `(appeared_at, disappeared_at, recurrence_count)`.
+A step replaces the records it changes and never writes one in place. A
+signature promoted again after its record closed reopens that record and
+bumps its recurrence count.
 """
 
 from __future__ import annotations
@@ -39,20 +39,15 @@ def detect_patterns(s: Skeleton) -> Set[Signature]:
 
 
 def stm_tick(
-    stm: Dict[Signature, Run], step: int, promote_after: int
-) -> Tuple[Dict[Signature, Run], Set[Signature]]:
-    """Advance the short-term memory to `step` in place; returns it.
-
-    `stm` holds exactly the current patterns: a lapsed one was dropped (one
-    missed step resets survival). Entries first seen before `step` gain a
-    step; signatures whose count is now exactly promote_after are promoted.
-    """
+    stm: Dict[Signature, int], step: int, promote_after: int
+) -> Tuple[Dict[Signature, int], Set[Signature]]:
+    """Return `stm`, which maps exactly the current patterns to their first-seen
+    steps (one missed step drops a pattern), and the signatures it promotes at
+    `step`: those whose run, `step - first + 1`, is exactly promote_after."""
+    due = step + 1 - promote_after
     promotions: Set[Signature] = set()
-    for sig, (first, run) in stm.items():
-        if first < step:
-            run += 1
-            stm[sig] = (first, run)  # a present key, so the iteration stays valid
-        if run == promote_after:
+    for sig, first in stm.items():
+        if first == due:
             promotions.add(sig)
     return stm, promotions
 

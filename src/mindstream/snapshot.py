@@ -95,13 +95,13 @@ _UNESCAPE = r"(?s)\\(.)"
 
 
 def _parse_signature(token: str) -> Signature:
-    """The labels of a signature token: two or more, strictly increasing."""
+    """The labels of a signature token: two or more valid ones, increasing."""
     labels = token.split("|")  # exact, and far cheaper, when no label holds an escape
     if "\\" in token:
         labels = [re.sub(_UNESCAPE, r"\1", label) for label in re.findall(_LABEL, token)]
     if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
         raise ValueError(f"signature {token!r} is not two or more increasing labels")
-    return tuple(labels)
+    return tuple(map(validate_label, labels))
 
 
 def ltm_rows(ltm: Dict[Signature, Record]) -> List[tuple]:

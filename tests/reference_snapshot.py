@@ -35,7 +35,8 @@ from mindstream.snapshot import (
 def parse_signature(token: str) -> Signature:
     """The labels of a signature token, read one character at a time: a
     backslash takes the next character literally, a backslash that ends the
-    token is itself literal, and an unescaped `|` ends a label."""
+    token is itself literal, and an unescaped `|` ends a label. Each label
+    must pass `validate_label`."""
     labels: List[str] = []
     buf: List[str] = []
     i = 0
@@ -54,7 +55,7 @@ def parse_signature(token: str) -> Signature:
     labels.append("".join(buf))
     if len(labels) < 2 or any(a >= b for a, b in zip(labels, labels[1:])):
         raise ValueError(f"signature {token!r} is not two or more increasing labels")
-    return tuple(labels)
+    return tuple(map(validate_label, labels))
 
 
 def check_invariants(mmap: MindMap) -> None:

@@ -146,7 +146,7 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
             assert set(fast.stm) == detect_patterns(skel), where
             ranking = strongest_subgraphs(fast.mmap, params.theta_w, 3)
             assert ranking == reference_strongest(fast.mmap, params.theta_w, 3), where
-            assert fast.stm == ref.state.stm, where
+            assert fast.state.stm == ref.state.stm, where
             assert fast.state.ltm == ref.state.ltm, where
             assert fast.event_lines[logged:] == ref.event_lines[logged:], where
             assert fast_events == ref_events, where

@@ -128,6 +128,24 @@ def test_invalid_utf8_on_stdin_is_a_parse_error():
     assert cells == ["A", "B", "C"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]], ids=lambda a: a[0]
+)
+def test_closed_stdin_is_an_input_error(argv):
+    """With fd 0 closed, Python sets `sys.stdin` to None: `--input -` is then
+    an unreadable input, not a traceback."""
+    src = os.path.dirname(os.path.dirname(mindstream.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = 'exec "$0" -m mindstream.cli "$@" --input - <&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable, *argv], capture_output=True, env=env, timeout=60
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: -: "), err
+
+
 def run_with_closed_stdout(argv, unbuffered):
     """Run `argv` in a subprocess whose stdout's reader is gone before the
     first write; check that it exits 1 with no traceback on stderr."""

@@ -35,15 +35,14 @@ def test_detect_patterns_empty_and_disjoint():
 
 def test_stm_promotes_at_exactly_p():
     bc = pattern("B", "C")
-    stm = {bc: (1, 1)}  # (first_seen_step, consecutive_steps)
-    # an entry first seen at the step does not gain it
+    stm = {bc: 1}  # first seen at step 1
+    # an entry first seen at the step has run 1
     assert stm_tick(stm, step=1, promote_after=2) == (stm, set())
-    assert stm == {bc: (1, 1)}
     stm, promos = stm_tick(stm, step=2, promote_after=2)
     assert promos == {bc}
-    # a third consecutive step does not re-promote
+    # a third consecutive step does not re-promote, and no entry is written
     stm, promos = stm_tick(stm, step=3, promote_after=2)
-    assert promos == set() and stm == {bc: (1, 3)}
+    assert promos == set() and stm == {bc: 1}
 
 
 def pattern_lines(engine):
@@ -57,13 +56,13 @@ def test_stm_absence_resets_survival():
     ab = pattern("A", "B")
     for items in (["A", "B"], ["A", "B"]):
         engine.ingest(txn(items))
-    assert engine.stm == {ab: (1, 2)}
+    assert engine.state.stm == {ab: (1, 2)}
     engine.ingest(txn(["C"]))
-    assert engine.stm == {} and engine.state.ltm[ab] == (2, 3, 1)
+    assert engine.state.stm == {} and engine.state.ltm[ab] == (2, 3, 1)
     engine.ingest(txn(["A", "B"]))
-    assert engine.stm == {ab: (4, 1)}  # the run restarts
+    assert engine.state.stm == {ab: (4, 1)}  # the run restarts
     engine.ingest(txn(["A", "B"]))
-    assert engine.stm == {ab: (4, 2)}
+    assert engine.state.stm == {ab: (4, 2)}
     assert engine.state.ltm[ab] == (5, None, 2)
     assert pattern_lines(engine) == [
         "2 pattern-promoted A|B",
@@ -81,9 +80,9 @@ def test_stm_everything_lapses_on_empty_current():
     engine = Engine(params)
     for items in (["A", "A", "B", "B"], ["C", "D"]):
         engine.ingest(txn(items))
-    assert engine.stm == {pattern("A", "B"): (1, 2), pattern("C", "D"): (2, 1)}
+    assert engine.state.stm == {pattern("A", "B"): (1, 2), pattern("C", "D"): (2, 1)}
     engine.ingest(txn([]))
-    assert engine.stm == {} and engine._dark == {"A", "B", "C", "D"}
+    assert engine.state.stm == {} and engine._dark == {"A", "B", "C", "D"}
     assert not engine.state.ltm and pattern_lines(engine) == []
 
 
@@ -99,7 +98,34 @@ def test_a_step_updates_the_stm_in_place():
     engine.ingest(txn(["X", "Y"]))  # a new pattern beside it
     engine.ingest(txn([]))  # nothing moves
     assert engine.stm is stm
-    assert stm == {abc: (2, 4), pattern("X", "Y"): (4, 2)}
+    assert engine.state.stm == {abc: (2, 4), pattern("X", "Y"): (4, 2)}
+
+
+class CountingDict(dict):
+    """A dict that counts the writes to keys it already holds."""
+
+    rewrites = 0
+
+    def __setitem__(self, key, value):
+        self.rewrites += key in self
+        super().__setitem__(key, value)
+
+
+def test_a_step_writes_only_the_stm_births_and_lapses():
+    # The stream of test_stm_absence_resets_survival: a promotion, a lapse
+    # and a reopening, with A|B surviving over several steps in between.
+    params = EngineParams(beta_w=0.5, beta_a=0.0, epsilon=0.01, theta_w=0.4, promote_after=2)
+    engine = Engine(params)
+    engine.stm = stm = CountingDict()
+    for items in (["A", "B"], ["A", "B"], ["C"], ["A", "B"], ["A", "B"], ["A", "B"]):
+        engine.ingest(txn(items))
+    assert pattern_lines(engine) == [
+        "2 pattern-promoted A|B",
+        "3 pattern-closed A|B",
+        "5 pattern-reopened A|B",
+    ]
+    assert engine.stm is stm and stm.rewrites == 0
+    assert stm == {pattern("A", "B"): 4}
 
 
 def test_ltm_new_record_then_close_then_reopen():

@@ -175,10 +175,7 @@ def test_bridge_decaying_below_theta_w_splits_the_signature():
     assert step_patterns(engine, ["A", "B"]) == {("A", "B"), ("C", "D")}
     assert engine.mmap.get_weight("B", "C") < 0.46
     # Both pieces are new signatures: each starts a run at this step.
-    assert {sig: first for sig, (first, _) in engine.stm.items()} == {
-        ("A", "B"): engine.step,
-        ("C", "D"): engine.step,
-    }
+    assert engine.stm == {("A", "B"): engine.step, ("C", "D"): engine.step}
 
 
 def test_one_pair_joins_two_components():
@@ -187,9 +184,7 @@ def test_one_pair_joins_two_components():
     step_patterns(engine, ["X", "C"])
     assert step_patterns(engine, ["C", "D"]) == {("A", "B"), ("C", "D", "X")}
     assert step_patterns(engine, ["B", "C"]) == {("A", "B", "C", "D", "X")}
-    assert {sig: first for sig, (first, _) in engine.stm.items()} == {
-        ("A", "B", "C", "D", "X"): engine.step
-    }
+    assert engine.stm == {("A", "B", "C", "D", "X"): engine.step}
 
 
 def test_edge_leaves_below_theta_a_and_returns_when_its_end_is_touched():
@@ -237,7 +232,7 @@ def test_a_dark_cell_splits_off_the_rest_of_its_path():
     # B goes dark: A is a singleton, and C-D is all that is kept.
     assert step_patterns(engine, ["D"]) == {("C", "D")}
     assert engine._dark == {"B"}
-    assert {sig: first for sig, (first, _) in engine.stm.items()} == {("C", "D"): engine.step}
+    assert engine.stm == {("C", "D"): engine.step}
 
 
 def test_a_pair_born_heavy_between_dark_cells_joins_once_both_are_lit():

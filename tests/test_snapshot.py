@@ -281,6 +281,9 @@ def snapshot_with(*records):
         ("stm a|a 1 1", "not two or more increasing labels"),
         ("ltm x 1 open 1", "not two or more increasing labels"),
         ("ltm y|x 1 open 1", "not two or more increasing labels"),
+        # Each label of a signature is a valid label: neither empty nor blank.
+        ("ltm |a|b 1 open 1", "non-empty single-line"),
+        ('ltm " |c" 1 1 1', "non-empty single-line"),
         ("stm x|y 1 1", "no cell 'x'"),
         ("stm a|b|z 1 1", "no cell 'z'"),
         ("edge a z 0.5 2", "dangling edge endpoint 'z'"),
