@@ -87,6 +87,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             engine.register_query(a, b, args.horizon)
     except ValueError as exc:
         return _usage_error(exc)
+    # Each traced pair is quoted once, while all are registered.
+    names = {pair: f"{_quote(pair[0])} {_quote(pair[1])}" for _, _, pair in engine.queries}
     if not _consume_input(args, engine.ingest):
         return 1
 
@@ -95,17 +97,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.events:
             path = args.events
             with open(path, "w", encoding="utf-8", newline="\n") as out:
-                out.writelines(line + "\n" for line in engine.event_lines)
+                # In blocks: one string of the whole log would be a file-sized transient.
+                for i in range(0, len(engine.event_lines), 1024):
+                    out.write("\n".join(engine.event_lines[i : i + 1024]) + "\n")
         if args.snapshot:
             path = args.snapshot
             save_snapshot(engine.state, path)
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
-    for step, (a, b), text in engine.emissions:
-        print(f"{step} trace {_quote(a)} {_quote(b)} {text}")
+    lines = (f"{step} trace {names[pair]} {text}\n" for step, pair, text in engine.emissions)
+    print("".join(lines), end="")
     if not args.snapshot:
-        sys.stdout.write(render_snapshot(engine.state))
+        print(render_snapshot(engine.state), end="")
     return 0
 
 
@@ -250,9 +254,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def guard_stdout(call: Callable[[], Optional[int]]) -> int:
     """Run `call` and flush stdout; return its exit code (0 for None), or 1
-    with nothing on stderr if stdout's reader has gone (`| head`)."""
+    with nothing on stderr if stdout's reader has gone (`| head`) or was never
+    there (`>&-`: `sys.stdout` is None, and `print` writes nothing)."""
     try:
         code = call()
+        if sys.stdout is None:
+            return code or 1
         sys.stdout.flush()
     except BrokenPipeError:
         # Keep the flush at exit from failing too.

@@ -12,6 +12,7 @@ by step files each record at the first step it reads below the floor.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations
 from math import log
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -137,6 +138,8 @@ def prune_forgotten(
     if not edges and not cells:
         return [], []
     table, degree = mmap.edges, mmap.degree
+    if degree is None:  # the map's first forgetting: count each cell's edges once
+        degree = mmap.degree = Counter(chain.from_iterable(table))
     dead_edges = sorted(edges)
     for pair in dead_edges:
         del table[pair]
@@ -227,7 +230,8 @@ def ingest_transaction(
             reinforced.append(pair)
         w0 = initial_weight(len(labels))
         edges.update(dict.fromkeys(created, (w0, step)))
-        mmap.degree.update(chain.from_iterable(created))
+        if mmap.degree is not None:  # counted at the first step with something to forget
+            mmap.degree.update(chain.from_iterable(created))
         if w0 < eps:
             low_edges = created
         elif log_w and created:  # all born at w0, so all due together

@@ -15,8 +15,6 @@ for a snapshot).
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Pair = Tuple[str, str]
@@ -76,9 +74,9 @@ class MindMap:
     map was built at) if later, and `weight_of` / `activation_of` read it at
     `step`, times `keep_w` / `keep_a` (1 - beta, set by each step with its
     log, `log_w` / `log_a`) per step since. `wheel` maps a step to the (edge
-    pair or cell label, step filed from) entries due then. Edges change only
-    through the constructor or the step, which keep `degree`: an edge
-    written into `edges` directly leaves it stale."""
+    pair or cell label, step filed from) entries due then. `degree` (edges
+    per cell) is None until a step with something to forget counts it from
+    `edges`; steps keep it after that, and a direct edge write makes it stale."""
 
     def __init__(
         self, cells: Optional[Dict[str, Cell]] = None, edges: Optional[Dict[Pair, Edge]] = None,
@@ -90,8 +88,7 @@ class MindMap:
         self.keep_w = self.keep_a = 1.0
         self.log_w = self.log_a = 0.0
         self.wheel: Dict[int, List[Tuple]] = {}
-        # Edges per cell, with no entry for a cell that has none.
-        self.degree = Counter(chain.from_iterable(self.edges))
+        self.degree: Optional[Dict[str, int]] = None  # a Counter: no entry for a cell with none
 
     def weight_of(self, edge: Edge) -> float:
         w, stamp = edge

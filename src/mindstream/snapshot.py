@@ -19,6 +19,7 @@ Labels containing whitespace (or starting with a quote) are quoted with
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Dict, List, Optional
 
 from .memory import Record, Run, Signature
@@ -126,11 +127,15 @@ def render_snapshot(state: EngineState) -> str:
             a = mmap.activation_of(cell)
         quoted[label] = q = _quote(label)
         lines.append(f"cell {q} {_fmt_num(a)} {born} {stamp}")
+    tails: Dict[int, tuple] = {}  # stamp -> (last record, its tail); new edges share one
     for pair in sorted(edges):
-        w, stamp = edge = edges[pair]
-        if not stored_w:
-            w = mmap.weight_of(edge)
-        lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {stamp}")
+        edge = edges[pair]
+        last, tail = tails.get(edge[1], (None, ""))
+        if last is not edge:
+            w = edge[0] if stored_w else mmap.weight_of(edge)
+            tail = f"{_fmt_num(w)} {edge[1]}"
+            tails[edge[1]] = (edge, tail)
+        lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {tail}")
     for sig in sorted(state.stm):
         first, run = state.stm[sig]
         lines.append(f"stm {_fmt_signature(sig)} {first} {run}")
@@ -243,12 +248,11 @@ def parse_snapshot(text: str) -> EngineState:
         # Each range error begins with the name of its field; so does the
         # cross-field `epsilon must be < theta_w`, which names epsilon's line.
         raise SnapshotError(str(exc), param_lines.get(str(exc).split()[0])) from None
-    mmap = MindMap(cells, edges, step)
-    # The one check that needs the finished map: every edge endpoint has a cell.
-    stray = mmap.degree.keys() - cells.keys()
+    # The one check that needs every record: each edge endpoint has a cell.
+    stray = set(chain.from_iterable(edges)) - cells.keys()
     if stray:
         raise SnapshotError(f"dangling edge endpoint {min(stray)!r}")
-    return EngineState(mmap, engine_params, stm, ltm)
+    return EngineState(MindMap(cells, edges, step), engine_params, stm, ltm)
 
 
 def save_snapshot(state: EngineState, path: str) -> None:

@@ -1,14 +1,20 @@
-"""Test-only reference: the three-pass snapshot load.
+"""Test-only reference: the three-pass snapshot load, and the render that
+formats every edge on its own.
 
 This is the `parse_snapshot` that `mindstream.snapshot` replaced with a
 one-pass parser, the whole-map `check_invariants` it ended with, and the
 character loop `parse_signature` that a regex split replaced. The
-parser built every record unchecked, let `MindMap` count degrees, then
-walked the finished map once more to validate it. The differential test
+parser built every record unchecked, then walked the finished map once
+more to validate it. The differential test
 feeds both parsers the same mutated snapshots and requires the same
 accept/reject result and, on accept, the same re-rendered bytes.
 `check_invariants` also serves the property tests as the one whole-map
 check of a map the step has built.
+
+`render_snapshot` is the render whose edge loop reads and formats the
+weight and stamp of each edge, where `mindstream.snapshot` formats each
+distinct record once for all the edges that share it; the two must write
+the same bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +34,11 @@ from mindstream.snapshot import (
     HEADER,
     EngineState,
     SnapshotError,
+    _fmt_num,
+    _fmt_signature,
+    _quote,
     _tokenize,
+    ltm_rows,
 )
 
 
@@ -161,3 +171,31 @@ def parse_snapshot(text: str) -> EngineState:
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None
     return EngineState(mmap, params, stm, ltm)
+
+
+def render_snapshot(state: EngineState) -> str:
+    lines = [HEADER, f"step {state.mmap.step}"]
+    for name, kind in PARAM_TYPES.items():
+        value = getattr(state.params, name)
+        lines.append(f"param {name} {value if kind is int else _fmt_num(value)}")
+    # Values are written as of `step`; a map that does not decay stores them so.
+    mmap = state.mmap
+    cells, edges, stored_a, stored_w = mmap.cells, mmap.edges, mmap.keep_a == 1, mmap.keep_w == 1
+    quoted: Dict[str, str] = {}  # each label quoted once, for its edges too
+    for label in sorted(cells):
+        a, born, stamp = cell = cells[label]
+        if not stored_a:
+            a = mmap.activation_of(cell)
+        quoted[label] = q = _quote(label)
+        lines.append(f"cell {q} {_fmt_num(a)} {born} {stamp}")
+    for pair in sorted(edges):
+        w, stamp = edge = edges[pair]
+        if not stored_w:
+            w = mmap.weight_of(edge)
+        lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {_fmt_num(w)} {stamp}")
+    for sig in sorted(state.stm):
+        first, run = state.stm[sig]
+        lines.append(f"stm {_fmt_signature(sig)} {first} {run}")
+    for appeared, sig, gone, recurrence in ltm_rows(state.ltm):
+        lines.append(f"ltm {_fmt_signature(sig)} {appeared} {gone} {recurrence}")
+    return "\n".join(lines) + "\n"

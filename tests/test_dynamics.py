@@ -271,6 +271,22 @@ def test_edge_given_to_the_constructor_pins_its_cells():
     check_invariants(m)
 
 
+def test_the_edge_count_waits_for_the_first_step_that_forgets():
+    # Only forgetting reads `degree`: a stream that never reaches the floor
+    # never counts it, and the first step with something to forget counts it
+    # once from the edges it holds, its own new ones included.
+    m = MindMap()
+    for t in random_transactions(random.Random(3), "abcdefgh", 60, max_size=6):
+        m, events = ingest_transaction(m, t, NO_DECAY)
+        assert m.degree is None and not events.edges_forgotten
+    forgets = EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.3, theta_w=0.5)
+    m, events = ingest_transaction(m, txn(["a", "p", "q", "r"]), forgets)  # born at 1/4
+    assert events.edges_forgotten == sorted(combinations("apqr", 2))
+    assert m.degree == Counter(label for pair in m.edges for label in pair)
+    assert "p" not in m.degree and m.degree["a"] == 7  # a's edges to b-h stay
+    check_invariants(m)
+
+
 def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():
     params = EngineParams(beta_w=0.9, beta_a=0.0, epsilon=0.1, theta_w=0.5, promote_after=1)
     engine = Engine(params)

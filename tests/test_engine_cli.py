@@ -146,6 +146,33 @@ def test_closed_stdin_is_an_input_error(argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: -: "), err
 
 
+@pytest.mark.parametrize("command", ["run", "run-to-stdout", "query", "trace"])
+def test_a_closed_stdout_is_a_reader_that_has_gone(tmp_path, stream_file, command):
+    """With fd 1 closed, Python sets `sys.stdout` to None: the command writes
+    its files, prints nothing, and exits 1 with nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(mindstream.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = ["run", "--input", stream_file, "--trace", "B", "C", "--horizon", 3]
+    expected = [tmp_path / "given.snap", tmp_path / "given.log"]
+    assert run_cli(*run, "--snapshot", expected[0], "--events", expected[1]) == 0
+    snap, events = tmp_path / "out.snap", tmp_path / "out.log"
+    argv = {
+        "run": run + ["--snapshot", snap, "--events", events],
+        "run-to-stdout": run,
+        "query": ["query", "--snapshot", expected[0], "patterns"],
+        "trace": ["trace", "--input", stream_file, "B", "C"],
+    }[command]
+    script = 'exec "$0" -m mindstream.cli "$@" >&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable, *map(str, argv)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr.decode()) == (1, "")
+    if command == "run":
+        assert snap.read_bytes() == expected[0].read_bytes()
+        assert events.read_bytes() == expected[1].read_bytes()
+
+
 def run_with_closed_stdout(argv, unbuffered):
     """Run `argv` in a subprocess whose stdout's reader is gone before the
     first write; check that it exits 1 with no traceback on stderr."""

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 from typing import List
 
 import pytest
@@ -19,9 +20,16 @@ from mindstream.snapshot import (
     save_snapshot,
 )
 
-from helpers import random_engine_state, random_transactions, replay, worked_example_transactions
+from helpers import (
+    random_engine_state,
+    random_transactions,
+    replay,
+    txn,
+    worked_example_transactions,
+)
 from reference_snapshot import parse_signature as reference_parse_signature
 from reference_snapshot import parse_snapshot as reference_parse_snapshot
+from reference_snapshot import render_snapshot as reference_render_snapshot
 
 
 def state_of(mmap, params=EngineParams(), stm=None, ltm=None):
@@ -323,6 +331,20 @@ def test_bad_records_are_rejected(record, error):
         assert re.fullmatch(f"line {lineno}: {error}", str(caught.value))
 
 
+def test_a_loaded_map_counts_no_degree_and_a_stray_endpoint_is_named():
+    # Neither the constructor nor the parser counts edges per cell: only
+    # forgetting reads that count. The endpoint check is a set difference,
+    # which names the smallest stray label of all.
+    cells = {"a": (0.5, 1, 2), "b": (0.5, 1, 2)}
+    assert MindMap(cells, {("a", "b"): (0.5, 2)}, 2).degree is None
+    state = parse_snapshot("\n".join(snapshot_with("edge a b 0.5 2")) + "\n")
+    assert state.mmap.degree is None and state.mmap.edges == {("a", "b"): (0.5, 2)}
+    strays = ["edge b z 0.5 2", "edge x y 0.5 2", "edge a m 0.5 1", "edge b y 0.5 2"]
+    with pytest.raises(SnapshotError, match="^dangling edge endpoint 'm'$") as caught:
+        parse_snapshot("\n".join(snapshot_with(*strays)) + "\n")
+    assert caught.value.lineno is None
+
+
 def test_edge_key_is_canonicalized():
     state = parse_snapshot("\n".join(snapshot_with("edge b a 0.25 2")) + "\n")
     assert list(state.mmap.edges) == [("a", "b")]
@@ -421,3 +443,51 @@ def test_parser_matches_reference(text):
         assert type(new) is type(old)
         if isinstance(new, str):
             assert new == old
+
+
+# Labels that need quotes or escapes in a snapshot, beside plain ones.
+RENDER_LABELS = ["a", "b", "c", "a b", "x|y", '"q']
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(RENDER_LABELS), max_size=6), max_size=30),
+    st.booleans(),
+)
+def test_render_matches_reference_on_engine_and_parsed_states(stream, decay):
+    """An engine's new edges share one record, which the render formats once
+    for all of them; a parsed snapshot holds a record per edge. Both render
+    to the bytes of the reference, which formats every edge on its own."""
+    params = EngineParams() if decay else EngineParams(beta_w=0.0, beta_a=0.0, epsilon=0.0)
+    state = replay(map(txn, stream), params).state
+    text = render_snapshot(state)
+    assert text == reference_render_snapshot(state)
+    parsed = parse_snapshot(text)
+    assert render_snapshot(parsed) == reference_render_snapshot(parsed) == text
+
+
+@st.composite
+def built_maps(draw):
+    """A map built through the constructor, with int and float values (-0.0
+    too), quoted labels, and edges that share one record or hold their own,
+    equal or not; decay is read from origin 0 when `keep_w` is below 1."""
+    step = draw(st.integers(0, 5))
+    values, stamps = st.sampled_from([0, 1, 0.0, -0.0, 0.375, 1.0]), st.integers(0, step)
+    labels = sorted(draw(st.sets(st.sampled_from(RENDER_LABELS))))
+    cells = {label: (draw(values), 0, draw(stamps)) for label in labels}
+    shared, edges = (draw(values), draw(stamps)), {}
+    for pair in combinations(labels, 2):
+        kind = draw(st.sampled_from(["none", "shared", "own"]))
+        if kind != "none":
+            edges[pair] = shared if kind == "shared" else (draw(values), draw(stamps))
+    mmap = MindMap(cells, edges)
+    mmap.step = step
+    mmap.keep_w, mmap.keep_a = draw(st.sampled_from([1.0, 0.75])), draw(st.sampled_from([1, 0.5]))
+    return mmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_maps())
+def test_render_matches_reference_on_built_maps(mmap):
+    state = state_of(mmap)
+    assert render_snapshot(state) == reference_render_snapshot(state)
