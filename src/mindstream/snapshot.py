@@ -127,21 +127,25 @@ def render_snapshot(state: EngineState) -> str:
             a = mmap.activation_of(cell)
         quoted[label] = q = _quote(label)
         lines.append(f"cell {q} {_fmt_num(a)} {born} {stamp}")
+    later = {label: [] for label in quoted}  # label -> the later ends of its edges
+    for a, b in edges:
+        later[a].append(b)
     tails: Dict[int, tuple] = {}  # stamp -> (last record, its tail); new edges share one
-    for pair in sorted(edges):
-        edge = edges[pair]
-        last, tail = tails.get(edge[1], (None, ""))
-        if last is not edge:
-            w = edge[0] if stored_w else mmap.weight_of(edge)
-            tail = f"{_fmt_num(w)} {edge[1]}"
-            tails[edge[1]] = (edge, tail)
-        lines.append(f"edge {quoted[pair[0]]} {quoted[pair[1]]} {tail}")
+    for a, ends in later.items():  # cells sorted, then each one's later ends: (a, b) order
+        for b in sorted(ends):
+            edge = edges[a, b]
+            last, tail = tails.get(edge[1], (None, ""))
+            if last is not edge:
+                w = edge[0] if stored_w else mmap.weight_of(edge)
+                tail = f"{_fmt_num(w)} {edge[1]}"
+                tails[edge[1]] = (edge, tail)
+            lines.append(f"edge {quoted[a]} {quoted[b]} {tail}")
     for sig in sorted(state.stm):
         first, run = state.stm[sig]
         lines.append(f"stm {_fmt_signature(sig)} {first} {run}")
     for appeared, sig, gone, recurrence in ltm_rows(state.ltm):
         lines.append(f"ltm {_fmt_signature(sig)} {appeared} {gone} {recurrence}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])  # the last "\n" without a second copy of the text
 
 
 def parse_snapshot(text: str) -> EngineState:

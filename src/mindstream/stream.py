@@ -25,8 +25,8 @@ class ParseError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
-def _parse(line: str, lineno: int, known: Optional[str]) -> Tuple[str, int, str]:
-    """The (date, ref, name) of a line; a date equal to `known` is not checked."""
+def _parse(line: str, fields: list, lineno: int, known: Optional[str]) -> Tuple[str, int, str]:
+    """The (date, ref, name) of a line split at ";"; a date equal to `known` is not checked."""
     # The CLI decodes input with errors="surrogateescape", so a byte that is
     # not UTF-8 arrives as a lone surrogate, which cannot be encoded back.
     if not line.isascii():
@@ -34,7 +34,6 @@ def _parse(line: str, lineno: int, known: Optional[str]) -> Tuple[str, int, str]
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError("invalid UTF-8", lineno) from None
-    fields = line.split(";")
     if len(fields) != 3:
         raise ParseError(f"expected 3 fields, got {len(fields)}", lineno)
     date_s, ref_s, name = map(str.strip, fields)
@@ -60,16 +59,22 @@ def _parse(line: str, lineno: int, known: Optional[str]) -> Tuple[str, int, str]
 
 
 def _records(lines: Iterable[str], on_error: str) -> Iterator[Tuple[str, int, str]]:
-    # A record carries its TID's date, so most repeat the last valid record's.
+    # A record carries its TID's date, so most repeat the last valid record's. Such an ASCII line,
+    # with a short digit ref (int() refuses thousands) and a trimmed name, skips `_parse`.
     if on_error not in ("stop", "skip"):
         raise ValueError(f"on_error must be stop or skip, got {on_error!r}")
     known = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
+        if len(fields := line.split(";")) == 3 and fields[0] == known and line.isascii():
+            _, ref, name = fields
+            if ref.isdigit() and len(ref) < 20 and name == name.strip() != "" and "\n" not in name:
+                yield known, int(ref), name
+                continue
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
-            record = _parse(line, lineno, known)
+            record = _parse(line, fields, lineno, known)
         except ParseError as exc:
             if on_error == "stop":
                 raise

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import os
 import random
 import shlex
@@ -105,6 +106,31 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
     snap_good = tmp_path / "good.snap"
     assert run_cli("run", "--input", bad_file, "--on-parse-error", "skip",
                    "--snapshot", snap_skip) == 0
+    assert run_cli("run", "--input", good_file, "--snapshot", snap_good) == 0
+    assert snap_skip.read_bytes() == snap_good.read_bytes()
+
+
+# A record whose ref is too long for int() to read, after one whose date it repeats.
+LONG_REF = "1" * 5000
+LONG_REF_STREAM = f"2020-01-01;1;A\n2020-01-01;{LONG_REF};B\n2020-01-02;2;C\n2020-01-02;2;D\n"
+
+
+def test_a_ref_too_long_for_int_is_a_parse_error(tmp_path, capsys, caplog):
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_text(LONG_REF_STREAM, encoding="utf-8")
+    good_file = tmp_path / "good.txt"
+    good_file.write_text(LONG_REF_STREAM.replace(f"2020-01-01;{LONG_REF};B\n", ""), encoding="utf-8")
+    message = f"line 2: bad reference number '{LONG_REF}'"
+
+    assert run_cli("run", "--input", bad_file) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    snap_skip = tmp_path / "skip.snap"
+    snap_good = tmp_path / "good.snap"
+    with caplog.at_level(logging.WARNING, logger="mindstream.stream"):
+        assert run_cli("run", "--input", bad_file, "--on-parse-error", "skip",
+                       "--snapshot", snap_skip) == 0
+    assert caplog.messages == [f"skipping bad record: {message}"]
     assert run_cli("run", "--input", good_file, "--snapshot", snap_good) == 0
     assert snap_skip.read_bytes() == snap_good.read_bytes()
 

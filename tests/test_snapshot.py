@@ -445,8 +445,11 @@ def test_parser_matches_reference(text):
             assert new == old
 
 
-# Labels that need quotes or escapes in a snapshot, beside plain ones.
-RENDER_LABELS = ["a", "b", "c", "a b", "x|y", '"q']
+# Labels that need quotes or escapes in a snapshot, beside plain ones, and
+# labels whose pairs sort otherwise than their edge lines' text: ("a", "c")
+# comes before ("a b", "c") and ("a\x01", "b"), though `edge "a b" c` and
+# `edge a\x01 b` sort before `edge a c`. "Z" sorts before "a", "é" last.
+RENDER_LABELS = ["a", "b", "c", "a b", "x|y", '"q', "ab", "a\x01", "Z", "é"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,6 +467,20 @@ def test_render_matches_reference_on_engine_and_parsed_states(stream, decay):
     assert text == reference_render_snapshot(state)
     parsed = parse_snapshot(text)
     assert render_snapshot(parsed) == reference_render_snapshot(parsed) == text
+
+
+def test_render_writes_edges_in_label_pair_order():
+    labels = ["a", "ab", "a\x01", "Z", "é", "a b"]
+    cells = {label: (1.0, 0, 0) for label in labels}
+    # Inserted last pair first, so that the map's own order is not the render's.
+    pairs = reversed(list(combinations(sorted(labels), 2)))
+    mmap = MindMap(cells, {pair: (0.5, 0) for pair in pairs})
+    state = state_of(mmap)
+    text = render_snapshot(state)
+    edge_lines = [line for line in text.splitlines() if line.startswith("edge ")]
+    pairs = [tuple(_tokenize(line, 0)[1:3]) for line in edge_lines]
+    assert pairs == sorted(mmap.edges) and edge_lines != sorted(edge_lines)
+    assert text == reference_render_snapshot(state) == render_snapshot(parse_snapshot(text))
 
 
 @st.composite

@@ -1,11 +1,14 @@
+import logging
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mindstream.model import Transaction
 from mindstream.stream import ParseError, read_transactions
+
+from reference_stream import read_transactions as reference_read_transactions
 
 names = st.text(
     alphabet=st.characters(blacklist_characters=";\n\r", blacklist_categories=("Cs",)),
@@ -240,3 +243,64 @@ def test_a_parsed_transaction_equals_a_checked_one():
 def test_unknown_on_error_is_a_value_error():
     with pytest.raises(ValueError, match="on_error must be stop or skip"):
         list(read_transactions(["2004-03-01;1;A\n"], on_error="bogus"))
+
+
+# Fields that the reader's common-record path must accept or pass on exactly
+# as `_parse` does: repeated and padded dates, refs that int() reads but the
+# format rejects or cannot read (int() refuses a ref of thousands of digits),
+# names that need trimming or are blank, a lone surrogate (what a non-UTF-8
+# byte decodes to) and a name that holds a line break.
+DATES = ["2004-03-01"] * 4 + ["2004-03-02", " 2004-03-01", "2004-03-01 ", "2004-13-01"]
+LONG_REF = "1" * 5000
+REFS = ["1", "1", "2", "007", "+1", "1_0", " 7", "7 ", "\u0661", "-1", ""]
+REFS += ["9" * 19, "9" * 20, LONG_REF]
+NAMES = ["A", "B", "A", " A ", "A ", "   ", "", "é", "a\udcffb", "a\nb", "a b", "\x1c"]
+record_lines = st.builds(
+    "{}{};{};{}{}{}".format,
+    st.sampled_from(["", "", " "]),
+    st.sampled_from(DATES),
+    st.sampled_from(REFS),
+    st.sampled_from(NAMES),
+    st.sampled_from(["", "", "", ";x"]),
+    st.sampled_from(["\n", "\n", "\r\n", ""]),
+)
+other_lines = st.sampled_from(["# c\n", "  # c;1;A\r\n", "\n", "  \n", "\r\n"])
+
+
+class _Skipped(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(read, lines, on_error, logger_name):
+    """The transactions, or the ParseError's text and line; and the skipped lines."""
+    handler, logger = _Skipped(), logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return list(read(lines, on_error)), handler.messages
+    except ParseError as exc:
+        return (str(exc), exc.lineno), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.one_of(record_lines, record_lines, other_lines), max_size=20))
+@example(["2004-03-01;1;A\n", "2004-03-01;1;a\nb\n", "2004-03-01;1;B\n"])
+@example(["2004-03-01;1;A\n", "2004-03-01; 7;A\n", "2004-03-01;1; B \r\n", "2004-03-01;1;   \n"])
+@example(["2004-03-01;1;A\n", "2004-03-01;1;\n", "2004-03-01;;A\n", "2004-03-01 ;1;A\n"])
+@example(["2004-03-01;1;A\n", "2004-03-01;+1;A\n", "2004-03-01;1_0;A\n", "2004-03-01;\u0661;A\n"])
+@example(["2004-03-01;1;A\n", "2004-03-01;007;A\n", "2004-03-01;1;A;x\n", "2004-03-01;1;\udcff\n"])
+@example(["2004-03-01;1;A\n", f"2004-03-01;{LONG_REF};A\n", "2004-03-01;2;B\n"])
+@example(["2004-03-01;1;A\n", f"2004-03-01;{'9' * 19};A\n", f"2004-03-01;{'9' * 20};A\n"])
+def test_records_match_the_reference_reader(lines):
+    """The common-record path reads what `_parse` would: the same transactions,
+    or the same error at the same line, and under skip the same lines skipped."""
+    for on_error in ("stop", "skip"):
+        assert _outcome(read_transactions, lines, on_error, "mindstream.stream") == _outcome(
+            reference_read_transactions, lines, on_error, "reference_stream"
+        )
