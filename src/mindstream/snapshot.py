@@ -156,6 +156,9 @@ def parse_snapshot(text: str) -> EngineState:
     if not lines or lines[0] != HEADER:
         if lines and lines[0].endswith("\r"):
             raise SnapshotError("the file has CRLF line endings; snapshots use LF", 1)
+        if lines and lines[0].startswith("\ufeff"):
+            bom = "the file starts with a UTF-8 byte-order mark; snapshots have none"
+            raise SnapshotError(bom, 1)
         raise SnapshotError("missing header", 1)
     if len(lines) < 2 or not lines[1].startswith("step "):
         raise SnapshotError("missing step line", 2)
@@ -174,14 +177,15 @@ def parse_snapshot(text: str) -> EngineState:
     stm_lines: Dict[Signature, int] = {}
     param_lines: Dict[str, int] = {}
 
+    # Without a `"` anywhere, every line's tokens are its str.split(), as
+    # `_tokenize` finds; such a token is also a valid label, since str.strip
+    # removes only what str.split breaks on and no token holds the "\n".
+    plain = '"' not in text
     for lineno, line in enumerate(lines[2:], start=3):
-        tokens = _tokenize(line, lineno)
-        if not tokens:
-            raise SnapshotError("blank line", lineno)
-        kind, arity = tokens[0], len(tokens) - 1
+        tokens = line.split() if plain else _tokenize(line, lineno)
         try:
             # Edges are most of a snapshot's lines, so they are tested first.
-            if kind == "edge" and arity == 4:
+            if len(tokens) == 5 and tokens[0] == "edge":
                 _, a, b, weight, stamp = tokens
                 if a < b:
                     key = (a, b)
@@ -194,9 +198,15 @@ def parse_snapshot(text: str) -> EngineState:
                     raise ValueError(f"weight out of range on {key}")
                 if not 0 <= stamp <= step:
                     raise ValueError(f"last_reinforced_at outside [0, step] on {key}")
-                table, value = edges, (weight, stamp)
-            elif kind == "cell" and arity == 4:
-                key = validate_label(tokens[1])
+                value = (weight, stamp)
+                if edges.setdefault(key, value) is not value:
+                    raise ValueError(f"duplicate edge {key!r}")
+                continue
+            if not tokens:
+                raise ValueError("blank line")
+            kind, arity = tokens[0], len(tokens) - 1
+            if kind == "cell" and arity == 4:
+                key = tokens[1] if plain else validate_label(tokens[1])
                 activation, created, last = float(tokens[2]), int(tokens[3]), int(tokens[4])
                 if not 0.0 <= activation <= 1.0:
                     raise ValueError(f"activation out of range on {key!r}")
@@ -230,11 +240,11 @@ def parse_snapshot(text: str) -> EngineState:
                 value = Record(appeared, gone, recurrence)
             else:
                 raise ValueError(f"malformed {kind!r} line")
+            if key in table:
+                raise ValueError(f"duplicate {kind} {key!r}")
+            table[key] = value
         except ValueError as exc:
             raise SnapshotError(str(exc), lineno) from None
-        if key in table:
-            raise SnapshotError(f"duplicate {kind} {key!r}", lineno)
-        table[key] = value
 
     # An STM signature is a component of the current skeleton, so each of
     # its labels has a cell; an LTM record outlives its cells.

@@ -660,6 +660,16 @@ def test_query_on_a_crlf_snapshot_names_the_line_endings(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {snap}: {expected}\n"
 
 
+def test_query_on_a_snapshot_with_a_byte_order_mark_names_it(tmp_path, capsys):
+    # Some editors save UTF-8 with a leading byte-order mark; it hides the header.
+    text = render_snapshot(replay(worked_example_transactions()).state)
+    snap = tmp_path / "s.snap"
+    snap.write_bytes(text.encode("utf-8-sig"))
+    assert run_cli("query", "--snapshot", snap, "weight", "A", "B") == 1
+    expected = "line 1: the file starts with a UTF-8 byte-order mark; snapshots have none"
+    assert capsys.readouterr().err == f"error: {snap}: {expected}\n"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -117,6 +117,13 @@ def test_load_errors():
     with pytest.raises(SnapshotError, match="missing step"):
         parse_snapshot("MINDMAP v1\n")
     good = render_snapshot(state_of(MindMap()))
+    # A header that is there but not read names the reason on line 1.
+    crlf = "the file has CRLF line endings; snapshots use LF"
+    with pytest.raises(SnapshotError, match=f"^line 1: {crlf}$"):
+        parse_snapshot(good.replace("\n", "\r\n"))
+    bom = "the file starts with a UTF-8 byte-order mark; snapshots have none"
+    with pytest.raises(SnapshotError, match=f"^line 1: {bom}$"):
+        parse_snapshot("\ufeff" + good)
     with pytest.raises(SnapshotError, match="line 11"):
         parse_snapshot(good + "cell onlytwo 0.5\n")
     with pytest.raises(SnapshotError, match="missing params"):
@@ -322,8 +329,14 @@ def test_bad_records_are_rejected(record, error):
     elif kind == "param" and name in PARAM_TYPES:
         lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"param {name} "))
         lines[lineno - 1] = lines.pop()
-    with pytest.raises(SnapshotError, match=error) as caught:
-        parse_snapshot("\n".join(lines) + "\n")
+    # A text with no `"` is split line by line, one with a quoted label is
+    # tokenized: both paths give the same error on the same line.
+    errors = []
+    for extra in [], ['cell "q r" 0.5 1 2']:
+        with pytest.raises(SnapshotError, match=error) as caught:
+            parse_snapshot("\n".join(lines + extra) + "\n")
+        errors.append((str(caught.value), caught.value.lineno))
+    assert errors[0] == errors[1]
     # Each record is checked on its own line. Only the endpoint check needs
     # the finished map, so its error names no line.
     assert caught.value.lineno == (None if record.startswith("edge a z") else lineno)
@@ -351,7 +364,7 @@ def test_edge_key_is_canonicalized():
     assert state.mmap.edges[("a", "b")][0] == 0.25
 
 
-# The differential fuzz starts from one small valid snapshot (a quoted label,
+# The differential fuzz starts from a small valid snapshot (a quoted label,
 # an open and a closed LTM record) and mutates it: it swaps tokens, inserts
 # lines, repeats, deletes and shuffles them.
 FUZZ_BASE = render_snapshot(
@@ -374,11 +387,15 @@ FUZZ_BASE = render_snapshot(
         ltm={("a", "b"): (4, None, 1), ("b", "c"): (1, 3, 2)},
     )
 ).splitlines()
+# The same state without "x y": a mutated text holds a `"` only where a swap
+# or an insert puts one, so most take the one-split path.
+FUZZ_PLAIN = [line for line in FUZZ_BASE if '"x y"' not in line]
+# Tokens with characters that str.split breaks on, beside the spaces of a line.
 FUZZ_TOKENS = [
     "a", "b", "z", '"x y"', '""', '" "', '"a', "a\\", "nan", "-0.0", "0", "1", "1.5",
     "-1", "2", "3", "4", "5", "0.5", "inf", "2.0", "open", "a|a", "b|a", "a|b", "a|b|c",
     "a|z", "a|x y", "a\\|b", "bogus", "promote_after", "eta", "edge", "cell", "param",
-    "stm", "ltm", "step",
+    "stm", "ltm", "step", "a\x0bb", "\x1c", "b\x85", "\u3000c", "x\ty",
 ]
 FUZZ_LINES = [
     "edge a a 0.5 2", "edge a z 0.5 1", "edge b a 0.25 1", "edge c b 0.75 4",
@@ -388,8 +405,8 @@ FUZZ_LINES = [
 
 
 @st.composite
-def mutated_snapshots(draw):
-    lines = list(FUZZ_BASE)
+def mutated_snapshots(draw, base):
+    lines = list(base)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["swap", "swap", "insert", "repeat", "delete", "shuffle"]))
         i = draw(st.integers(0, len(lines) - 1)) if lines else 0
@@ -421,13 +438,7 @@ def is_unknown_param(line):
     return len(tokens) == 3 and tokens[0] == "param" and tokens[1] not in PARAM_TYPES
 
 
-@settings(max_examples=1000, deadline=None)
-@given(mutated_snapshots())
-@example("\n".join(FUZZ_BASE + ["param promote_after 2"]) + "\n")
-@example("\n".join(FUZZ_BASE + ["edge a z 0.5 1"]) + "\n")
-@example("\n".join(FUZZ_BASE + ["edge b c 1.5 1"]) + "\n")
-@example("\n".join(FUZZ_BASE + ["param bogus 3"]) + "\n")
-def test_parser_matches_reference(text):
+def check_parser_matches_reference(text):
     """The one-pass parser accepts what the three-pass reference accepts,
     and renders it to the same bytes. The one difference: it rejects an
     unknown param name, which the reference loaded and dropped."""
@@ -443,6 +454,26 @@ def test_parser_matches_reference(text):
         assert type(new) is type(old)
         if isinstance(new, str):
             assert new == old
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_snapshots(FUZZ_BASE))
+@example("\n".join(FUZZ_BASE + ["param promote_after 2"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["edge a z 0.5 1"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["edge b c 1.5 1"]) + "\n")
+@example("\n".join(FUZZ_BASE + ["param bogus 3"]) + "\n")
+def test_parser_matches_reference(text):
+    check_parser_matches_reference(text)
+
+
+# The only `"` of a text may come on its last line: the whole text is then
+# tokenized, and a quoted token holds a space that str.split would break at.
+@settings(max_examples=1000, deadline=None)
+@given(mutated_snapshots(FUZZ_PLAIN))
+@example("\n".join(FUZZ_PLAIN[:-1] + ['ltm "a|x y" 4 open 1']) + "\n")
+def test_quote_free_parser_matches_reference(text):
+    assert '"' not in "".join(FUZZ_PLAIN)
+    check_parser_matches_reference(text)
 
 
 # Labels that need quotes or escapes in a snapshot, beside plain ones, and
