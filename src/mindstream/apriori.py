@@ -11,7 +11,7 @@ Levelwise candidate generation joins F_{k-1} with itself on the
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .model import Transaction, distinct_items
 
@@ -29,15 +29,6 @@ class StaticRule(NamedTuple):
     confidence: float
 
 
-def _txn_itemsets(txns: Iterable[Transaction]) -> List[frozenset]:
-    return [frozenset(t.items) for t in txns]
-
-
-def _support(itemset: Items, txn_sets: Sequence[frozenset]) -> int:
-    target = frozenset(itemset)
-    return sum(1 for t in txn_sets if target <= t)
-
-
 def candidate_join(frequent_prev: Sequence[Items]) -> List[Items]:
     """C_k from F_{k-1}, sorted: prefix join plus the subset prune."""
     prev = sorted(frequent_prev)
@@ -48,9 +39,7 @@ def candidate_join(frequent_prev: Sequence[Items]) -> List[Items]:
             if p[:-1] != q[:-1]:
                 break
             cand = p + (q[-1],)
-            if all(
-                tuple(sub) in prev_set for sub in combinations(cand, len(cand) - 1)
-            ):
+            if all(sub in prev_set for sub in combinations(cand, len(cand) - 1)):
                 candidates.append(cand)
     return candidates
 
@@ -62,14 +51,14 @@ def apriori_levels(
     ones with their supports in candidate order."""
     if minsup < 1:
         raise ValueError("minsup must be >= 1")
-    txn_sets = _txn_itemsets(txns)
+    txn_sets = [frozenset(t.items) for t in txns]
     item_counts = distinct_items(item for t in txn_sets for item in t)
 
     cands = [(item,) for item in sorted(item_counts)]
     fk = {c: item_counts[c[0]] for c in cands if item_counts[c[0]] >= minsup}
     levels = [(cands, fk)]
     while fk and (cands := candidate_join(list(fk))):
-        fk = {c: supp for c in cands if (supp := _support(c, txn_sets)) >= minsup}
+        fk = {c: n for c in cands if (n := sum(map(frozenset(c).issubset, txn_sets))) >= minsup}
         levels.append((cands, fk))
     return levels
 

@@ -198,7 +198,7 @@ def ingest_transaction(
             cells_created.append(label)
         else:
             a, born, stamp = cell
-            if keep_a != 1.0 and stamp < before:
+            if stamp < before:
                 a *= keep_a ** (before - (stamp if stamp > origin else origin))
         a_pre = a
         for _ in range(txn.items[label]):
@@ -223,7 +223,7 @@ def ingest_transaction(
                 created.append(pair)
                 continue
             w, stamp = edge
-            if keep_w != 1.0 and stamp < before:
+            if stamp < before:
                 w *= keep_w ** (before - (stamp if stamp > origin else origin))
             a_i, a_j = cells[pair[0]][0], cells[pair[1]][0]
             edges[pair] = (hebbian_update(w, a_i, a_j, eta), step)

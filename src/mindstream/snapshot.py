@@ -14,6 +14,7 @@ byte-identical):
 Labels containing whitespace (or starting with a quote) are quoted with
 `"` and backslash-escaped. Signatures pipe-join their labels, with `|` and
 `\\` escaped inside each label. Floats use shortest round-trip decimals.
+A number read back is ASCII and holds no `_` or `+`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,22 @@ class EngineState:
 
 def _fmt_num(x: float) -> str:
     return repr(float(x))
+
+
+def _strict(convert):
+    """`convert` (int or float), refusing a token that is not ASCII or holds
+    `_` or `+`: spellings that it reads but no render writes."""
+    def read(token: str):
+        if not token.isascii() or "_" in token or "+" in token:
+            raise ValueError(f"number {token!r} must be ASCII, without `_` or `+`")
+        return convert(token)
+    return read
+
+
+# How many `_` the param names hold. A text that parses has each param line
+# once, so one that is ASCII and holds no `+` and no further `_` has no
+# number token that `_strict` refuses: int() and float() alone read it.
+_PARAM_UNDERSCORES = sum(name.count("_") for name in PARAM_TYPES)
 
 
 def _quote(token: str, force: bool = False) -> str:
@@ -162,8 +179,11 @@ def parse_snapshot(text: str) -> EngineState:
         raise SnapshotError("missing header", 1)
     if len(lines) < 2 or not lines[1].startswith("step "):
         raise SnapshotError("missing step line", 2)
+    to_int, to_float = int, float  # each number token is checked only where one can fail
+    if not text.isascii() or "+" in text or "_" in text.split("_", _PARAM_UNDERSCORES)[-1]:
+        to_int, to_float = _strict(int), _strict(float)
     try:
-        step = int(lines[1][5:])
+        step = to_int(lines[1][5:])
     except ValueError:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
     if step < 0:
@@ -193,7 +213,7 @@ def parse_snapshot(text: str) -> EngineState:
                     key = (b, a)
                 else:
                     raise ValueError(f"self-pair ({a!r}, {a!r})")
-                weight, stamp = float(weight), int(stamp)
+                weight, stamp = to_float(weight), to_int(stamp)
                 if not 0.0 <= weight <= 1.0:
                     raise ValueError(f"weight out of range on {key}")
                 if not 0 <= stamp <= step:
@@ -207,7 +227,8 @@ def parse_snapshot(text: str) -> EngineState:
             kind, arity = tokens[0], len(tokens) - 1
             if kind == "cell" and arity == 4:
                 key = tokens[1] if plain else validate_label(tokens[1])
-                activation, created, last = float(tokens[2]), int(tokens[3]), int(tokens[4])
+                activation = to_float(tokens[2])
+                created, last = to_int(tokens[3]), to_int(tokens[4])
                 if not 0.0 <= activation <= 1.0:
                     raise ValueError(f"activation out of range on {key!r}")
                 if not 0 <= created <= last <= step:
@@ -219,21 +240,21 @@ def parse_snapshot(text: str) -> EngineState:
                 if convert is None:
                     raise ValueError(f"unknown param {key!r}")
                 try:
-                    value = convert(tokens[2])
+                    value = (to_int if convert is int else to_float)(tokens[2])
                 except ValueError as exc:
                     raise ValueError(f"param {key}: {exc}") from None
                 param_lines[key] = lineno
             elif kind == "stm" and arity == 3:
                 table, key = stm, _parse_signature(tokens[1])
-                first, run = int(tokens[2]), int(tokens[3])
+                first, run = to_int(tokens[2]), to_int(tokens[3])
                 if not (0 <= first <= step and run >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
                 value = (first, run)
                 stm_lines[key] = lineno
             elif kind == "ltm" and arity == 4:
                 table, key = ltm, _parse_signature(tokens[1])
-                gone = None if tokens[3] == "open" else int(tokens[3])
-                appeared, recurrence = int(tokens[2]), int(tokens[4])
+                gone = None if tokens[3] == "open" else to_int(tokens[3])
+                appeared, recurrence = to_int(tokens[2]), to_int(tokens[4])
                 last = step if gone is None else gone
                 if not (0 <= appeared <= last <= step and recurrence >= 1):
                     raise ValueError(f"ltm stamps out of range on {key!r}")

@@ -42,6 +42,16 @@ from mindstream.snapshot import (
 )
 
 
+def number(kind: type, token: str):
+    """`kind(token)` (int or float) for a token that is ASCII and holds no
+    `_` or `+`, spellings that int() and float() read and no render writes.
+    Every token is checked, where `mindstream.snapshot` checks them only in
+    a text that could hold one."""
+    if not token.isascii() or "_" in token or "+" in token:
+        raise ValueError(f"number {token!r} must be ASCII, without `_` or `+`")
+    return kind(token)
+
+
 def parse_signature(token: str) -> Signature:
     """The labels of a signature token, read one character at a time: a
     backslash takes the next character literally, a backslash that ends the
@@ -103,7 +113,7 @@ def parse_snapshot(text: str) -> EngineState:
     if len(lines) < 2 or not lines[1].startswith("step "):
         raise SnapshotError("missing step line", 2)
     try:
-        step = int(lines[1][5:])
+        step = number(int, lines[1][5:])
     except ValueError:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
 
@@ -124,20 +134,20 @@ def parse_snapshot(text: str) -> EngineState:
                 table, key, value = params_raw, args[0], args[1]
             elif kind == "cell" and len(args) == 4:
                 table, key = cells, args[0]
-                value = (float(args[1]), int(args[2]), int(args[3]))
+                value = (number(float, args[1]), number(int, args[2]), number(int, args[3]))
             elif kind == "edge" and len(args) == 4:
                 table, key = edges, canonical_pair(args[0], args[1])
-                value = (float(args[2]), int(args[3]))
+                value = (number(float, args[2]), number(int, args[3]))
             elif kind == "stm" and len(args) == 3:
                 table, key = stm, parse_signature(args[0])
-                value = (int(args[1]), int(args[2]))
+                value = (number(int, args[1]), number(int, args[2]))
                 if not (0 <= value[0] <= step and value[1] >= 1):
                     raise ValueError(f"stm stamps out of range on {key!r}")
                 stm_lines[key] = lineno
             elif kind == "ltm" and len(args) == 4:
                 table, key = ltm, parse_signature(args[0])
-                gone = None if args[2] == "open" else int(args[2])
-                value = (int(args[1]), gone, int(args[3]))
+                gone = None if args[2] == "open" else number(int, args[2])
+                value = (number(int, args[1]), gone, number(int, args[3]))
                 last = step if gone is None else gone
                 if not (0 <= value[0] <= last <= step and value[2] >= 1):
                     raise ValueError(f"ltm stamps out of range on {key!r}")
@@ -165,7 +175,7 @@ def parse_snapshot(text: str) -> EngineState:
     mmap = MindMap(cells, edges, step)
     try:
         params = EngineParams(
-            **{name: kind(params_raw[name]) for name, kind in PARAM_TYPES.items()}
+            **{name: number(kind, params_raw[name]) for name, kind in PARAM_TYPES.items()}
         )
         check_invariants(mmap)
     except ValueError as exc:

@@ -318,6 +318,21 @@ def snapshot_with(*records):
         # The cross-field check runs once all params are read; it names
         # epsilon's line.
         ("param epsilon 0.75", "epsilon must be < theta_w"),
+        # A number is ASCII and holds no `_` or `+`, though int() and float()
+        # read such spellings.
+        ("step 0_2", "bad step '0_2'"),
+        ("step +2", r"bad step '\+2'"),
+        ("step \u0662", "bad step"),
+        ("edge a b 0.5 +2", "number '\\+2' must be ASCII"),
+        ("edge a b 0.5 \u0662", "must be ASCII"),
+        ("edge a b 0.5_0 2", "number '0.5_0' must be ASCII"),
+        ("edge a b \u0660.\u0665 2", "must be ASCII"),
+        ("cell c 0.5 1 +2", "number '\\+2' must be ASCII"),
+        ("cell c 0.7_5 1 2", "number '0.7_5' must be ASCII"),
+        ("param promote_after +2", "param promote_after: number '\\+2' must be ASCII"),
+        ("param eta 0.5_0", "param eta: number '0.5_0' must be ASCII"),
+        ("stm a|b +2 1", "number '\\+2' must be ASCII"),
+        ("stm a|b 2 \u0661", "must be ASCII"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
@@ -342,6 +357,20 @@ def test_bad_records_are_rejected(record, error):
     assert caught.value.lineno == (None if record.startswith("edge a z") else lineno)
     if error.startswith(f"{name} must be "):
         assert re.fullmatch(f"line {lineno}: {error}", str(caught.value))
+
+
+def test_a_number_error_is_exact_in_a_text_with_every_param_line():
+    # The parse checks number tokens only in a text that could hold a bad
+    # one: not ASCII, a `+`, or a `_` past the five of the param names.
+    # Without `param beta_w`, the `_` of `0_2` is one of five, so int()
+    # reads it, and the missing param is the error.
+    lines = snapshot_with()
+    lines[1] = "step 0_2"
+    with pytest.raises(SnapshotError, match=r"^line 2: bad step '0_2'$"):
+        parse_snapshot("\n".join(lines) + "\n")
+    lines.remove(next(line for line in lines if line.startswith("param beta_w ")))
+    with pytest.raises(SnapshotError, match="^missing params: beta_w$"):
+        parse_snapshot("\n".join(lines) + "\n")
 
 
 def test_a_loaded_map_counts_no_degree_and_a_stray_endpoint_is_named():
@@ -395,7 +424,8 @@ FUZZ_TOKENS = [
     "a", "b", "z", '"x y"', '""', '" "', '"a', "a\\", "nan", "-0.0", "0", "1", "1.5",
     "-1", "2", "3", "4", "5", "0.5", "inf", "2.0", "open", "a|a", "b|a", "a|b", "a|b|c",
     "a|z", "a|x y", "a\\|b", "bogus", "promote_after", "eta", "edge", "cell", "param",
-    "stm", "ltm", "step", "a\x0bb", "\x1c", "b\x85", "\u3000c", "x\ty",
+    "stm", "ltm", "step", "a\x0bb", "\x1c", "b\x85", "\u3000c", "x\ty", "1_0", "+1", "\u0661",
+    "0.5_0",
 ]
 FUZZ_LINES = [
     "edge a a 0.5 2", "edge a z 0.5 1", "edge b a 0.25 1", "edge c b 0.75 4",
