@@ -55,11 +55,11 @@ def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
     return min(1.0, w + eta * a_i * a_j * (1.0 - w))
 
 
-def due_step(since: int, value: float, floor: float, keep: float, log_keep: float) -> int:
+def due_step(since: int, value: float, floor: float, keep: float) -> int:
     """The first step at which `value` >= `floor` > 0, held as of step
-    `since` and read as value * keep**n after n steps (keep < 1, log_keep =
-    log(keep)), is below `floor`: a log estimate, corrected by that read."""
-    n = int(log(floor / value) / log_keep) + 1
+    `since` and read as value * keep**n after n steps (keep < 1), is below
+    `floor`: a log estimate, corrected by that read."""
+    n = int(log(floor / value) / log(keep)) + 1
     while value * keep**n >= floor:
         n += 1
     while n > 1 and value * keep ** (n - 1) < floor:
@@ -69,11 +69,14 @@ def due_step(since: int, value: float, floor: float, keep: float, log_keep: floa
 
 def file_due(
     wheel: Dict[int, List[Tuple]], keys: Iterable, since: int,
-    value: float, floor: float, keep: float, log_keep: float,
+    value: float, floor: float, keep: float,
 ) -> None:
     """File a (key, since) entry for each of `keys`, whose records hold
-    `value` as of step `since`, at the step `due_step` gives."""
-    bucket = wheel.setdefault(due_step(since, value, floor, keep, log_keep), [])
+    `value` as of step `since`, at the step `due_step` gives; only records
+    that decay (keep < 1) from `value` to a floor above 0 are ever due."""
+    if keep == 1.0 or floor == 0.0 or value < floor:
+        return
+    bucket = wheel.setdefault(due_step(since, value, floor, keep), [])
     for key in keys:
         bucket.append((key, since))
 
@@ -89,7 +92,6 @@ def pop_due(
     is not read; one stamped since is read, and is filed again from its new
     stamp if it is not below. No entry is due after its record crosses."""
     step, keep_w, keep_a = mmap.step, mmap.keep_w, mmap.keep_a
-    log_w, log_a = mmap.log_w, mmap.log_a
     crossed_edges: List[Pair] = []
     crossed_cells: List[str] = []
     for key, since in wheel.pop(step, ()):
@@ -100,7 +102,7 @@ def pop_due(
             value, now = record
             crossed = crossed_edges
             if now > since:
-                floor, keep, log_keep = floor_w, keep_w, log_w
+                floor, keep = floor_w, keep_w
         else:
             record = mmap.cells.get(key)
             if record is None or record[1] > since:
@@ -108,11 +110,11 @@ def pop_due(
             value, _, now = record
             crossed = crossed_cells
             if now > since:
-                floor, keep, log_keep = floor_a, keep_a, log_a
+                floor, keep = floor_a, keep_a
         if now <= since or value * keep ** (step - now) < floor:  # unread if not stamped since
             crossed.append(key)
         else:
-            file_due(wheel, (key,), now, value, floor, keep, log_keep)
+            file_due(wheel, (key,), now, value, floor, keep)
     return crossed_edges, crossed_cells
 
 
@@ -171,18 +173,13 @@ def ingest_transaction(
     # First, so that a record stamped with the new step is one this step touched.
     mmap.step = step = mmap.step + 1
     mmap.keep_w, mmap.keep_a = keep_w, keep_a = 1.0 - params.beta_w, 1.0 - params.beta_a
-    mmap.log_w, mmap.log_a = log_w, log_a = log(keep_w), log(keep_a)  # 0.0 without decay
     cells, edges, eps, origin = mmap.cells, mmap.edges, params.epsilon, mmap.origin
     before, wheel = step - 1, mmap.wheel  # a read before decay is of the value at `before`
-    if eps == 0.0:  # nothing reads below a floor of 0, so nothing is filed
-        log_w = log_a = 0.0
     if before == origin:  # the first step on given values: file them as of `origin`
         for key, (w, _) in edges.items():
-            if log_w and w >= eps:
-                file_due(wheel, (key,), origin, w, eps, keep_w, log_w)
+            file_due(wheel, (key,), origin, w, eps, keep_w)
         for label, (a, _, _) in cells.items():
-            if log_a and a >= eps:
-                file_due(wheel, (label,), origin, a, eps, keep_a, log_a)
+            file_due(wheel, (label,), origin, a, eps, keep_a)
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
     # activation (a new cell's initial one), so each cell is written at once.
@@ -206,8 +203,8 @@ def ingest_transaction(
         cells[label] = (a, born, step)
         if a < eps:
             low_cells.append(label)
-        elif log_a and (a_pre < eps or born == step):
-            file_due(wheel, (label,), step, a, eps, keep_a, log_a)
+        elif a_pre < eps or born == step:
+            file_due(wheel, (label,), step, a, eps, keep_a)
 
     # Reinforce each existing edge's pre-step weight with the post-boost
     # activations of its cells, then create, count and file the new edges as one
@@ -234,8 +231,8 @@ def ingest_transaction(
             mmap.degree.update(chain.from_iterable(created))
         if w0 < eps:
             low_edges = created
-        elif log_w and created:  # all born at w0, so all due together
-            file_due(wheel, created, step, w0, eps, keep_w, log_w)
+        elif created:  # all born at w0, so all due together
+            file_due(wheel, created, step, w0, eps, keep_w)
 
     # Forgetting decides only what can have crossed the floor this step:
     # what decay took below it, and new edges and touched cells below it.

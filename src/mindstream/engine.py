@@ -102,8 +102,7 @@ class Engine:
         mmap, theta_w, theta_a = self.mmap, self.params.theta_w, self.params.theta_a
         step, cells, edges = mmap.step, mmap.cells, mmap.edges
         dark, wheel, link = self._dark, self._wheel, self._link
-        keep_w, keep_a, log_w = mmap.keep_w, mmap.keep_a, mmap.log_w
-        log_a = mmap.log_a if theta_a > 0.0 else 0.0  # theta_w > epsilon >= 0
+        keep_w, keep_a = mmap.keep_w, mmap.keep_a
         ends: Set[str] = set()  # of the pairs linked or unlinked, and the shaded cells
         for label in txn.items:
             if (cell := cells.get(label)) is None:  # forgotten in this step
@@ -112,15 +111,14 @@ class Engine:
                 self._shade(label, True, ends)
             elif label in dark or cell[1] == step:
                 self._shade(label, False, ends)
-                if log_a:
-                    file_due(wheel, (label,), step, a, theta_a, keep_a, log_a)
+                file_due(wheel, (label,), step, a, theta_a, keep_a)
         # New edges share one stored birth weight, so one compare decides all.
         created = events.edges_created
         born = edges.get(created[0]) if created else None  # gone if born below epsilon
         rising = created if born is not None and born[0] >= theta_w else []
         for pair in chain(rising, events.edges_reinforced):
-            if (w := edges[pair][0]) >= theta_w and link(pair, True, ends) and log_w:
-                file_due(wheel, (pair,), step, w, theta_w, keep_w, log_w)
+            if (w := edges[pair][0]) >= theta_w and link(pair, True, ends):
+                file_due(wheel, (pair,), step, w, theta_w, keep_w)
         crossed_pairs, crossed_cells = pop_due(mmap, wheel, theta_w, theta_a)
         for pair in chain(events.edges_forgotten, crossed_pairs):
             link(pair, False, ends)

@@ -72,11 +72,11 @@ class MindMap:
     """Cells, edges and the step counter that stamps them. Decay is forward:
     a record stores its value as of its stamp, or of `origin` (the step the
     map was built at) if later, and `weight_of` / `activation_of` read it at
-    `step`, times `keep_w` / `keep_a` (1 - beta, set by each step with its
-    log, `log_w` / `log_a`) per step since. `wheel` maps a step to the (edge
-    pair or cell label, step filed from) entries due then. `degree` (edges
-    per cell) is None until a step with something to forget counts it from
-    `edges`; steps keep it after that, and a direct edge write makes it stale."""
+    `step`, times `keep_w` / `keep_a` (1 - beta, set by each step) per step
+    since. `wheel` maps a step to the (edge pair or cell label, step filed
+    from) entries due then. `degree` (edges per cell) is None until a step
+    with something to forget counts it from `edges`; steps keep it after
+    that, and a direct edge write makes it stale."""
 
     def __init__(
         self, cells: Optional[Dict[str, Cell]] = None, edges: Optional[Dict[Pair, Edge]] = None,
@@ -86,7 +86,6 @@ class MindMap:
         self.edges = {} if edges is None else edges
         self.step = self.origin = step
         self.keep_w = self.keep_a = 1.0
-        self.log_w = self.log_a = 0.0
         self.wheel: Dict[int, List[Tuple]] = {}
         self.degree: Optional[Dict[str, int]] = None  # a Counter: no entry for a cell with none
 

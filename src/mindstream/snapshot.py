@@ -14,7 +14,7 @@ byte-identical):
 Labels containing whitespace (or starting with a quote) are quoted with
 `"` and backslash-escaped. Signatures pipe-join their labels, with `|` and
 `\\` escaped inside each label. Floats use shortest round-trip decimals.
-A number read back is ASCII and holds no `_` or `+`.
+A number read back is ASCII and holds no `_`, `+` or whitespace.
 """
 
 from __future__ import annotations
@@ -52,17 +52,17 @@ def _fmt_num(x: float) -> str:
 
 def _strict(convert):
     """`convert` (int or float), refusing a token that is not ASCII or holds
-    `_` or `+`: spellings that it reads but no render writes."""
+    `_`, `+` or whitespace: spellings that it reads but no render writes."""
     def read(token: str):
-        if not token.isascii() or "_" in token or "+" in token:
-            raise ValueError(f"number {token!r} must be ASCII, without `_` or `+`")
+        if not token.isascii() or "_" in token or "+" in token or token != token.strip():
+            raise ValueError(f"number {token!r} must be ASCII, without `_`, `+` or whitespace")
         return convert(token)
     return read
 
 
 # How many `_` the param names hold. A text that parses has each param line
-# once, so one that is ASCII and holds no `+` and no further `_` has no
-# number token that `_strict` refuses: int() and float() alone read it.
+# once, so one that is ASCII and holds no `"`, no `+` and no further `_` has
+# no number token that `_strict` refuses: int() and float() alone read it.
 _PARAM_UNDERSCORES = sum(name.count("_") for name in PARAM_TYPES)
 
 
@@ -179,11 +179,14 @@ def parse_snapshot(text: str) -> EngineState:
         raise SnapshotError("missing header", 1)
     if len(lines) < 2 or not lines[1].startswith("step "):
         raise SnapshotError("missing step line", 2)
-    to_int, to_float = int, float  # each number token is checked only where one can fail
-    if not text.isascii() or "+" in text or "_" in text.split("_", _PARAM_UNDERSCORES)[-1]:
-        to_int, to_float = _strict(int), _strict(float)
+    # One choice per text: a plain one is read with str.split and unchecked
+    # numbers, any other with the tokenizer and the checking converters. The
+    # step token, which no split trims, is always checked.
+    plain = '"' not in text and text.isascii() and "+" not in text
+    plain = plain and "_" not in text.split("_", _PARAM_UNDERSCORES)[-1]
+    to_int, to_float = (int, float) if plain else (_strict(int), _strict(float))
     try:
-        step = to_int(lines[1][5:])
+        step = _strict(int)(lines[1][5:])
     except ValueError:
         raise SnapshotError(f"bad step {lines[1][5:]!r}", 2) from None
     if step < 0:
@@ -197,10 +200,10 @@ def parse_snapshot(text: str) -> EngineState:
     stm_lines: Dict[Signature, int] = {}
     param_lines: Dict[str, int] = {}
 
-    # Without a `"` anywhere, every line's tokens are its str.split(), as
-    # `_tokenize` finds; such a token is also a valid label, since str.strip
-    # removes only what str.split breaks on and no token holds the "\n".
-    plain = '"' not in text
+    # In a plain text (no `"` anywhere), every line's tokens are its
+    # str.split(), as `_tokenize` finds. Such a token holds no whitespace, and
+    # is a valid label: str.strip removes only what str.split breaks on, and
+    # no token holds the "\n".
     for lineno, line in enumerate(lines[2:], start=3):
         tokens = line.split() if plain else _tokenize(line, lineno)
         try:

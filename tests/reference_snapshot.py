@@ -44,11 +44,11 @@ from mindstream.snapshot import (
 
 def number(kind: type, token: str):
     """`kind(token)` (int or float) for a token that is ASCII and holds no
-    `_` or `+`, spellings that int() and float() read and no render writes.
-    Every token is checked, where `mindstream.snapshot` checks them only in
-    a text that could hold one."""
-    if not token.isascii() or "_" in token or "+" in token:
-        raise ValueError(f"number {token!r} must be ASCII, without `_` or `+`")
+    `_`, `+` or whitespace, spellings that int() and float() read and no
+    render writes. Every token is checked, where `mindstream.snapshot`
+    checks them only in a text that could hold one."""
+    if not token.isascii() or "_" in token or "+" in token or token != token.strip():
+        raise ValueError(f"number {token!r} must be ASCII, without `_`, `+` or whitespace")
     return kind(token)
 
 

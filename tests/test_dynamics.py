@@ -14,6 +14,7 @@ from mindstream.dynamics import (
     activate_cell,
     decay_pass,
     due_step,
+    file_due,
     hebbian_update,
     ingest_transaction,
     initial_weight,
@@ -588,11 +589,10 @@ def test_due_step_is_the_first_step_below_the_floor(beta, floor, share, since):
     # `value` anywhere in [floor, 1]; the log estimate is off by a step or
     # two at most before the read corrects it.
     value, keep = floor + share * (1.0 - floor), 1.0 - beta
-    log_keep = math.log(keep)
-    n = due_step(since, value, floor, keep, log_keep) - since
+    n = due_step(since, value, floor, keep) - since
     assert n >= 1 and value * keep**n < floor
     assert n == 1 or value * keep ** (n - 1) >= floor
-    assert abs(n - (int(math.log(floor / value) / log_keep) + 1)) <= 2
+    assert abs(n - (int(math.log(floor / value) / math.log(keep)) + 1)) <= 2
 
 
 def least_step_below(value, floor, keep):
@@ -612,7 +612,7 @@ def least_step_below(value, floor, keep):
 def test_due_step_corrects_a_log_estimate_on_a_knife_edge(value, estimate, due):
     keep, floor = 0.98, 0.01
     assert int(math.log(floor / value) / math.log(keep)) + 1 == estimate
-    n = due_step(0, value, floor, keep, math.log(keep))
+    n = due_step(0, value, floor, keep)
     assert n == due == least_step_below(value, floor, keep)
 
 
@@ -628,12 +628,39 @@ def test_due_step_matches_a_search_at_every_power_of_keep():
                 if (at := floor / keep**k) > 1.0:
                     break
                 for value in (math.nextafter(at, 0.0), at, math.nextafter(at, 2.0)):
-                    n = due_step(0, value, floor, keep, log_keep)
+                    n = due_step(0, value, floor, keep)
                     assert n == least_step_below(value, floor, keep), (keep, floor, value)
                     estimate = int(math.log(floor / value) / log_keep) + 1
                     raised += n > estimate
                     lowered += n < estimate
     assert raised > 0 and lowered > 0, (raised, lowered)
+
+
+@pytest.mark.parametrize(
+    "value, floor, keep",
+    [
+        (0.5, 0.01, 1.0),  # no decay: the value never falls
+        (0.5, 0.0, 0.98),  # a floor of 0: no read is below it
+        (0.005, 0.01, 0.98),  # below the floor already: it never crosses
+    ],
+)
+def test_file_due_files_nothing_that_cannot_cross(value, floor, keep):
+    wheel = {7: [("x", 1)]}
+    file_due(wheel, [("a", "b"), "c"], 3, value, floor, keep)
+    assert wheel == {7: [("x", 1)]}
+
+
+@pytest.mark.parametrize(
+    "value, floor, keep", [(0.5, 0.01, 0.98), (0.01, 0.01, 0.98), (1.0, 0.6, 0.5)]
+)
+def test_file_due_files_one_entry_per_key_at_due_step(value, floor, keep):
+    # A value at the floor is filed too: it reads below it a step later.
+    wheel = {7: [("x", 1)]}
+    file_due(wheel, [("a", "b"), "c"], 3, value, floor, keep)
+    due = due_step(3, value, floor, keep)
+    assert due != 7 and wheel == {7: [("x", 1)], due: [(("a", "b"), 3), ("c", 3)]}
+    file_due(wheel, ["d"], 3, value, floor, keep)
+    assert wheel[due] == [(("a", "b"), 3), ("c", 3), ("d", 3)]
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -669,14 +696,14 @@ def test_a_restamped_entry_is_filed_again_at_its_new_estimate():
     keep = 1.0 - params.beta_w
     m, _ = ingest_transaction(MindMap(), txn(["A", "B"]), params)
     first_due = 1 + first_below(0.5, 0.01, keep)  # the new edge's first step below
-    assert due_step(1, 0.5, 0.01, keep, math.log(keep)) == first_due
+    assert due_step(1, 0.5, 0.01, keep) == first_due
     assert entries(m.wheel) == {(("A", "B"), 1): first_due}
     for _ in range(9):  # a touch files nothing: the entry stays as filed
         m, _ = ingest_transaction(m, txn(["A", "B"]), params)
         assert entries(m.wheel) == {(("A", "B"), 1): first_due}
     w, _ = m.edges[("A", "B")]
     crossing = 10 + first_below(w, 0.01, keep)
-    assert due_step(10, w, 0.01, keep, math.log(keep)) == crossing
+    assert due_step(10, w, 0.01, keep) == crossing
     assert first_due < crossing
     while m.step < crossing:
         m, events = ingest_transaction(m, txn([]), params)
@@ -733,8 +760,8 @@ def test_a_restamped_crossing_entry_is_filed_again_at_its_new_estimate():
     assert light_until < heavy_until
     assert filed[("A", 9)] <= light_until and filed[(("A", "B"), 4)] <= heavy_until
     new_due = {("A", "B"): heavy_until + 1, "A": light_until + 1, "B": light_until + 1}
-    assert due_step(10, w, 0.4, keep, math.log(keep)) == new_due[("A", "B")]
-    assert due_step(10, a, 0.6, keep, math.log(keep)) == new_due["A"]
+    assert due_step(10, w, 0.4, keep) == new_due[("A", "B")]
+    assert due_step(10, a, 0.6, keep) == new_due["A"]
     while engine.step <= heavy_until:
         engine.ingest(txn([]))
         step = engine.step

@@ -333,6 +333,15 @@ def snapshot_with(*records):
         ("param eta 0.5_0", "param eta: number '0.5_0' must be ASCII"),
         ("stm a|b +2 1", "number '\\+2' must be ASCII"),
         ("stm a|b 2 \u0661", "must be ASCII"),
+        # Nor does it hold whitespace, which int() and float() strip: not in
+        # the step token, which no split trims, nor in a quoted number.
+        ("step 2 ", "bad step '2 '"),
+        ("step  2", "bad step ' 2'"),
+        ("step 2\t", r"bad step '2\\t'"),
+        ("step \x0b2", r"bad step '\\x0b2'"),
+        ('edge a b " 0.5" 2', "number ' 0.5' must be ASCII"),
+        ('edge a b 0.5 "2\t"', r"number '2\\t' must be ASCII"),
+        ('cell c "\x0b0.5" 1 2', r"number '\\x0b0.5' must be ASCII"),
     ],
 )
 def test_bad_records_are_rejected(record, error):
@@ -361,14 +370,19 @@ def test_bad_records_are_rejected(record, error):
 
 def test_a_number_error_is_exact_in_a_text_with_every_param_line():
     # The parse checks number tokens only in a text that could hold a bad
-    # one: not ASCII, a `+`, or a `_` past the five of the param names.
-    # Without `param beta_w`, the `_` of `0_2` is one of five, so int()
-    # reads it, and the missing param is the error.
+    # one: a `"`, not ASCII, a `+`, or a `_` past the five of the param
+    # names. Without `param beta_w`, the `_` of `0_2` in an edge is one of
+    # five, so float() reads it, and the missing param is the error. The
+    # step token is always checked, so its error is exact either way.
     lines = snapshot_with()
     lines[1] = "step 0_2"
     with pytest.raises(SnapshotError, match=r"^line 2: bad step '0_2'$"):
         parse_snapshot("\n".join(lines) + "\n")
     lines.remove(next(line for line in lines if line.startswith("param beta_w ")))
+    with pytest.raises(SnapshotError, match=r"^line 2: bad step '0_2'$"):
+        parse_snapshot("\n".join(lines) + "\n")
+    lines[1] = "step 2"
+    lines.append("edge a b 0.5_0 2")
     with pytest.raises(SnapshotError, match="^missing params: beta_w$"):
         parse_snapshot("\n".join(lines) + "\n")
 
@@ -492,6 +506,9 @@ def check_parser_matches_reference(text):
 @example("\n".join(FUZZ_BASE + ["edge a z 0.5 1"]) + "\n")
 @example("\n".join(FUZZ_BASE + ["edge b c 1.5 1"]) + "\n")
 @example("\n".join(FUZZ_BASE + ["param bogus 3"]) + "\n")
+@example("\n".join(FUZZ_BASE[:1] + ["step 4\t"] + FUZZ_BASE[2:]) + "\n")
+@example("\n".join(FUZZ_BASE + ['edge b c " 0.5" 1']) + "\n")
+@example("\n".join(FUZZ_BASE + ['cell d "\x0b0.5" 1 2']) + "\n")
 def test_parser_matches_reference(text):
     check_parser_matches_reference(text)
 
@@ -501,6 +518,7 @@ def test_parser_matches_reference(text):
 @settings(max_examples=1000, deadline=None)
 @given(mutated_snapshots(FUZZ_PLAIN))
 @example("\n".join(FUZZ_PLAIN[:-1] + ['ltm "a|x y" 4 open 1']) + "\n")
+@example("\n".join(FUZZ_PLAIN[:1] + ["step  4"] + FUZZ_PLAIN[2:]) + "\n")
 def test_quote_free_parser_matches_reference(text):
     assert '"' not in "".join(FUZZ_PLAIN)
     check_parser_matches_reference(text)
