@@ -51,6 +51,7 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
 
     Bytes that are not UTF-8 are decoded as lone surrogates, so the parser
     reports (or, under --on-parse-error skip, drops) the line that holds them.
+    A line ends at LF alone: a lone CR stays in its record, and `_records` strips a CRLF's CR.
     """
     from .stream import ParseError, read_transactions
 
@@ -63,6 +64,7 @@ def _consume_input(args: argparse.Namespace, consume: Callable[[Transaction], No
             "r",
             encoding="utf-8",
             errors="surrogateescape",
+            newline="\n",
             closefd=not stdin,
         ) as fh:
             for txn in read_transactions(fh, on_error=args.on_parse_error):

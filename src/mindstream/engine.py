@@ -182,24 +182,25 @@ class Engine:
         """
         log, q = self.event_lines.append, _quote
         step = events.step
+        s = f"{step} "  # every line starts with the step, formatted once
         # Created records hold this transaction's labels; when all are letters
         # and digits, as is usual, none needs quotes, and no line checks.
         plain = all(map(str.isalnum, txn.items))
         for label in events.cells_created:
-            log(f"{step} cell-created {label if plain else q(label)}")
+            log(f"{s}cell-created {label if plain else q(label)}")
         for a, b in events.edges_created:
-            log(f"{step} edge-created {a if plain else q(a)} {b if plain else q(b)}")
+            log(f"{s}edge-created {a if plain else q(a)} {b if plain else q(b)}")
         for a, b in events.edges_forgotten:
-            log(f"{step} edge-forgotten {q(a)} {q(b)}")
+            log(f"{s}edge-forgotten {q(a)} {q(b)}")
         for label in events.cells_forgotten:
-            log(f"{step} cell-forgotten {q(label)}")
+            log(f"{s}cell-forgotten {q(label)}")
         for sig in sorted(promotions):
             kind = "reopened" if self._ltm[sig].recurrence_count > 1 else "promoted"
-            log(f"{step} pattern-{kind} {_fmt_signature(sig)}")
+            log(f"{s}pattern-{kind} {_fmt_signature(sig)}")
         for sig in sorted(lapsed):
             record = self._ltm.get(sig)
             if record is not None and record.disappeared_at == step:
-                log(f"{step} pattern-closed {_fmt_signature(sig)}")
+                log(f"{s}pattern-closed {_fmt_signature(sig)}")
 
     def _evaluate_queries(self, step: int) -> None:
         """Emit each started trace's result; drop those whose last step this is."""

@@ -3,7 +3,7 @@
 Record syntax: `date;ref;name`, one per line, UTF-8, LF-terminated.
 Fields are trimmed; `date` is exactly YYYY-MM-DD, `ref` a non-negative
 integer in ASCII digits (no sign or `_`), `name` a non-empty item label (no
-`;` or line break). Blank lines and lines starting with `#` are skipped.
+`;` or LF). Blank lines and lines starting with `#` are skipped.
 Maximal runs of consecutive records with the same (date, ref) TID form one
 transaction. Grouping keeps no TID history, so a TID reappearing after
 other TIDs starts a new transaction.
@@ -35,7 +35,8 @@ def _parse(line: str, fields: list, lineno: int, known: Optional[str]) -> Tuple[
         except UnicodeEncodeError:
             raise ParseError("invalid UTF-8", lineno) from None
     if len(fields) != 3:
-        raise ParseError(f"expected 3 fields, got {len(fields)}", lineno)
+        cr = " (the line holds a CR; records end at LF)" if "\r" in line else ""
+        raise ParseError(f"expected 3 fields, got {len(fields)}{cr}", lineno)
     date_s, ref_s, name = map(str.strip, fields)
     try:
         day = None if date_s == known else datetime.date.fromisoformat(date_s)

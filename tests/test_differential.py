@@ -61,8 +61,11 @@ def random_params(rng: random.Random, decay: bool, epsilon_near: str) -> EngineP
 
 def random_stream(rng: random.Random, n_txns: int):
     """Empty, singleton and multi-item transactions; items drawn with
-    replacement, so duplicates are common."""
-    alphabet = [f"i{k}" for k in range(rng.randint(3, 12))]
+    replacement, so duplicates are common. The first labels are not letters
+    and digits alone: a label with a space or a leading quote needs quotes
+    (and `"` an escape), and `|` needs one in a signature."""
+    special = ["i 0", '"i1', "i|2", "i-3"]
+    alphabet = [special[k] if k < 4 else f"i{k}" for k in range(rng.randint(3, 12))]
     stream = []
     for _ in range(n_txns):
         size = rng.choice([0, 1, 1, 2, 3, 4, 5, 6, 8])
@@ -109,7 +112,7 @@ def same_trace(a: str, b: str) -> bool:
 @pytest.mark.parametrize("decay", [False, True])
 @pytest.mark.parametrize("epsilon_near", ["zero", "theta_w"])
 def test_in_place_step_matches_reference(decay, epsilon_near):
-    pattern_lines, counted = Counter(), Counter()
+    pattern_lines, counted, quoted_lines = Counter(), Counter(), Counter()
     for seed in range(12):
         if (decay, epsilon_near, seed) in KNIFE_EDGES:
             continue
@@ -172,11 +175,17 @@ def test_in_place_step_matches_reference(decay, epsilon_near):
         pattern_lines.update(
             line.split()[1] for line in fast.event_lines if " pattern-" in line
         )
+        quoted_lines.update(line.split()[1] for line in fast.event_lines if '"' in line)
     # Every kind of LTM transition was compared, not only the common ones.
     # Without decay the skeleton only grows, so no signature can come back.
     kinds = ["pattern-promoted", "pattern-closed"] + (["pattern-reopened"] if decay else [])
     for kind in kinds:
         assert pattern_lines[kind] > 0, (kind, pattern_lines)
+    # Lines with a quoted label were compared, forgotten ones where a floor
+    # near theta_w forgets cells.
+    kinds = ["cell-created", "edge-created", "pattern-promoted"]
+    for kind in kinds + ["edge-forgotten", "cell-forgotten"] * (epsilon_near == "theta_w"):
+        assert quoted_lines[kind] > 0, (kind, quoted_lines)
     # Steps ran both before and after the count; without decay, a floor near
     # zero forgets nothing, so only there is it never built.
     assert counted[False] > 0, counted

@@ -154,6 +154,45 @@ def test_invalid_utf8_on_stdin_is_a_parse_error():
     assert cells == ["A", "B", "C"]
 
 
+# A lone CR inside a name, in a record with a CRLF ending; then a bad record on LF line 4;
+# and a file with CR-only line endings, which is one line.
+CR_STREAM = b"2020-01-01;1;a\rb\r\n2020-01-01;1;C\n2020-01-02;2;D\n"
+CR_CASES = {
+    "good": (CR_STREAM, None),
+    "bad": (CR_STREAM + b"2020-01-03;3\n", "line 4: expected 3 fields, got 2"),
+    "cr-only": (
+        b"2020-01-01;1;A\r2020-01-01;1;B\r2020-01-02;2;C\r",
+        "line 1: expected 3 fields, got 7 (the line holds a CR; records end at LF)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CR_CASES)
+def test_input_lines_end_at_lf_alone(tmp_path, capsys, case):
+    """A lone CR stays in its record, through a file and on stdin alike:
+    `a\\rb` is one label, which the snapshot quotes, and an error names
+    the line by its count of LFs."""
+    data, error = CR_CASES[case]
+    path, snap = tmp_path / "cr.txt", tmp_path / "cr.snap"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mindstream.__file__)))
+    stdin = subprocess.run(
+        [sys.executable, "-m", "mindstream.cli", "run", "--input", "-"],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+    if error:
+        assert run_cli("run", "--input", path) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert stdin.returncode == 1 and stdin.stderr.decode() == f"error: {error}\n"
+    else:
+        assert run_cli("run", "--input", path, "--snapshot", snap) == 0
+        assert stdin.returncode == 0 and stdin.stderr == b""
+        text = snap.read_bytes().decode()
+        assert 'cell "a\rb" ' in text
+        assert sorted(parse_snapshot(text).mmap.cells) == ["C", "D", "a\rb"]
+        assert stdin.stdout == snap.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv", [["run"], ["trace", "A", "B"], ["apriori", "--minsup", "1"]], ids=lambda a: a[0]
 )

@@ -44,6 +44,7 @@ def test_parse_record_trims_whitespace():
     [
         ("2004-03-01;42", "expected 3 fields"),
         ("2004-03-01;42;a;b", "expected 3 fields"),
+        ("2004-03-01;42;a\rb;c", "got 4 (the line holds a CR; records end at LF)"),
         ("2004-13-01;42;A", "bad date"),
         ("04-03-01;42;A", "date"),
         ("2004-03-01;x;A", "bad reference"),
