@@ -141,7 +141,7 @@ def prune_forgotten(
         return [], []
     table, degree = mmap.edges, mmap.degree
     if degree is None:  # the map's first forgetting: count each cell's edges once
-        degree = mmap.degree = Counter(chain.from_iterable(table))
+        degree = mmap.degree = dict(Counter(chain.from_iterable(table)))
     dead_edges = sorted(edges)
     for pair in dead_edges:
         del table[pair]
@@ -207,16 +207,18 @@ def ingest_transaction(
             file_due(wheel, (label,), step, a, eps, keep_a)
 
     # Reinforce each existing edge's pre-step weight with the post-boost
-    # activations of its cells, then create, count and file the new edges as one
-    # batch: all are born at one weight, and share one record. Sorted distinct
-    # labels give canonical pairs.
+    # activations of its cells. A new pair goes in by one `setdefault` of the
+    # `birth` record that all the step's new edges share, born at one weight,
+    # and all are counted and filed as one batch. Sorted labels give canonical pairs.
     created: List[Pair] = []
     reinforced: List[Pair] = []
     low_edges: List[Pair] = []
     if len(labels) >= 2:
+        w0 = initial_weight(len(labels))
+        birth = (w0, step)
         for pair in combinations(labels, 2):
-            edge = edges.get(pair)
-            if edge is None:
+            edge = edges.setdefault(pair, birth)
+            if edge is birth:
                 created.append(pair)
                 continue
             w, stamp = edge
@@ -225,10 +227,9 @@ def ingest_transaction(
             a_i, a_j = cells[pair[0]][0], cells[pair[1]][0]
             edges[pair] = (hebbian_update(w, a_i, a_j, eta), step)
             reinforced.append(pair)
-        w0 = initial_weight(len(labels))
-        edges.update(dict.fromkeys(created, (w0, step)))
-        if mmap.degree is not None:  # counted at the first step with something to forget
-            mmap.degree.update(chain.from_iterable(created))
+        if (degree := mmap.degree) is not None:  # counted at the first step that forgets
+            for label in chain.from_iterable(created):
+                degree[label] = degree.get(label, 0) + 1
         if w0 < eps:
             low_edges = created
         elif created:  # all born at w0, so all due together

@@ -87,9 +87,10 @@ class Engine:
         `_dark`; `events` lists the touched pairs, created and reinforced. Every
         other change is a crossing that `_wheel` has due: a pair that becomes
         heavy, and a cell born lit or leaving `_dark` when theta_a > 0, is
-        filed at the step it crosses (see `pop_due`). `_adj` links the heavy
-        pairs and the search skips dark cells, so only the ends of a pair
-        linked or unlinked, and a cell that changed shade with its heavy
+        filed at the step it crosses (see `pop_due`). At theta_a = 0 no cell
+        is dark or ever due, so the per-cell pass is skipped. `_adj` links the
+        heavy pairs and the search skips dark cells, so only the ends of a
+        pair linked or unlinked, and a cell that changed shade with its heavy
         neighbours, start a new search: every node of a component that such a
         change touches is reachable from one of them (a removal splits a
         component into pieces that each hold one), and every other component
@@ -104,7 +105,7 @@ class Engine:
         dark, wheel, link = self._dark, self._wheel, self._link
         keep_w, keep_a = mmap.keep_w, mmap.keep_a
         ends: Set[str] = set()  # of the pairs linked or unlinked, and the shaded cells
-        for label in txn.items:
+        for label in txn.items if theta_a > 0 else ():  # at 0 no cell is ever dark
             if (cell := cells.get(label)) is None:  # forgotten in this step
                 continue
             if (a := cell[0]) < theta_a:

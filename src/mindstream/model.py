@@ -87,7 +87,7 @@ class MindMap:
         self.step = self.origin = step
         self.keep_w = self.keep_a = 1.0
         self.wheel: Dict[int, List[Tuple]] = {}
-        self.degree: Optional[Dict[str, int]] = None  # a Counter: no entry for a cell with none
+        self.degree: Optional[Dict[str, int]] = None  # a dict: no entry for a cell with none
 
     def weight_of(self, edge: Edge) -> float:
         w, stamp = edge

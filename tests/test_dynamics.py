@@ -178,7 +178,27 @@ def test_a_steps_new_edges_share_one_record_and_each_is_replaced_or_dropped_alon
     others.remove(("C", "D"))
     assert prune_forgotten(m, [("C", "D")], [], 0.0) == ([("C", "D")], [])
     assert ("C", "D") not in m.edges and m.degree == Counter(A=3, B=3, C=2, D=2)
+    assert type(m.degree) is dict
     assert born == (0.25, 1) and all(m.edges[pair] is born for pair in others)
+
+
+def test_a_step_writes_its_new_pairs_once_in_combinations_order():
+    # B-C and A-D exist; the step on ABCD reinforces them and creates the
+    # other four, which go in after them in the loop's order, as one
+    # `dict.update` of the new pairs would put them.
+    m, _ = ingest_transaction(MindMap(), txn(["B", "C"]), NO_DECAY)
+    m, _ = ingest_transaction(m, txn(["A", "D"]), NO_DECAY)
+    old = dict(m.edges)
+    m, events = ingest_transaction(m, txn(["A", "B", "C", "D"]), NO_DECAY)
+    pairs = list(combinations("ABCD", 2))
+    assert events.edges_reinforced == [("A", "D"), ("B", "C")]
+    assert events.edges_created == [p for p in pairs if p not in old]
+    assert list(m.edges) == list(old) + events.edges_created
+    # Only the created pairs hold the step's one birth record.
+    born = m.edges[("A", "B")]
+    assert born == (0.25, 3)
+    assert [p for p, edge in m.edges.items() if edge is born] == events.edges_created
+    assert all(m.edges[p] != old[p] and m.edges[p][1] == 3 for p in old)
 
 
 def reads_of(m: MindMap) -> list:
@@ -284,8 +304,30 @@ def test_the_edge_count_waits_for_the_first_step_that_forgets():
     m, events = ingest_transaction(m, txn(["a", "p", "q", "r"]), forgets)  # born at 1/4
     assert events.edges_forgotten == sorted(combinations("apqr", 2))
     assert m.degree == Counter(label for pair in m.edges for label in pair)
+    assert type(m.degree) is dict
     assert "p" not in m.degree and m.degree["a"] == 7  # a's edges to b-h stay
     check_invariants(m)
+
+
+def test_the_steps_state_is_held_in_exact_builtins():
+    # A subclass such as `Counter` defines methods in Python that slow every
+    # store to it, so each container the step writes is a dict, set or list
+    # exactly, from the first step to the last, through decay and forgetting.
+    stream = random_transactions(random.Random(5), "abcdefghijkl", 400, max_size=6)
+    for theta_a in (0.0, 0.6):
+        engine = Engine(EngineParams(beta_w=0.05, beta_a=0.05, epsilon=0.05, theta_a=theta_a))
+        engine.register_query("a", "b", horizon=50)
+        forgotten = 0
+        for t in stream:
+            forgotten += len(engine.ingest(t).edges_forgotten)
+            for owner in (engine, engine.mmap):
+                for name, value in vars(owner).items():
+                    if isinstance(value, (dict, set, list)):
+                        assert type(value) in (dict, set, list), (name, type(value))
+        assert forgotten and type(engine.mmap.degree) is dict
+        assert all(type(v) is set for v in engine._adj.values())
+        assert all(type(v) is list for v in engine.mmap.wheel.values())
+        assert all(type(v) is list for v in engine._wheel.values())
 
 
 def test_skeleton_edge_decaying_below_epsilon_leaves_skeleton_and_map():

@@ -248,3 +248,21 @@ def test_a_pair_born_heavy_between_dark_cells_joins_once_both_are_lit():
     assert engine._dark == {"B"}
     assert step_patterns(engine, ["B"]) == {("A", "B")}
     assert not engine._dark
+
+
+def test_at_theta_a_zero_no_cell_is_dark_or_due_and_above_it_some_is():
+    # The step skips its per-cell pass at theta_a = 0 because the pass could
+    # change nothing: no cell is ever dark, and no cell is filed in the
+    # engine's wheel. Above 0 the same decaying stream darkens cells, which
+    # only that pass starts.
+    stream = random_transactions(random.Random(11), "abcdefghij", 300, max_size=5)
+    for theta_a in (0.0, 0.6):
+        engine = Engine(EngineParams(beta_w=0.05, beta_a=0.05, theta_w=0.3, theta_a=theta_a))
+        darkened = filed = False
+        for t in stream:
+            engine.ingest(t)
+            darkened |= bool(engine._dark)
+            filed |= any(type(key) is str for b in engine._wheel.values() for key, _ in b)
+            if theta_a == 0.0:
+                assert not darkened and not filed, engine.step
+        assert (darkened and filed) == (theta_a > 0), theta_a
