@@ -155,6 +155,8 @@ def _itemset(items: Iterable[str]) -> str:
 
 
 def _cmd_apriori(args: argparse.Namespace) -> int:
+    from fractions import Fraction  # here, so that a `query` start does not load it
+
     from .apriori import apriori_levels, gen_rules, negative_border
 
     frac = args.minsup_frac
@@ -168,7 +170,8 @@ def _cmd_apriori(args: argparse.Namespace) -> int:
     if not _consume_input(args, txns.append):
         return 1
 
-    minsup = args.minsup if frac is None else max(1, math.ceil(frac * len(txns)))
+    # The ceiling of the fraction as written: 0.28 * 25 is 7.000000000000001 as floats.
+    minsup = args.minsup if frac is None else max(1, math.ceil(Fraction(repr(frac)) * len(txns)))
     try:
         levels = apriori_levels(txns, minsup)
     except ValueError as exc:
@@ -243,7 +246,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         _add_input_flags(p)
         p.add_argument("--minsup", type=int, help="absolute support threshold")
         p.add_argument(
-            "--minsup-frac", type=float, help="relative support, converted by ceiling"
+            "--minsup-frac", type=float,
+            help="relative support; minsup = ceiling of (fraction as written * transactions)",
         )
         p.add_argument("--minconf", type=float, help="also emit rules at this confidence")
         p.add_argument(

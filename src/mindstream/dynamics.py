@@ -6,8 +6,8 @@ activation boosts, edge creation or Hebbian reinforcement, multiplicative
 decay of everything not touched this step, and forgetting of edges and
 cells that fell below the floor. The step advances the map's counter
 first and stamps every cell and edge it touches with it. Decay is forward
-(see `MindMap`): no untouched record is written, and a timing wheel keyed
-by step files each record at the first step it reads below the floor.
+(see `MindMap`): no untouched record is written, and a step forgets only what
+a timing wheel keyed by step has due: each record at the first step it reads below the floor.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ def file_due(
     wheel: Dict[int, List[Tuple]], keys: Iterable, since: int,
     value: float, floor: float, keep: float,
 ) -> None:
-    """File a (key, since) entry for each of `keys`, whose records hold
-    `value` as of step `since`, at the step `due_step` gives; only records
-    that decay (keep < 1) from `value` to a floor above 0 are ever due."""
-    if keep == 1.0 or floor == 0.0 or value < floor:
+    """File a (key, since) entry for each of `keys`, whose records hold `value`
+    as of step `since`, due at `since` if below a `floor` above 0, or else at
+    the step `due_step` gives if they decay (keep < 1) to that floor."""
+    if floor == 0.0 or keep == 1.0 and value >= floor:
         return
-    bucket = wheel.setdefault(due_step(since, value, floor, keep), [])
+    bucket = wheel.setdefault(since if value < floor else due_step(since, value, floor, keep), [])
     for key in keys:
         bucket.append((key, since))
 
@@ -85,8 +85,8 @@ def pop_due(
     mmap: MindMap, wheel: Dict[int, List[Tuple]], floor_w: float, floor_a: float
 ) -> Tuple[List[Pair], List[str]]:
     """Pop this step's bucket of `wheel`, which holds one (key, since) entry
-    per record at or above its floor, filed at the first step the record
-    reads below it as held since then; returns the edges below `floor_w` and
+    per filed record, due at the first step from `since` on at which the
+    record reads below its floor as held since then; returns the edges below `floor_w` and
     the cells below `floor_a`. An entry whose record is gone, or is a cell
     created after it, is dropped. A record not stamped since has crossed and
     is not read; one stamped since is read, and is filed again from its new
@@ -120,7 +120,7 @@ def pop_due(
 
 def decay_pass(mmap: MindMap, params: EngineParams) -> Tuple[List[Pair], List[str]]:
     """Pop this step's bucket of `mmap.wheel`; returns the edges and the cells
-    that decay took below the floor this step."""
+    below the floor this step: taken there by decay, or born or left there."""
     return pop_due(mmap, mmap.wheel, params.epsilon, params.epsilon)
 
 
@@ -183,11 +183,10 @@ def ingest_transaction(
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
     # activation (a new cell's initial one), so each cell is written at once.
-    # A cell is filed when it rises to the floor: born there, or boosted from below it.
+    # A cell is filed when born or boosted from below the floor; due now if still below it.
     labels = sorted(txn.items)
     lam, eta = params.lam, params.eta
     cells_created: List[str] = []
-    low_cells: List[str] = []
     for label in labels:
         cell = cells.get(label)
         if cell is None:
@@ -201,9 +200,7 @@ def ingest_transaction(
         for _ in range(txn.items[label]):
             a = activate_cell(a, lam)
         cells[label] = (a, born, step)
-        if a < eps:
-            low_cells.append(label)
-        elif a_pre < eps or born == step:
+        if a_pre < eps or born == step:  # a boost never lowers: a < eps implies a_pre < eps
             file_due(wheel, (label,), step, a, eps, keep_a)
 
     # Reinforce each existing edge's pre-step weight with the post-boost
@@ -212,7 +209,6 @@ def ingest_transaction(
     # and all are counted and filed as one batch. Sorted labels give canonical pairs.
     created: List[Pair] = []
     reinforced: List[Pair] = []
-    low_edges: List[Pair] = []
     if len(labels) >= 2:
         w0 = initial_weight(len(labels))
         birth = (w0, step)
@@ -230,17 +226,12 @@ def ingest_transaction(
         if (degree := mmap.degree) is not None:  # counted at the first step that forgets
             for label in chain.from_iterable(created):
                 degree[label] = degree.get(label, 0) + 1
-        if w0 < eps:
-            low_edges = created
-        elif created:  # all born at w0, so all due together
+        if created:  # all born at w0, so all due together
             file_due(wheel, created, step, w0, eps, keep_w)
 
-    # Forgetting decides only what can have crossed the floor this step:
-    # what decay took below it, and new edges and touched cells below it.
-    faded_edges, faded_cells = decay_pass(mmap, params)
-    edges_forgotten, cells_forgotten = prune_forgotten(
-        mmap, faded_edges + low_edges, faded_cells + low_cells, eps
-    )
+    # Forgetting decides only what can have crossed the floor this step, all due on
+    # the wheel: what decay took below it, and what was born or left below it now.
+    edges_forgotten, cells_forgotten = prune_forgotten(mmap, *decay_pass(mmap, params), eps)
     return mmap, StepEvents(
         step, cells_created, created, reinforced, cells_forgotten, edges_forgotten
     )

@@ -683,13 +683,23 @@ def test_due_step_matches_a_search_at_every_power_of_keep():
     [
         (0.5, 0.01, 1.0),  # no decay: the value never falls
         (0.5, 0.0, 0.98),  # a floor of 0: no read is below it
-        (0.005, 0.01, 0.98),  # below the floor already: it never crosses
     ],
 )
 def test_file_due_files_nothing_that_cannot_cross(value, floor, keep):
     wheel = {7: [("x", 1)]}
     file_due(wheel, [("a", "b"), "c"], 3, value, floor, keep)
     assert wheel == {7: [("x", 1)]}
+
+
+@pytest.mark.parametrize("keep", [0.98, 1.0])
+def test_file_due_files_a_value_below_its_floor_due_at_once(keep):
+    # Born or left below the floor, with decay or without: due in the step
+    # that holds it, so the step that files it also pops it.
+    wheel = {7: [("x", 1)]}
+    file_due(wheel, [("a", "b"), "c"], 3, 0.005, 0.01, keep)
+    assert wheel == {7: [("x", 1)], 3: [(("a", "b"), 3), ("c", 3)]}
+    file_due(wheel, ["d"], 3, 0.005, 0.01, keep)
+    assert wheel[3] == [(("a", "b"), 3), ("c", 3), ("d", 3)]
 
 
 @pytest.mark.parametrize(
@@ -865,6 +875,38 @@ def test_each_scheduled_record_holds_one_wheel_entry(beta, theta_a):
         assert left_behind > 0 and recreated > 0, (left_behind, recreated)
     else:
         assert left_behind == 0
+
+
+@pytest.mark.parametrize("theta_a", [0.0, 0.6])
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+@pytest.mark.parametrize("epsilon, theta_w", [(0.3, 0.5), (0.6, 0.7)])
+def test_no_wheel_holds_a_bucket_at_or_before_the_step(epsilon, theta_w, beta, theta_a):
+    # With lam 0.05 a cell is born at 0.525 and an edge of m items at 1/m <=
+    # 0.5, below a floor of 0.6 (and, for m >= 4, of 0.3): each is filed due
+    # in the step that holds it, which pops it, with decay on or off.
+    params = EngineParams(
+        lam=0.05, beta_w=beta, beta_a=beta, epsilon=epsilon, theta_w=theta_w, theta_a=theta_a
+    )
+    engine = Engine(params)
+    born_forgotten = 0
+    rng = random.Random(f"{epsilon} {beta} {theta_a}")
+    for t in random_transactions(rng, [f"i{k}" for k in range(20)], 400, max_size=6):
+        events = engine.ingest(t)
+        born_forgotten += len(set(events.edges_created) & set(events.edges_forgotten))
+        for wheel in (engine.mmap.wheel, engine._wheel):
+            assert min(wheel, default=engine.step + 1) > engine.step, engine.step
+    assert born_forgotten > 100
+
+
+def test_a_given_record_below_its_floor_stays_in_the_map():
+    # Such a map breaks the invariant that `prune_forgotten` relies on. The
+    # first step files the record at the map's origin, which no step pops.
+    m = MindMap(cells={"A": (0.005, 0, 0), "B": (0.5, 0, 0)}, edges={("A", "B"): (0.005, 0)})
+    params = EngineParams(beta_w=0.0, beta_a=0.0)
+    m, events = ingest_transaction(m, txn(["C"]), params)
+    assert events.edges_forgotten == [] and events.cells_forgotten == []
+    assert m.edges == {("A", "B"): (0.005, 0)} and "A" in m.cells
+    assert m.wheel == {0: [(("A", "B"), 0), ("A", 0)]}
 
 
 def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():

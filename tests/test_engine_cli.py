@@ -623,6 +623,15 @@ def test_apriori_minsup_frac_rounds_up_within_bounds(stream_file, capsys):
     assert "frequent {B,C,E} 3" in out and "{A}" not in out
     assert run_cli("apriori", "--input", stream_file, "--minsup-frac", "1") == 0
     assert capsys.readouterr().out == "frequent {C} 4\n"
+    # 0.28 * 25 is 7.000000000000001 as floats; the fraction as written asks for 7.
+    lines = [f"2004-03-01;{i};{x}" for i in range(25) for x in ("ab" if i < 7 else "cd")]
+    path = stream_file.with_name("frac.txt")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("apriori", "--input", path, "--minsup", "7") == 0
+    by_count = capsys.readouterr().out
+    assert "frequent {a,b} 7" in by_count
+    assert run_cli("apriori", "--input", path, "--minsup-frac", "0.28") == 0
+    assert capsys.readouterr().out == by_count
 
 
 def test_event_log_reports_promotions(tmp_path, stream_file):
