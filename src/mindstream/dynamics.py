@@ -51,8 +51,8 @@ def activate_cell(a: float, lam: float) -> float:
 
 
 def hebbian_update(w: float, a_i: float, a_j: float, eta: float) -> float:
-    """Saturating reinforcement w + eta*a_i*a_j*(1 - w), clamped to 1."""
-    return min(1.0, w + eta * a_i * a_j * (1.0 - w))
+    """Saturating reinforcement w + eta*(a_i*a_j)*(1 - w), clamped to 1."""
+    return min(1.0, w + eta * (a_i * a_j) * (1.0 - w))
 
 
 def due_step(since: int, value: float, floor: float, keep: float) -> int:
@@ -135,7 +135,7 @@ def prune_forgotten(
     A cell that still has a surviving edge is never removed, whatever its
     activation: edges pin their endpoints. Deciding only these is exact
     because every step ends with no edge below the floor and no isolated
-    cell below it; a map adopted from elsewhere must start that way too.
+    cell below it, which a given map's first step brings about.
     """
     if not edges and not cells:
         return [], []
@@ -180,6 +180,7 @@ def ingest_transaction(
             file_due(wheel, (key,), origin, w, eps, keep_w)
         for label, (a, _, _) in cells.items():
             file_due(wheel, (label,), origin, a, eps, keep_a)
+        wheel.setdefault(step, []).extend(wheel.pop(origin, ()))  # below the floor: due now
 
     # Boosts per occurrence. A boost reads only its own cell's pre-step
     # activation (a new cell's initial one), so each cell is written at once.

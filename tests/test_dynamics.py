@@ -22,7 +22,7 @@ from mindstream.dynamics import (
 )
 from mindstream.engine import Engine
 from mindstream.model import Cell, EngineParams, MindMap
-from mindstream.snapshot import render_snapshot
+from mindstream.snapshot import parse_snapshot, render_snapshot
 
 from helpers import random_transactions, replay, txn, worked_example_transactions
 from reference_snapshot import check_invariants
@@ -883,30 +883,39 @@ def test_each_scheduled_record_holds_one_wheel_entry(beta, theta_a):
 def test_no_wheel_holds_a_bucket_at_or_before_the_step(epsilon, theta_w, beta, theta_a):
     # With lam 0.05 a cell is born at 0.525 and an edge of m items at 1/m <=
     # 0.5, below a floor of 0.6 (and, for m >= 4, of 0.3): each is filed due
-    # in the step that holds it, which pops it, with decay on or off.
+    # in the step that holds it, which pops it, with decay on or off. A map
+    # parsed from a snapshot at step 200 holds cells below the floor that
+    # their edges pin; its first step files them as of the snapshot's step,
+    # and must pop them too. It then steps as the straight run does.
     params = EngineParams(
         lam=0.05, beta_w=beta, beta_a=beta, epsilon=epsilon, theta_w=theta_w, theta_a=theta_a
     )
     engine = Engine(params)
-    born_forgotten = 0
+    born_forgotten, resumed = 0, None
     rng = random.Random(f"{epsilon} {beta} {theta_a}")
     for t in random_transactions(rng, [f"i{k}" for k in range(20)], 400, max_size=6):
         events = engine.ingest(t)
         born_forgotten += len(set(events.edges_created) & set(events.edges_forgotten))
-        for wheel in (engine.mmap.wheel, engine._wheel):
+        wheels = [engine.mmap.wheel, engine._wheel]
+        if resumed is not None:
+            assert ingest_transaction(resumed, t, params)[1] == events
+            wheels.append(resumed.wheel)
+        elif engine.step == 200:
+            resumed = parse_snapshot(render_snapshot(engine.state)).mmap
+        for wheel in wheels:
             assert min(wheel, default=engine.step + 1) > engine.step, engine.step
     assert born_forgotten > 100
 
 
-def test_a_given_record_below_its_floor_stays_in_the_map():
-    # Such a map breaks the invariant that `prune_forgotten` relies on. The
-    # first step files the record at the map's origin, which no step pops.
+def test_the_first_step_on_a_given_map_forgets_what_is_below_its_floor():
+    # The first step files given records as of the map's origin, those below
+    # the floor due then; it makes them due in its own step, which pops them.
     m = MindMap(cells={"A": (0.005, 0, 0), "B": (0.5, 0, 0)}, edges={("A", "B"): (0.005, 0)})
     params = EngineParams(beta_w=0.0, beta_a=0.0)
     m, events = ingest_transaction(m, txn(["C"]), params)
-    assert events.edges_forgotten == [] and events.cells_forgotten == []
-    assert m.edges == {("A", "B"): (0.005, 0)} and "A" in m.cells
-    assert m.wheel == {0: [(("A", "B"), 0), ("A", 0)]}
+    assert events.edges_forgotten == [("A", "B")] and events.cells_forgotten == ["A"]
+    assert m.edges == {} and sorted(m.cells) == ["B", "C"]
+    assert m.wheel == {}
 
 
 def test_an_entry_left_by_a_cell_forgotten_while_lit_is_dropped():

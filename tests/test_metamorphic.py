@@ -20,10 +20,10 @@ cells are forgotten and patterns are promoted, lapse and reopen.
   with an order-preserving renaming; `strongest` breaks ties by the
   smallest label, so it is compared only under such a renaming.
 
-Every parameter set keeps eta at 0.5, whose product is exact, so the
-Hebbian term eta * a_i * a_j does not depend on which end of a pair comes
-first. The high-floor set (lam 0.05, epsilon 0.3) forgets edges born below
-the floor, in the step that files them.
+The high-floor set (lam 0.05, epsilon 0.3) forgets edges born below the
+floor, in the step that files them. The eta set (0.3) checks that a Hebbian
+term does not depend on which end of a pair comes first, as it would in its
+last bit if eta multiplied one activation before the other.
 """
 
 import contextlib
@@ -57,6 +57,7 @@ PARAMS = {
     "defaults": EngineParams(),
     "dark": EngineParams(theta_a=0.6, promote_after=1, theta_w=0.7),
     "high-floor": EngineParams(lam=0.05, epsilon=0.3, theta_w=0.5),
+    "eta": EngineParams(eta=0.3),
 }
 # What renamed labels are drawn from: each needs quotes, an escape or the
 # checking side of the parse. No digit, so the index appended keeps them distinct.
